@@ -24,8 +24,13 @@
 //! link capacity or connectivity. Between transitions every flow
 //! progresses linearly at its frozen rate, so the engine needs only one
 //! scheduled wake-up at the earliest completion time; a transition
-//! re-arms it (stale wake-ups are discarded by generation). Cost per
-//! transition is O(links + flows) work and O(1) new heap events.
+//! re-arms it (stale wake-ups are discarded by generation). Each
+//! transition runs progressive filling at most once, costing
+//! O(flows · path + rounds · active links) work, where the *active*
+//! links are those on some in-flight flow's path: idle links are never
+//! touched, so the cost scales with the traffic, not with the fabric.
+//! It schedules O(1) new heap events and allocates nothing once the
+//! plane's scratch buffers have grown to the peak flow count.
 //!
 //! Fault interactions differ deliberately from the legacy path:
 //!
@@ -49,7 +54,7 @@ pub const SATURATION_THRESHOLD: f64 = 0.95;
 pub const DEGRADE_REF_MS: f64 = 100.0;
 
 /// Flows with fewer remaining bytes than this are complete (guards the
-/// float subtraction in `advance` against epsilon residue).
+/// float subtraction in `progress` against epsilon residue).
 const COMPLETE_EPS_BYTES: f64 = 1e-6;
 
 /// What a link is, for naming and telemetry classification.
@@ -139,12 +144,23 @@ pub(crate) struct FairNetwork {
     /// re-armed since.
     generation: u64,
     window_ms: f64,
-    /// Scratch: per-link residual capacity during progressive filling.
+    /// Flows that finished serializing, keyed by admission number and
+    /// in admission order per transition, until the engine drains them
+    /// (see [`Self::drain_completed`]). Reused across transitions.
+    completed: Vec<(u64, CompletedFlow)>,
+    /// Scratch: per-link residual capacity during progressive filling
+    /// (meaningful only for the active links of the current fill).
     residual: Vec<f64>,
-    /// Scratch: per-link count of unfrozen flows during filling.
+    /// Scratch: per-link count of unfrozen flows during filling. All
+    /// zero between fills: every fill freezes every flow.
     unfrozen: Vec<u32>,
+    /// Scratch: ids of the links some in-flight flow crosses, ascending.
+    active: Vec<u32>,
     /// Scratch: indices of flows not yet frozen during filling.
     worklist: Vec<u32>,
+    /// Links the last fill's bottleneck searches ranged over.
+    #[cfg(test)]
+    last_scan: usize,
 }
 
 /// Per-link telemetry at the report boundary.
@@ -197,9 +213,13 @@ impl FairNetwork {
             next_seq: 0,
             generation: 0,
             window_ms,
+            completed: Vec::new(),
             residual: vec![0.0; n_links],
             unfrozen: vec![0; n_links],
+            active: Vec::new(),
             worklist: Vec::new(),
+            #[cfg(test)]
+            last_scan: 0,
         }
     }
 
@@ -253,10 +273,10 @@ impl FairNetwork {
     /// `now`; the plane hands the batch back through a later transition
     /// when the last byte clears the fabric. `inter_rack` selects the
     /// five-hop trunk path; same-rack flows touch only the two NICs.
-    /// Returns any *other* flows that completed at the moment of
-    /// admission (every transition must surface completions, or a flow
-    /// finishing exactly at an admission instant would be lost when the
-    /// caller re-arms the wake).
+    /// Any *other* flows that completed at the moment of admission join
+    /// the completed buffer (every transition must surface completions,
+    /// or a flow finishing exactly at an admission instant would be lost
+    /// when the caller re-arms the wake).
     #[allow(clippy::too_many_arguments)] // dense hot-path call, no struct churn
     pub fn admit(
         &mut self,
@@ -271,8 +291,9 @@ impl FairNetwork {
         to_task: u32,
         root: u64,
         tuples: u32,
-    ) -> Vec<CompletedFlow> {
-        let done = self.advance(now);
+    ) {
+        // The fill below covers any completions `progress` surfaced.
+        self.progress(now);
         let mut path = [u32::MAX; 5];
         let path_len = if inter_rack {
             path[0] = self.egress(src_node);
@@ -302,13 +323,30 @@ impl FairNetwork {
             tuples,
         });
         self.recompute();
-        done
+    }
+
+    /// Progresses every flow to `now` at its frozen rate, moves completed
+    /// flows to the completed buffer, and recomputes the survivors' rates
+    /// when anything finished.
+    pub fn advance(&mut self, now: f64) {
+        if self.progress(now) {
+            self.recompute();
+        }
+    }
+
+    /// Hands back the flows completed since the last drain, in admission
+    /// order within each transition.
+    pub fn drain_completed(&mut self) -> impl Iterator<Item = CompletedFlow> + '_ {
+        self.completed.drain(..).map(|(_, c)| c)
     }
 
     /// Progresses every flow to `now` at its frozen rate, accumulates
-    /// telemetry, removes completed flows and returns them in admission
-    /// order, and recomputes the survivors' rates when anything finished.
-    pub fn advance(&mut self, now: f64) -> Vec<CompletedFlow> {
+    /// telemetry, and appends completed flows to the completed buffer in
+    /// admission order. Returns whether any flow completed; the caller
+    /// owes a recompute if so. Rates never depend on the previous rates,
+    /// so a transition that changes the flow set or the capacities
+    /// anyway recomputes once, after its own change.
+    fn progress(&mut self, now: f64) -> bool {
         let dt = now - self.clock_ms;
         if dt > 0.0 && !self.flows.is_empty() {
             let t0 = self.clock_ms;
@@ -348,49 +386,46 @@ impl FairNetwork {
         }
         self.clock_ms = self.clock_ms.max(now);
 
-        let mut done: Vec<Flow> = Vec::new();
+        let first = self.completed.len();
         let mut i = 0;
         while i < self.flows.len() {
             if self.flows[i].remaining_bytes <= COMPLETE_EPS_BYTES {
-                done.push(self.flows.swap_remove(i));
+                let f = self.flows.swap_remove(i);
+                let done = CompletedFlow {
+                    to_task: f.to_task,
+                    root: f.root,
+                    tuples: f.tuples,
+                    latency_ms: f.latency_ms,
+                };
+                self.completed.push((f.seq, done));
             } else {
                 i += 1;
             }
         }
-        if done.is_empty() {
-            return Vec::new();
-        }
-        done.sort_by_key(|f| f.seq);
-        self.recompute();
-        done.iter()
-            .map(|f| CompletedFlow {
-                to_task: f.to_task,
-                root: f.root,
-                tuples: f.tuples,
-                latency_ms: f.latency_ms,
-            })
-            .collect()
+        // Sequence numbers are unique, so the unstable (allocation-free)
+        // sort yields the one admission order.
+        self.completed[first..].sort_unstable_by_key(|&(seq, _)| seq);
+        self.completed.len() > first
     }
 
     /// Applies a degradation transition: flows progress to `now` under
     /// the old factor, then every link's capacity is multiplied by
     /// `DEGRADE_REF_MS / (DEGRADE_REF_MS + extra_ms)` — the legacy
-    /// knob's milliseconds reinterpreted as congestion. Returns any
-    /// flows that completed before the switch.
-    pub fn set_degrade(&mut self, now: f64, extra_ms: f64) -> Vec<CompletedFlow> {
-        let done = self.advance(now);
+    /// knob's milliseconds reinterpreted as congestion. Flows that
+    /// completed before the switch join the completed buffer.
+    pub fn set_degrade(&mut self, now: f64, extra_ms: f64) {
+        self.progress(now);
         self.degrade_factor = DEGRADE_REF_MS / (DEGRADE_REF_MS + extra_ms.max(0.0));
         self.recompute();
-        done
     }
 
     /// Severs every trunk flow touching `rack` mid-transfer (the
     /// partition cuts the rack's uplink and downlink): the severed
-    /// batches are returned for loss accounting, in admission order,
-    /// together with any flows that completed before the cut. Same-rack
-    /// flows inside the partitioned rack are untouched.
-    pub fn sever_rack(&mut self, now: f64, rack: usize) -> (Vec<CompletedFlow>, Vec<SeveredFlow>) {
-        let done = self.advance(now);
+    /// batches are returned for loss accounting, in admission order.
+    /// Flows that completed before the cut join the completed buffer.
+    /// Same-rack flows inside the partitioned rack are untouched.
+    pub fn sever_rack(&mut self, now: f64, rack: usize) -> Vec<SeveredFlow> {
+        let finished = self.progress(now);
         let rack = rack as u32;
         let mut severed: Vec<Flow> = Vec::new();
         let mut i = 0;
@@ -403,18 +438,17 @@ impl FairNetwork {
                 i += 1;
             }
         }
-        if !severed.is_empty() {
-            severed.sort_by_key(|f| f.seq);
+        severed.sort_by_key(|f| f.seq);
+        if finished || !severed.is_empty() {
             self.recompute();
         }
-        let severed = severed
+        severed
             .iter()
             .map(|f| SeveredFlow {
                 root: f.root,
                 tuples: f.tuples,
             })
-            .collect();
-        (done, severed)
+            .collect()
     }
 
     /// Max-min rates by progressive filling: repeatedly find the link
@@ -422,44 +456,62 @@ impl FairNetwork {
     /// those flows at that share, subtract the share from every link on
     /// their paths, and repeat until every flow is frozen. Ties break on
     /// the lowest link id, so the result is independent of flow storage
-    /// order. The worklist shrinks by every frozen flow, so each round
-    /// costs O(links + unfrozen flows) and there are at most as many
-    /// rounds as distinct bottleneck links.
+    /// order.
+    ///
+    /// Only *active* links — those on some flow's path — are touched: a
+    /// first pass over the flows tallies `unfrozen` and collects the
+    /// active ids, sorted ascending so the bottleneck search visits
+    /// links in id order (the tie rule). An idle link has no unfrozen
+    /// flow and could never be a bottleneck, so the result is the one a
+    /// scan of every link would give, bit for bit. Each round costs
+    /// O(active links + unfrozen flows), there are at most as many
+    /// rounds as distinct bottleneck links, and the worklist shrinks by
+    /// every frozen flow.
     fn recompute(&mut self) {
-        for (l, link) in self.links.iter().enumerate() {
-            self.residual[l] = link.capacity * self.degrade_factor;
-            self.unfrozen[l] = 0;
-        }
+        self.active.clear();
         for f in &mut self.flows {
             f.rate = 0.0;
             for &l in &f.path[..f.path_len as usize] {
-                self.unfrozen[l as usize] += 1;
+                let n = &mut self.unfrozen[l as usize];
+                if *n == 0 {
+                    self.active.push(l);
+                }
+                *n += 1;
             }
+        }
+        self.active.sort_unstable();
+        for &l in &self.active {
+            self.residual[l as usize] = self.links[l as usize].capacity * self.degrade_factor;
+        }
+        #[cfg(test)]
+        {
+            self.last_scan = self.active.len();
         }
         self.worklist.clear();
         self.worklist.extend(0..self.flows.len() as u32);
         while !self.worklist.is_empty() {
-            let mut bottleneck = usize::MAX;
+            let mut bottleneck = u32::MAX;
             let mut share = f64::INFINITY;
-            for l in 0..self.links.len() {
-                if self.unfrozen[l] == 0 {
+            for &l in &self.active {
+                let n = self.unfrozen[l as usize];
+                if n == 0 {
                     continue;
                 }
-                let s = self.residual[l] / f64::from(self.unfrozen[l]);
+                let s = self.residual[l as usize] / f64::from(n);
                 if s < share {
                     share = s;
                     bottleneck = l;
                 }
             }
-            debug_assert!(bottleneck != usize::MAX, "unfrozen flows imply a link");
+            debug_assert!(bottleneck != u32::MAX, "unfrozen flows imply a link");
             // Float subtraction can push a residual a hair below zero;
             // a rate must never be negative (it would run flows backward).
             let share = share.max(0.0);
             let mut i = 0;
             while i < self.worklist.len() {
                 let fi = self.worklist[i] as usize;
-                let on_bottleneck = self.flows[fi].path[..self.flows[fi].path_len as usize]
-                    .contains(&(bottleneck as u32));
+                let on_bottleneck =
+                    self.flows[fi].path[..self.flows[fi].path_len as usize].contains(&bottleneck);
                 if !on_bottleneck {
                     i += 1;
                     continue;
@@ -472,6 +524,10 @@ impl FairNetwork {
                 self.worklist.swap_remove(i);
             }
         }
+        debug_assert!(
+            self.active.iter().all(|&l| self.unfrozen[l as usize] == 0),
+            "a finished fill leaves no unfrozen flow on any link"
+        );
     }
 
     /// Whether any flow is in flight.
@@ -548,13 +604,18 @@ mod tests {
         net.admit(now, 0, 2, 0, 1, true, bytes, 2.0, 9, tag, 10);
     }
 
+    fn completed(net: &mut FairNetwork) -> Vec<CompletedFlow> {
+        net.drain_completed().collect()
+    }
+
     #[test]
     fn lone_flow_runs_at_nic_speed() {
         let mut net = fabric();
         // 12 500 bytes through a 12 500 B/ms NIC: done at t=1.
         admit_inter_rack(&mut net, 0.0, 12_500.0, 1);
         assert!((net.next_completion().unwrap() - 1.0).abs() < 1e-9);
-        let done = net.advance(1.0);
+        net.advance(1.0);
+        let done = completed(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].root, 1);
         assert_eq!(done[0].to_task, 9);
@@ -572,7 +633,8 @@ mod tests {
         net.admit(0.0, 1, 2, 0, 0, false, 12_500.0, 0.0, 1, 2, 10);
         // Each runs at 6 250 B/ms → both complete at t = 2, not t = 1.
         assert!((net.next_completion().unwrap() - 2.0).abs() < 1e-9);
-        let done = net.advance(2.0);
+        net.advance(2.0);
+        let done = completed(&mut net);
         assert_eq!(done.len(), 2);
         // Admission order is preserved in the completion list.
         assert_eq!(done[0].root, 1);
@@ -609,12 +671,14 @@ mod tests {
         net.admit(0.0, 0, 2, 0, 0, false, 12_500.0, 0.0, 1, 1, 10);
         net.admit(0.0, 1, 2, 0, 0, false, 25_000.0, 0.0, 1, 2, 10);
         // At half rate (6 250 B/ms) the short flow finishes at t = 2.
-        let done = net.advance(2.0);
+        net.advance(2.0);
+        let done = completed(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].root, 1);
         // Survivor: 12 500 bytes left, now at full 12 500 B/ms → t = 3.
         assert!((net.next_completion().unwrap() - 3.0).abs() < 1e-9);
-        let done = net.advance(3.0);
+        net.advance(3.0);
+        let done = completed(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].root, 2);
     }
@@ -625,12 +689,13 @@ mod tests {
         admit_inter_rack(&mut net, 0.0, 50_000.0, 1);
         // Same-rack flow inside rack 0: must survive the partition.
         net.admit(0.0, 0, 1, 0, 0, false, 50_000.0, 0.0, 3, 2, 10);
-        let (done, severed) = net.sever_rack(0.5, 0);
-        assert!(done.is_empty());
+        let severed = net.sever_rack(0.5, 0);
+        assert!(completed(&mut net).is_empty());
         assert_eq!(severed.len(), 1);
         assert_eq!(severed[0].root, 1);
         assert!(net.has_flows(), "the intra-rack flow keeps going");
-        let done = net.advance(60_000.0);
+        net.advance(60_000.0);
+        let done = completed(&mut net);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].root, 2);
     }
@@ -641,8 +706,8 @@ mod tests {
         admit_inter_rack(&mut net, 0.0, 12_500.0, 1);
         // extra = 100 ms → factor 0.5: the lone flow now runs at half
         // the NIC rate and finishes at t = 2 instead of t = 1.
-        let done = net.set_degrade(0.0, 100.0);
-        assert!(done.is_empty());
+        net.set_degrade(0.0, 100.0);
+        assert!(completed(&mut net).is_empty());
         assert!((net.next_completion().unwrap() - 2.0).abs() < 1e-9);
         // Healing restores full capacity for the remaining bytes.
         net.advance(1.0); // half transferred
@@ -696,5 +761,177 @@ mod tests {
         admit_inter_rack(&mut net, 0.0, 12_500.0, 2);
         let t2 = net.arm_wake().unwrap();
         assert!(t2 > t1, "sharing slowed both flows down");
+    }
+
+    #[test]
+    fn recompute_scans_only_active_links() {
+        // 1 000 nodes in 20 racks: 2 000 NIC links, 40 trunk links and
+        // the core. A full scan would visit all 2 041 per round.
+        let mut net = FairNetwork::new(1000, 20, 100.0, 600.0, 10_000.0, 60_000.0);
+        assert_eq!(net.links.len(), 2_041);
+        // node 0 (rack 0) → node 999 (rack 19).
+        net.admit(0.0, 0, 999, 0, 19, true, 12_500.0, 0.0, 0, 1, 10);
+        assert_eq!(net.last_scan, 5, "one flow activates its five path links");
+        // node 500 (rack 10) → node 250 (rack 5): disjoint NICs and
+        // trunks, so only the core is shared — nine active links.
+        net.admit(0.0, 500, 250, 10, 5, true, 12_500.0, 0.0, 0, 2, 10);
+        assert_eq!(net.last_scan, 9);
+        // Both finish at NIC speed at t = 1; the empty fill touches nothing.
+        net.advance(1.0);
+        assert_eq!(completed(&mut net).len(), 2);
+        assert_eq!(net.last_scan, 0);
+    }
+
+    impl FairNetwork {
+        /// The original progressive filling, kept as the differential
+        /// oracle: it resets and scans *every* link of the fabric each
+        /// round, active or idle.
+        fn recompute_full_scan(&mut self) {
+            for (l, link) in self.links.iter().enumerate() {
+                self.residual[l] = link.capacity * self.degrade_factor;
+                self.unfrozen[l] = 0;
+            }
+            for f in &mut self.flows {
+                f.rate = 0.0;
+                for &l in &f.path[..f.path_len as usize] {
+                    self.unfrozen[l as usize] += 1;
+                }
+            }
+            self.worklist.clear();
+            self.worklist.extend(0..self.flows.len() as u32);
+            while !self.worklist.is_empty() {
+                let mut bottleneck = usize::MAX;
+                let mut share = f64::INFINITY;
+                for l in 0..self.links.len() {
+                    if self.unfrozen[l] == 0 {
+                        continue;
+                    }
+                    let s = self.residual[l] / f64::from(self.unfrozen[l]);
+                    if s < share {
+                        share = s;
+                        bottleneck = l;
+                    }
+                }
+                debug_assert!(bottleneck != usize::MAX, "unfrozen flows imply a link");
+                let share = share.max(0.0);
+                let mut i = 0;
+                while i < self.worklist.len() {
+                    let fi = self.worklist[i] as usize;
+                    let on_bottleneck = self.flows[fi].path[..self.flows[fi].path_len as usize]
+                        .contains(&(bottleneck as u32));
+                    if !on_bottleneck {
+                        i += 1;
+                        continue;
+                    }
+                    self.flows[fi].rate = share;
+                    for &l in &self.flows[fi].path[..self.flows[fi].path_len as usize] {
+                        self.residual[l as usize] -= share;
+                        self.unfrozen[l as usize] -= 1;
+                    }
+                    self.worklist.swap_remove(i);
+                }
+            }
+        }
+
+        /// Every in-flight flow's admission number, rate and remaining
+        /// bytes, bit for bit, in storage order.
+        fn flow_bits(&self) -> Vec<(u64, u64, u64)> {
+            self.flows
+                .iter()
+                .map(|f| (f.seq, f.rate.to_bits(), f.remaining_bytes.to_bits()))
+                .collect()
+        }
+
+        fn completed_bits(&mut self) -> Vec<(u64, u32, u32, u64)> {
+            self.drain_completed()
+                .map(|c| (c.root, c.to_task, c.tuples, c.latency_ms.to_bits()))
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// The active-link fill against the full-scan oracle. Two planes
+        /// take the same random operations on a random fabric; after
+        /// every transition the oracle plane's rates are recomputed by
+        /// the full scan, so its whole trajectory is the full scan's.
+        /// Rates, remaining bytes, completions, severances and the next
+        /// wake-up time must agree bit for bit.
+        #[test]
+        fn active_link_fill_matches_full_scan_oracle(
+            shape in (1usize..65, 1usize..7, 1u32..13),
+            ops in proptest::collection::vec(
+                (0u8..5, 0u8..4, 0usize..64, 0usize..64, 0.0f64..1.0),
+                1..80,
+            ),
+        ) {
+            let (nodes, racks, trunk_step) = shape;
+            // 50–600 Mbps trunks against 100 Mbps NICs: trunks are the
+            // bottleneck on some fabrics and idle headroom on others.
+            let trunk_mbps = 50.0 * f64::from(trunk_step);
+            let fabric = || FairNetwork::new(nodes, racks, 100.0, trunk_mbps, 1_000.0, 60_000.0);
+            let (mut net, mut oracle) = (fabric(), fabric());
+            let rack_of = |n: usize| n % racks;
+            let mut now = 0.0;
+            for (step, &(kind, hop, a, b, x)) in ops.iter().enumerate() {
+                // Every transition may first move the clock: not at all,
+                // by a random or a fixed step, or exactly onto the
+                // earliest completion (as the engine's wake-up does), so
+                // flows also finish *at* an admission, degradation or cut.
+                match hop {
+                    0 => {}
+                    1 => now += x * 5.0,
+                    2 => now += 0.25,
+                    _ => now = net.next_completion().unwrap_or(now),
+                }
+                let (mut cut, mut oracle_cut) = (Vec::new(), Vec::new());
+                match kind {
+                    // Admit: kind 0 to a node of the source's own rack,
+                    // kind 1 to any node (inter-rack when racks differ).
+                    0 | 1 => {
+                        let src = a % nodes;
+                        let dst = if kind == 0 {
+                            let r = rack_of(src);
+                            let rack_size = (nodes - r).div_ceil(racks);
+                            r + racks * (b % rack_size)
+                        } else {
+                            b % nodes
+                        };
+                        let (sr, dr) = (rack_of(src), rack_of(dst));
+                        let bytes = 1.0 + x * 50_000.0;
+                        for plane in [&mut net, &mut oracle] {
+                            plane.admit(
+                                now, src, dst, sr, dr, sr != dr, bytes, x * 3.0,
+                                step as u32, step as u64, a as u32,
+                            );
+                        }
+                    }
+                    2 => {
+                        net.advance(now);
+                        oracle.advance(now);
+                    }
+                    // Degrade (or heal, at zero extra latency).
+                    3 => {
+                        let extra_ms = if x < 0.3 { 0.0 } else { x * 300.0 };
+                        net.set_degrade(now, extra_ms);
+                        oracle.set_degrade(now, extra_ms);
+                    }
+                    _ => {
+                        cut = net.sever_rack(now, b % racks);
+                        oracle_cut = oracle.sever_rack(now, b % racks);
+                    }
+                }
+                oracle.recompute_full_scan();
+                proptest::prop_assert_eq!(net.flow_bits(), oracle.flow_bits());
+                proptest::prop_assert_eq!(net.completed_bits(), oracle.completed_bits());
+                let severed = |v: Vec<SeveredFlow>| {
+                    v.iter().map(|f| (f.root, f.tuples)).collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(severed(cut), severed(oracle_cut));
+                proptest::prop_assert_eq!(
+                    net.next_completion().map(f64::to_bits),
+                    oracle.next_completion().map(f64::to_bits)
+                );
+            }
+        }
     }
 }

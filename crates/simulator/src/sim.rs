@@ -25,7 +25,7 @@ use crate::build::{ClusterIndex, GroupKind, LinkKind, Route, SimBuild, NO_SINK};
 use crate::config::{NetworkModel, SimConfig};
 use crate::event::EventQueue;
 use crate::faults::{FaultEvent, FaultPlan};
-use crate::network::{CompletedFlow, FairNetwork, LinkClass};
+use crate::network::{FairNetwork, LinkClass};
 use crate::report::{
     InvariantViolation, LinkUtilization, NetworkObservations, SimDebugStats, SimReport, SimTotals,
 };
@@ -1000,7 +1000,7 @@ impl Engine {
                 root.pending += 1;
             }
             let net = self.network.as_mut().expect("checked above");
-            let done = net.admit(
+            net.admit(
                 now,
                 src_node,
                 dst_node,
@@ -1013,7 +1013,7 @@ impl Engine {
                 batch.root,
                 batch.tuples,
             );
-            self.finish_net_transition(done);
+            self.finish_net_transition();
             return;
         }
 
@@ -1055,17 +1055,19 @@ impl Engine {
             return;
         }
         let now = self.queue.now();
-        let done = net.advance(now);
-        self.finish_net_transition(done);
+        net.advance(now);
+        self.finish_net_transition();
     }
 
-    /// The tail of every fair-plane transition: schedule a delivery for
-    /// each flow the plane just completed (serialization finished at the
-    /// transition instant; propagation latency is added on top) and
-    /// re-arm the single wake-up at the new earliest completion time.
-    fn finish_net_transition(&mut self, done: Vec<CompletedFlow>) {
+    /// The tail of every fair-plane transition: drain the plane's
+    /// completed buffer into one delivery per flow (serialization
+    /// finished at the transition instant; propagation latency is added
+    /// on top) and re-arm the single wake-up at the new earliest
+    /// completion time.
+    fn finish_net_transition(&mut self) {
         let now = self.queue.now();
-        for f in done {
+        let net = self.network.as_mut().expect("transition implies a plane");
+        for f in net.drain_completed() {
             self.queue.schedule(
                 now + f.latency_ms,
                 FastEv::deliver(
@@ -1077,7 +1079,6 @@ impl Engine {
                 ),
             );
         }
-        let net = self.network.as_mut().expect("transition implies a plane");
         if let Some(at) = net.arm_wake() {
             let generation = net.generation();
             self.queue.schedule(
@@ -1229,12 +1230,11 @@ impl Engine {
                 // adding per-transfer latency.
                 if self.network.is_some() {
                     let now = self.queue.now();
-                    let done = self
-                        .network
+                    self.network
                         .as_mut()
                         .expect("checked above")
                         .set_degrade(now, extra_ms);
-                    self.finish_net_transition(done);
+                    self.finish_net_transition();
                 }
             }
             FaultAction::PartitionRack(rack) => self.partition_rack(rack as usize),
@@ -1428,7 +1428,7 @@ impl Engine {
         // exactly like the legacy send-time drop).
         if self.network.is_some() {
             let now = self.queue.now();
-            let (done, severed) = self
+            let severed = self
                 .network
                 .as_mut()
                 .expect("checked above")
@@ -1439,7 +1439,7 @@ impl Engine {
                     tuples: f.tuples,
                 });
             }
-            self.finish_net_transition(done);
+            self.finish_net_transition();
         }
     }
 
