@@ -783,9 +783,9 @@ mod tests {
     }
 
     impl FairNetwork {
-        /// The original progressive filling, kept as the differential
-        /// oracle: it resets and scans *every* link of the fabric each
-        /// round, active or idle.
+        /// Progressive filling that resets and scans *every* link of the
+        /// fabric each round, active or idle: the differential oracle
+        /// for [`FairNetwork::recompute`].
         fn recompute_full_scan(&mut self) {
             for (l, link) in self.links.iter().enumerate() {
                 self.residual[l] = link.capacity * self.degrade_factor;
