@@ -5,9 +5,11 @@
 //! how much quicker is the indexed/undo-log `RStormScheduler` than the
 //! scan/clone `ReferenceRStormScheduler` it is bit-for-bit equivalent to?
 //! It times the same four topology/cluster sizes as the criterion
-//! `schedule` group plus the reschedule-after-node-failure scenario,
-//! reports median wall time per schedule, and writes the results to
-//! `BENCH_sched.json` in the current directory.
+//! `schedule` group, the scale plane's 10k-task / 1k-node case (20 racks
+//! of 50, where node selection's per-rack memo does most of its work) and
+//! the reschedule-after-node-failure scenario, reports median wall time
+//! per schedule, and writes the results to `BENCH_sched.json` in the
+//! current directory.
 //!
 //! Run with `cargo run --release -p rstorm-bench --bin perf_smoke`.
 
@@ -15,6 +17,7 @@ use rstorm_cluster::{Cluster, ClusterBuilder, ResourceCapacity};
 use rstorm_core::schedulers::EvenScheduler;
 use rstorm_core::{GlobalState, RStormScheduler, ReferenceRStormScheduler, Scheduler};
 use rstorm_topology::{Topology, TopologyBuilder};
+use rstorm_workloads::scale::{scale_cluster, scale_topology};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -46,19 +49,26 @@ fn cluster(racks: u32, nodes_per_rack: u32) -> Cluster {
         .expect("valid")
 }
 
+/// Samples per timer for the regular cases.
+const MIN_ITERS: usize = 3;
+
 /// Median wall time of `timed`, with per-sample state built by `setup`
-/// outside the timed region. Runs at least `MIN_ITERS` samples and keeps
+/// outside the timed region. Runs at least `min_iters` samples and keeps
 /// sampling until `budget` is spent (whichever is later), capped at
 /// `MAX_ITERS`.
-fn median_ns<T>(mut setup: impl FnMut() -> T, mut timed: impl FnMut(T), budget: Duration) -> u64 {
-    const MIN_ITERS: usize = 3;
+fn median_ns<T>(
+    mut setup: impl FnMut() -> T,
+    mut timed: impl FnMut(T),
+    budget: Duration,
+    min_iters: usize,
+) -> u64 {
     const MAX_ITERS: usize = 200;
     // One untimed warmup to populate allocator caches and branch
     // predictors.
     timed(setup());
     let mut samples = Vec::new();
     let started = Instant::now();
-    while samples.len() < MAX_ITERS && (samples.len() < MIN_ITERS || started.elapsed() < budget) {
+    while samples.len() < MAX_ITERS && (samples.len() < min_iters || started.elapsed() < budget) {
         let input = setup();
         let t0 = Instant::now();
         timed(input);
@@ -77,7 +87,13 @@ struct CaseResult {
     even_ns: u64,
 }
 
-fn time_schedulers(name: &str, topology: &Topology, cl: &Cluster, budget: Duration) -> CaseResult {
+fn time_schedulers(
+    name: &str,
+    topology: &Topology,
+    cl: &Cluster,
+    budget: Duration,
+    min_iters: usize,
+) -> CaseResult {
     let tasks = topology.task_set().len() as u32;
     let nodes = cl.nodes().len() as u32;
     let rstorm_ns = median_ns(
@@ -88,6 +104,7 @@ fn time_schedulers(name: &str, topology: &Topology, cl: &Cluster, budget: Durati
                 .expect("feasible");
         },
         budget,
+        min_iters,
     );
     let reference_ns = median_ns(
         || GlobalState::new(cl),
@@ -97,6 +114,7 @@ fn time_schedulers(name: &str, topology: &Topology, cl: &Cluster, budget: Durati
                 .expect("feasible");
         },
         budget,
+        min_iters,
     );
     let even_ns = median_ns(
         || GlobalState::new(cl),
@@ -106,6 +124,7 @@ fn time_schedulers(name: &str, topology: &Topology, cl: &Cluster, budget: Durati
                 .expect("feasible");
         },
         budget,
+        min_iters,
     );
     CaseResult {
         name: name.to_string(),
@@ -143,11 +162,17 @@ fn time_reschedule(budget: Duration) -> CaseResult {
     };
     let fast = RStormScheduler::new();
     let reference = ReferenceRStormScheduler::new();
-    let rstorm_ns = median_ns(|| reschedule(&fast), |input| run(&fast, input), budget);
+    let rstorm_ns = median_ns(
+        || reschedule(&fast),
+        |input| run(&fast, input),
+        budget,
+        MIN_ITERS,
+    );
     let reference_ns = median_ns(
         || reschedule(&reference),
         |input| run(&reference, input),
         budget,
+        MIN_ITERS,
     );
     CaseResult {
         name: "reschedule_after_node_failure".to_string(),
@@ -181,9 +206,8 @@ fn write_json(results: &[CaseResult]) -> String {
 }
 
 fn main() {
-    // Per-scheduler-per-case sampling budget. 5 cases × up to 3 timers
-    // each keeps the whole run comfortably under 30 s even when the
-    // reference scheduler needs ~1 s per 10k-task schedule.
+    // Per-scheduler-per-case sampling budget for the regular cases; the
+    // 10k×1k case below runs each scheduler twice instead.
     let budget = Duration::from_millis(800);
     let started = Instant::now();
 
@@ -198,8 +222,18 @@ fn main() {
         let cl = cluster(racks, nodes);
         let tasks = stages * parallelism;
         let name = format!("schedule/{tasks}t_{}n", racks * nodes);
-        results.push(time_schedulers(&name, &topology, &cl, budget));
+        results.push(time_schedulers(&name, &topology, &cl, budget, MIN_ITERS));
     }
+    // The reference needs about a second per schedule at this size, so
+    // one sample after the warmup keeps the bin quick; the gap is more
+    // than an order of magnitude.
+    results.push(time_schedulers(
+        "schedule/10000t_1000n",
+        &scale_topology(10_000),
+        &scale_cluster(1_000),
+        Duration::ZERO,
+        1,
+    ));
     results.push(time_reschedule(budget));
 
     println!(

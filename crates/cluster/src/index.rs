@@ -21,18 +21,6 @@ use crate::network::{NetworkCosts, PlacementRelation};
 use crate::node::{Node, ResourceCapacity};
 use std::collections::HashMap;
 
-/// A rack's span of dense node indices, when its members are contiguous
-/// in sorted-id order (true for conventional `rack-X-node-Y` naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RackRange {
-    /// The rack's index (position in [`crate::Cluster::racks`] order).
-    pub rack: u32,
-    /// First dense node index of the rack (inclusive).
-    pub start: u32,
-    /// Last dense node index of the rack (exclusive).
-    pub end: u32,
-}
-
 /// Precomputed dense-index view of a cluster's immutable layout: interned
 /// node ids, per-node rack indices and capacities, and O(1) network
 /// distance. Shared by reference from [`crate::Cluster::index`]; liveness
@@ -48,9 +36,6 @@ pub struct ClusterIndex {
     rack_of: Vec<u32>,
     /// Rack index → member dense indices, in node declaration order.
     rack_members: Vec<Vec<u32>>,
-    /// Rack spans sorted by `start`, covering `0..len`, if every rack is
-    /// contiguous in sorted-id order.
-    rack_ranges: Option<Vec<RackRange>>,
     /// Dense node index → total capacity.
     capacities: Vec<ResourceCapacity>,
     /// Distance when the candidate *is* the reference node.
@@ -102,8 +87,6 @@ impl ClusterIndex {
             rack_members[rack as usize].push(dense_of_decl[decl]);
         }
 
-        let rack_ranges = Self::contiguous_ranges(&rack_of, rack_count);
-
         let mut max_cpu_points: f64 = 1.0;
         let mut max_memory_mb: f64 = 1.0;
         for c in &capacities {
@@ -116,7 +99,6 @@ impl ClusterIndex {
             positions,
             rack_of,
             rack_members,
-            rack_ranges,
             capacities,
             d_same_node: costs
                 .distance(PlacementRelation::SameNode)
@@ -126,31 +108,6 @@ impl ClusterIndex {
             max_cpu_points,
             max_memory_mb,
         }
-    }
-
-    /// Rack spans if every rack occupies a contiguous run of dense
-    /// indices; `None` as soon as one rack is fragmented.
-    fn contiguous_ranges(rack_of: &[u32], rack_count: usize) -> Option<Vec<RackRange>> {
-        let mut ranges: Vec<RackRange> = Vec::with_capacity(rack_count);
-        let mut seen = vec![false; rack_count];
-        for (dense, &rack) in rack_of.iter().enumerate() {
-            let dense = dense as u32;
-            match ranges.last_mut() {
-                Some(last) if last.rack == rack => last.end = dense + 1,
-                _ => {
-                    if seen[rack as usize] {
-                        return None; // rack re-appears after a gap
-                    }
-                    seen[rack as usize] = true;
-                    ranges.push(RackRange {
-                        rack,
-                        start: dense,
-                        end: dense + 1,
-                    });
-                }
-            }
-        }
-        Some(ranges)
     }
 
     /// Number of nodes (dense indices are `0..len`).
@@ -203,12 +160,6 @@ impl ClusterIndex {
     /// Panics if `rack` is out of range.
     pub fn rack_members(&self, rack: u32) -> &[u32] {
         &self.rack_members[rack as usize]
-    }
-
-    /// Rack spans sorted by start, covering all dense indices — present
-    /// when every rack is contiguous in sorted-id order.
-    pub fn rack_ranges(&self) -> Option<&[RackRange]> {
-        self.rack_ranges.as_deref()
     }
 
     /// A node's total capacity.
@@ -331,33 +282,6 @@ mod tests {
             .collect();
         assert_eq!(r0, vec!["b-node", "a-node"]);
         assert_eq!(idx.rack_of(idx.node_index("c-node").unwrap()), 1);
-    }
-
-    #[test]
-    fn contiguous_racks_yield_ranges() {
-        let c = two_racks();
-        let ranges = c
-            .index()
-            .rack_ranges()
-            .expect("rack-N naming sorts contiguously");
-        assert_eq!(ranges.len(), 2);
-        assert_eq!((ranges[0].start, ranges[0].end), (0, 3));
-        assert_eq!((ranges[1].start, ranges[1].end), (3, 6));
-        // Ranges partition 0..len in order.
-        assert_eq!(ranges[0].rack, 0);
-        assert_eq!(ranges[1].rack, 1);
-    }
-
-    #[test]
-    fn fragmented_racks_yield_no_ranges() {
-        // Sorted order interleaves the racks: a-0 (r0), b-0 (r1), c-0 (r0).
-        let c = ClusterBuilder::new()
-            .add_node("a-0", "r0", ResourceCapacity::emulab_node(), 1)
-            .add_node("b-0", "r1", ResourceCapacity::emulab_node(), 1)
-            .add_node("c-0", "r0", ResourceCapacity::emulab_node(), 1)
-            .build()
-            .unwrap();
-        assert!(c.index().rack_ranges().is_none());
     }
 
     #[test]

@@ -46,6 +46,6 @@ pub use builder::ClusterBuilder;
 pub use cluster::Cluster;
 pub use error::ClusterError;
 pub use ids::{NodeId, RackId, WorkerSlot};
-pub use index::{ClusterIndex, RackRange};
+pub use index::ClusterIndex;
 pub use network::{NetworkCosts, PlacementRelation};
 pub use node::{Node, ResourceCapacity};

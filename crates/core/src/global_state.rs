@@ -24,13 +24,31 @@
 //! rack in node declaration order — never incrementally adjusted — so
 //! they stay bit-identical to a from-scratch scan (incremental float
 //! add/subtract would drift).
+//!
+//! Every recomputation also gives the rack a fresh **stamp** from a
+//! process-wide counter ([`GlobalState::rack_stamps`]). All writes to the
+//! dense or liveness vectors go through that recomputation, so a rack
+//! whose stamp is unchanged has unchanged contents; and since no stamp is
+//! ever issued twice, equal stamps mean equal contents even across clones
+//! of a state. Node selection keys its per-rack memo on them: a repeated
+//! request rescans only the racks touched since the previous pick, so it
+//! costs O(racks + rack size) instead of O(alive nodes). Stamps
+//! are identity, not state — they are left out of the `Debug` output, so a
+//! rollback (which restores contents under fresh stamps) prints exactly
+//! the state it restored.
 
 use crate::assignment::{Assignment, SchedulingPlan};
 use crate::error::ScheduleError;
 use rstorm_cluster::{Cluster, ClusterIndex, NodeId, WorkerSlot};
 use rstorm_topology::{ResourceRequest, Topology, TopologyId};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of rack stamps, shared by every state in the process so a stamp
+/// is never issued twice. Starts at 1: 0 is free for "never computed".
+static NEXT_RACK_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// A node's remaining (unreserved) resources.
 ///
@@ -131,7 +149,7 @@ enum UndoEntry {
 }
 
 /// Cluster-wide scheduling state shared across scheduler invocations.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct GlobalState {
     /// The immutable layout this state's dense vectors are keyed by.
     index: Arc<ClusterIndex>,
@@ -148,11 +166,16 @@ pub struct GlobalState {
     rack_max_mem: Vec<f64>,
     /// Per-rack alive-member count.
     rack_alive: Vec<u32>,
+    /// Per-rack stamp, fresh from [`NEXT_RACK_STAMP`] at every
+    /// recomputation of the rack's aggregates.
+    rack_stamp: Vec<u64>,
     plan: SchedulingPlan,
     /// Per-topology, per-node reserved totals, for release on unschedule.
     reserved: HashMap<TopologyId, BTreeMap<NodeId, ResourceRequest>>,
-    /// The worker slot each (topology, node) pair packs its tasks into.
-    topology_slots: HashMap<(TopologyId, NodeId), u16>,
+    /// The worker slot port each topology packs its tasks into, per node.
+    /// Nested so a lookup borrows both ids; a topology with no slots has
+    /// no entry.
+    topology_slots: HashMap<TopologyId, HashMap<NodeId, u16>>,
     /// Number of distinct topologies occupying each slot.
     slot_occupancy: BTreeMap<WorkerSlot, usize>,
 }
@@ -182,6 +205,7 @@ impl GlobalState {
             rack_abundance: vec![0.0; racks],
             rack_max_mem: vec![f64::NEG_INFINITY; racks],
             rack_alive: vec![0; racks],
+            rack_stamp: vec![0; racks],
             plan: SchedulingPlan::new(),
             reserved: HashMap::new(),
             topology_slots: HashMap::new(),
@@ -195,7 +219,7 @@ impl GlobalState {
 
     /// Recomputes one rack's aggregates from scratch, scanning alive
     /// members in declaration order (bit-identical to the scan the
-    /// pre-index `find_ref_node` performed per call).
+    /// pre-index `find_ref_node` performed per call), and stamps the rack.
     fn recompute_rack(&mut self, rack: u32) {
         let index = Arc::clone(&self.index);
         let (max_cpu, max_mem) = (index.max_cpu_points(), index.max_memory_mb());
@@ -216,6 +240,9 @@ impl GlobalState {
         self.rack_abundance[rack as usize] = abundance;
         self.rack_max_mem[rack as usize] = best_mem;
         self.rack_alive[rack as usize] = alive_count;
+        // `Relaxed` suffices: only uniqueness matters, which `fetch_add`
+        // guarantees under any ordering, and a stamp publishes no data.
+        self.rack_stamp[rack as usize] = NEXT_RACK_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The cluster layout index this state is keyed by. Fast paths that
@@ -252,6 +279,14 @@ impl GlobalState {
     /// Per-rack alive-member counts.
     pub fn rack_alive_counts(&self) -> &[u32] {
         &self.rack_alive
+    }
+
+    /// Per-rack stamps: a rack's stamp changes whenever any of its
+    /// members' remaining resources or liveness may have, and two equal
+    /// stamps (in this or any other state of the process) denote
+    /// identical rack contents.
+    pub fn rack_stamps(&self) -> &[u64] {
+        &self.rack_stamp
     }
 
     /// Remaining resources of a node ([`None`] for unknown/dead nodes).
@@ -321,13 +356,29 @@ impl GlobalState {
             prev: self.dense[i as usize],
         });
         self.dense[i as usize].subtract(request);
+        // Look up before inserting: the ids are cloned only for a
+        // topology's first reservation, and its first on this node.
         let topology_was_present = self.reserved.contains_key(topology);
-        let per_node = self.reserved.entry(topology.clone()).or_default();
-        let prev = per_node.get(node).cloned();
-        per_node
-            .entry(node.clone())
-            .or_insert_with(ResourceRequest::zero)
-            .add_assign(request);
+        if !topology_was_present {
+            self.reserved.insert(topology.clone(), BTreeMap::new());
+        }
+        let per_node = self
+            .reserved
+            .get_mut(topology)
+            .expect("inserted above if absent");
+        let prev = match per_node.get_mut(node) {
+            Some(total) => {
+                let prev = *total;
+                total.add_assign(request);
+                Some(prev)
+            }
+            None => {
+                let mut total = ResourceRequest::zero();
+                total.add_assign(request);
+                per_node.insert(node.clone(), total);
+                None
+            }
+        };
         log.entries.push(UndoEntry::ReservedTotal {
             topology: topology.clone(),
             node: node.clone(),
@@ -439,7 +490,11 @@ impl GlobalState {
         node: &NodeId,
         log: &mut UndoLog,
     ) -> Result<WorkerSlot, ScheduleError> {
-        if let Some(&port) = self.topology_slots.get(&(topology.clone(), node.clone())) {
+        if let Some(&port) = self
+            .topology_slots
+            .get(topology)
+            .and_then(|ports| ports.get(node))
+        {
             return Ok(WorkerSlot::new(node.clone(), port));
         }
         let slots = cluster
@@ -457,7 +512,9 @@ impl GlobalState {
         let prev = self.slot_occupancy.get(&slot).copied();
         *self.slot_occupancy.entry(slot.clone()).or_insert(0) += 1;
         self.topology_slots
-            .insert((topology.clone(), node.clone()), slot.port);
+            .entry(topology.clone())
+            .or_default()
+            .insert(node.clone(), slot.port);
         log.entries.push(UndoEntry::SlotOccupancy {
             slot: slot.clone(),
             prev,
@@ -504,7 +561,12 @@ impl GlobalState {
                     }
                 }
                 UndoEntry::TopologySlot { topology, node } => {
-                    self.topology_slots.remove(&(topology, node));
+                    if let Some(ports) = self.topology_slots.get_mut(&topology) {
+                        ports.remove(&node);
+                        if ports.is_empty() {
+                            self.topology_slots.remove(&topology);
+                        }
+                    }
                 }
                 UndoEntry::SlotOccupancy { slot, prev } => match prev {
                     Some(count) => {
@@ -570,18 +632,10 @@ impl GlobalState {
         for rack in touched_racks {
             self.recompute_rack(rack);
         }
-        let keys: Vec<(TopologyId, NodeId)> = self
-            .topology_slots
-            .keys()
-            .filter(|(t, _)| t.as_str() == topology)
-            .cloned()
-            .collect();
-        for key in keys {
-            if let Some(port) = self.topology_slots.remove(&key) {
-                let slot = WorkerSlot::new(key.1.clone(), port);
-                if let Some(count) = self.slot_occupancy.get_mut(&slot) {
-                    *count = count.saturating_sub(1);
-                }
+        for (node, port) in self.topology_slots.remove(topology).unwrap_or_default() {
+            let slot = WorkerSlot::new(node, port);
+            if let Some(count) = self.slot_occupancy.get_mut(&slot) {
+                *count = count.saturating_sub(1);
             }
         }
         self.plan.remove(topology)
@@ -674,12 +728,32 @@ impl GlobalState {
                     state.occupy_slot(slot);
                     state
                         .topology_slots
-                        .insert((tid.clone(), slot.node.clone()), slot.port);
+                        .entry(tid.clone())
+                        .or_default()
+                        .insert(slot.node.clone(), slot.port);
                 }
             }
             state.commit(assignment.clone());
         }
         state
+    }
+}
+
+impl fmt::Debug for GlobalState {
+    /// Every field but the rack stamps (see the module docs).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GlobalState")
+            .field("index", &self.index)
+            .field("dense", &self.dense)
+            .field("alive", &self.alive)
+            .field("rack_abundance", &self.rack_abundance)
+            .field("rack_max_mem", &self.rack_max_mem)
+            .field("rack_alive", &self.rack_alive)
+            .field("plan", &self.plan)
+            .field("reserved", &self.reserved)
+            .field("topology_slots", &self.topology_slots)
+            .field("slot_occupancy", &self.slot_occupancy)
+            .finish_non_exhaustive()
     }
 }
 

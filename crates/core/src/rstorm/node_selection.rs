@@ -13,25 +13,117 @@
 //! ## Two implementations, one answer
 //!
 //! Selection has an **indexed** fast path and a **scan** reference path.
-//! The fast path works on [`GlobalState`]'s dense vectors keyed by the
-//! cluster's [`ClusterIndex`]: reference racks come from maintained
-//! per-rack aggregates instead of a full-cluster rescan, the three
-//! possible network terms are computed once per call instead of once per
-//! candidate, whole racks failing the hard memory constraint are skipped,
-//! and no strings are hashed or compared anywhere in the loop. The scan
-//! path is the direct transcription of Algorithm 4 over the string API.
+//! The scan path is the direct transcription of Algorithm 4 over the
+//! string API: every alive node is scored, and the strict-`<` winner in
+//! node-id order is kept. The fast path works on [`GlobalState`]'s dense
+//! vectors keyed by the cluster's [`ClusterIndex`], and memoises
+//! Algorithm 4's winner **per rack**:
+//!
+//! - The memo is keyed by the request's CPU and memory bits and the
+//!   reference node, and holds one entry per rack: the rack's stamp
+//!   ([`GlobalState::rack_stamps`]) and its best node with and without the
+//!   soft CPU constraint. A changed key clears it.
+//! - Racks that cannot hold the task (maintained max remaining memory
+//!   below the demand) are skipped. A rack whose stamp is unchanged since
+//!   its entry was computed reuses the entry; any other rack rescans its
+//!   members. The per-rack winners are then folded into the answer.
+//! - Stamps change on every write to a rack's nodes — reservations,
+//!   releases, rollbacks, failures, recoveries — and are unique across the
+//!   process, so a reused entry is always the one a rescan would compute,
+//!   even across clones of a state and interleaved rollbacks.
+//!
+//! Between two picks of one topology only the rack of the node just
+//! reserved changes, and tasks of a component send the same request, so a
+//! repeated request costs O(racks + rack size) instead of O(alive nodes);
+//! a new request costs O(alive nodes), as a plain scan would. The three
+//! possible network terms are computed once per call, and no strings are
+//! hashed or compared anywhere in the loop.
+//!
 //! Both paths are required to produce **byte-identical** results — same
 //! floating-point operations in the same order, same id-order tie
-//! breaking — which `tests/properties.rs` enforces on randomized inputs.
-//! The fast path engages only when the state was built from this
-//! cluster's index (checked via [`Arc::ptr_eq`]); otherwise selection
-//! silently falls back to the scan.
+//! breaking (`Winner` restates the scan's rule as an order-independent
+//! fold) — which `tests/properties.rs` enforces on randomized inputs and
+//! mutation sequences. The fast path engages only when the state was built
+//! from this cluster's index (checked via [`Arc::ptr_eq`]); otherwise
+//! selection silently falls back to the scan.
 
 use crate::global_state::GlobalState;
 use crate::resource::{weighted_euclidean, NormalizationContext, SoftConstraintWeights};
 use rstorm_cluster::{Cluster, ClusterIndex, NodeId};
 use rstorm_topology::ResourceRequest;
 use std::sync::Arc;
+
+/// The scan path's winner rule as an order-independent fold, so racks can
+/// be scanned in declaration order and combined in any order.
+///
+/// The scan keeps a candidate only if its distance is strictly below the
+/// incumbent's, visiting nodes in id order. If the first candidate's
+/// distance is NaN nothing ever compares below it, so it wins; otherwise
+/// the winner is the smallest distance, lowest id among equals. `Winner`
+/// tracks both, and each is an associative, commutative reduction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Winner {
+    /// The lowest-id candidate, with its distance.
+    first: Option<(f64, u32)>,
+    /// The minimum of `(distance, id)` over candidates with a non-NaN
+    /// distance.
+    min: Option<(f64, u32)>,
+}
+
+impl Winner {
+    fn offer(&mut self, d: f64, i: u32) {
+        self.merge_first(Some((d, i)));
+        if !d.is_nan() {
+            self.merge_min(Some((d, i)));
+        }
+    }
+
+    /// Folds in another set's winner. `other.min` already accounts for
+    /// `other.first` when its distance is not NaN, so the halves merge
+    /// independently.
+    fn merge(&mut self, other: &Winner) {
+        self.merge_first(other.first);
+        self.merge_min(other.min);
+    }
+
+    fn merge_first(&mut self, candidate: Option<(f64, u32)>) {
+        if let Some((d, i)) = candidate {
+            if self.first.is_none_or(|(_, fi)| i < fi) {
+                self.first = Some((d, i));
+            }
+        }
+    }
+
+    fn merge_min(&mut self, candidate: Option<(f64, u32)>) {
+        if let Some((d, i)) = candidate {
+            if self
+                .min
+                .is_none_or(|(md, mi)| d < md || (d == md && i < mi))
+            {
+                self.min = Some((d, i));
+            }
+        }
+    }
+
+    fn pick(&self) -> Option<u32> {
+        match self.first {
+            Some((d, i)) if d.is_nan() => Some(i),
+            _ => self.min.map(|(_, i)| i),
+        }
+    }
+}
+
+/// One rack's memoised winners under the selector's current memo key.
+#[derive(Debug, Clone, Copy, Default)]
+struct RackMemo {
+    /// The rack stamp the winners were computed at (0, never issued, for
+    /// "not computed").
+    stamp: u64,
+    /// Best member whose remaining CPU also covers the request.
+    soft: Winner,
+    /// Best member with the soft CPU constraint relaxed.
+    relaxed: Winner,
+}
 
 /// Stateful node selector for scheduling one topology.
 #[derive(Debug)]
@@ -40,8 +132,16 @@ pub struct NodeSelector<'a> {
     index: Arc<ClusterIndex>,
     weights: &'a SoftConstraintWeights,
     norm: NormalizationContext,
-    ref_node: Option<NodeId>,
+    /// Dense index of the reference node, once anchored.
+    ref_node: Option<u32>,
     force_scan: bool,
+    /// `(cpu bits, memory bits, reference node)` the memo was built for.
+    memo_key: Option<(u64, u64, u32)>,
+    /// Per-rack winners for `memo_key`, by rack index.
+    memo: Vec<RackMemo>,
+    /// Nodes scored by the last indexed selection.
+    #[cfg(test)]
+    last_scored: usize,
 }
 
 impl<'a> NodeSelector<'a> {
@@ -54,6 +154,10 @@ impl<'a> NodeSelector<'a> {
             norm: NormalizationContext::for_cluster(cluster),
             ref_node: None,
             force_scan: false,
+            memo_key: None,
+            memo: Vec::new(),
+            #[cfg(test)]
+            last_scored: 0,
         }
     }
 
@@ -69,7 +173,7 @@ impl<'a> NodeSelector<'a> {
 
     /// The reference node, once anchored by the first selection.
     pub fn ref_node(&self) -> Option<&NodeId> {
-        self.ref_node.as_ref()
+        self.ref_node.map(|i| self.index.node_id(i))
     }
 
     /// Selects the node for a task with demand `request` given current
@@ -98,113 +202,116 @@ impl<'a> NodeSelector<'a> {
                 self.find_ref_node_scan(state)
             };
         }
-        let ref_node = match &self.ref_node {
-            Some(n) => n.clone(),
-            None => return Err(0.0),
+        let Some(ref_idx) = self.ref_node else {
+            return Err(0.0);
         };
         if fast {
-            self.select_indexed(state, request, &ref_node)
+            let i = self.select_indexed(state, request, ref_idx)?;
+            Ok(self.index.node_id(i).clone())
         } else {
-            self.select_scan(state, request, &ref_node)
+            self.select_scan(state, request, self.index.node_id(ref_idx))
         }
     }
 
-    /// The indexed fast path: dense scan, precomputed network terms, and
-    /// whole-rack skipping. Byte-identical to [`Self::select_scan`].
+    /// The indexed fast path: per-rack memo keyed by rack stamps,
+    /// precomputed network terms, and whole-rack skipping. Returns the
+    /// dense index of the pick, byte-identical to [`Self::select_scan`].
     fn select_indexed(
-        &self,
+        &mut self,
         state: &GlobalState,
         request: &ResourceRequest,
-        ref_node: &NodeId,
-    ) -> Result<NodeId, f64> {
-        let index = &self.index;
-        let ref_idx = index
-            .node_index(ref_node.as_str())
-            .expect("reference node is part of the layout");
-        let ref_rack = index.rack_of(ref_idx);
-
+        ref_idx: u32,
+    ) -> Result<u32, f64> {
         // Hard-constraint fail-fast: the scan path's `best_available_mb`
         // is a running max over alive nodes starting at 0.0, which equals
         // this fold over the maintained per-rack maxima (max is
         // associative; NEG_INFINITY rack sentinels lose against 0.0). If
         // any rack can hold the task, the selection below must succeed
         // and `best_available_mb` is never reported.
+        let rack_max = state.rack_max_memories();
         let mut best_available_mb: f64 = 0.0;
-        for &m in state.rack_max_memories() {
+        for &m in rack_max {
             best_available_mb = best_available_mb.max(m);
         }
         if best_available_mb < request.memory_mb {
             return Err(best_available_mb);
         }
 
+        let key = (
+            request.cpu_points.to_bits(),
+            request.memory_mb.to_bits(),
+            ref_idx,
+        );
+        if self.memo_key != Some(key) {
+            self.memo_key = Some(key);
+            self.memo.clear();
+            self.memo
+                .resize(self.index.rack_count(), RackMemo::default());
+        }
+
+        let (index, norm, weights) = (&self.index, &self.norm, self.weights);
         // The network term only depends on the candidate's relation to
         // the reference node, so its three possible values are computed
         // once — with exactly the scan path's operation order.
         let net_term = |distance: f64| {
-            let db = distance / self.norm.max_network_distance;
-            self.weights.network * db * db
+            let db = distance / norm.max_network_distance;
+            weights.network * db * db
         };
         let nt_same = net_term(index.distance_same_node());
         let nt_rack = net_term(index.distance_same_rack());
         let nt_inter = net_term(index.distance_inter_rack());
+        let ref_rack = index.rack_of(ref_idx);
 
         let dense = state.remaining_dense();
         let alive = state.alive_dense();
-        let mut best: Option<(f64, u32)> = None;
-        let mut best_relaxed: Option<(f64, u32)> = None;
-        let mut consider = |i: u32| {
-            let r = &dense[i as usize];
-            if !alive[i as usize] || r.memory_mb < request.memory_mb {
-                return;
+        let stamps = state.rack_stamps();
+        #[cfg(test)]
+        {
+            self.last_scored = 0;
+        }
+        let mut best = Winner::default();
+        let mut best_relaxed = Winner::default();
+        for (rack, memo) in self.memo.iter_mut().enumerate() {
+            // The scan path `continue`s every node of such a rack before
+            // either winner is touched, so skipping it changes nothing.
+            if rack_max[rack] < request.memory_mb {
+                continue;
             }
-            let nt = if i == ref_idx {
-                nt_same
-            } else if index.rack_of(i) == ref_rack {
-                nt_rack
-            } else {
-                nt_inter
-            };
-            let dm = (request.memory_mb - r.memory_mb) / self.norm.max_memory_mb;
-            let dc = (request.cpu_points - r.cpu_points) / self.norm.max_cpu_points;
-            let d = (self.weights.memory * dm * dm + self.weights.cpu * dc * dc + nt).sqrt();
-            // Strict `<` plus dense (= id) iteration order keeps ties
-            // deterministic: first node in id order wins, as on the scan
-            // path.
-            if r.cpu_points >= request.cpu_points && best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, i));
-            }
-            if best_relaxed.is_none_or(|(bd, _)| d < bd) {
-                best_relaxed = Some((d, i));
-            }
-        };
-        match index.rack_ranges() {
-            Some(ranges) => {
-                // Ranges are sorted by start, so visiting them in order
-                // is still a full id-order scan — minus the racks where
-                // every node would fail the hard memory check (the scan
-                // path `continue`s those nodes before either `best`, so
-                // skipping them cannot change the outcome).
-                let rack_max = state.rack_max_memories();
-                for range in ranges {
-                    if rack_max[range.rack as usize] < request.memory_mb {
+            if memo.stamp != stamps[rack] {
+                *memo = RackMemo {
+                    stamp: stamps[rack],
+                    ..RackMemo::default()
+                };
+                let nt_members = if rack as u32 == ref_rack {
+                    nt_rack
+                } else {
+                    nt_inter
+                };
+                for &i in index.rack_members(rack as u32) {
+                    let r = &dense[i as usize];
+                    if !alive[i as usize] || r.memory_mb < request.memory_mb {
                         continue;
                     }
-                    for i in range.start..range.end {
-                        consider(i);
+                    let nt = if i == ref_idx { nt_same } else { nt_members };
+                    let dm = (request.memory_mb - r.memory_mb) / norm.max_memory_mb;
+                    let dc = (request.cpu_points - r.cpu_points) / norm.max_cpu_points;
+                    let d = (weights.memory * dm * dm + weights.cpu * dc * dc + nt).sqrt();
+                    if r.cpu_points >= request.cpu_points {
+                        memo.soft.offer(d, i);
+                    }
+                    memo.relaxed.offer(d, i);
+                    #[cfg(test)]
+                    {
+                        self.last_scored += 1;
                     }
                 }
             }
-            None => {
-                for i in 0..dense.len() as u32 {
-                    consider(i);
-                }
-            }
+            best.merge(&memo.soft);
+            best_relaxed.merge(&memo.relaxed);
         }
-        match best.or(best_relaxed) {
-            Some((_, i)) => Ok(index.node_id(i).clone()),
-            // Unreachable after the fail-fast, but mirror the scan path.
-            None => Err(best_available_mb),
-        }
+        // `None` is unreachable after the fail-fast, but mirror the scan
+        // path.
+        best.pick().or(best_relaxed.pick()).ok_or(best_available_mb)
     }
 
     /// The scan (reference) path: Algorithm 4 transcribed directly over
@@ -259,7 +366,7 @@ impl<'a> NodeSelector<'a> {
     /// from the maintained per-rack aggregates; only the winning rack's
     /// members are then scanned (in declaration order, like the scan
     /// path).
-    fn find_ref_node_indexed(&self, state: &GlobalState) -> Option<NodeId> {
+    fn find_ref_node_indexed(&self, state: &GlobalState) -> Option<u32> {
         let abundances = state.rack_abundances();
         let alive_counts = state.rack_alive_counts();
         let mut best_rack: Option<(f64, u32)> = None;
@@ -287,13 +394,13 @@ impl<'a> NodeSelector<'a> {
                 best_node = Some((abundance, i));
             }
         }
-        best_node.map(|(_, i)| self.index.node_id(i).clone())
+        best_node.map(|(_, i)| i)
     }
 
     /// Algorithm 4 lines 6-9 on the scan path: the node with the most
     /// resources in the rack with the most resources. One pass per rack
     /// accumulates the abundance sum and liveness together.
-    fn find_ref_node_scan(&self, state: &GlobalState) -> Option<NodeId> {
+    fn find_ref_node_scan(&self, state: &GlobalState) -> Option<u32> {
         let (max_cpu, max_mem) = (self.norm.max_cpu_points, self.norm.max_memory_mb);
         let mut best_rack: Option<(f64, &str)> = None;
         for rack in self.cluster.racks() {
@@ -324,7 +431,11 @@ impl<'a> NodeSelector<'a> {
                 best_node = Some((abundance, node));
             }
         }
-        best_node.map(|(_, n)| n.clone())
+        best_node.map(|(_, n)| {
+            self.index
+                .node_index(n.as_str())
+                .expect("cluster nodes are part of the layout")
+        })
     }
 }
 
@@ -496,8 +607,9 @@ mod tests {
     /// The east/west naming above sorts as a1 < b2 < c3 < d4 while the
     /// racks were declared b2-first: member declaration order and sorted
     /// order differ, and in `indexed_and_scan_paths_agree_exactly` the
-    /// racks are still contiguous. This case fragments them so the
-    /// non-range fallback loop is what must agree.
+    /// racks are still contiguous in id order. This case interleaves them,
+    /// so the rack fold must not depend on racks being visited in id
+    /// order.
     #[test]
     fn fragmented_rack_layout_still_agrees() {
         let c = ClusterBuilder::new()
@@ -507,13 +619,45 @@ mod tests {
             .add_node("d", "r1", ResourceCapacity::new(80.0, 4096.0, 100.0), 1)
             .build()
             .unwrap();
-        assert!(c.index().rack_ranges().is_none(), "layout must fragment");
+        let racks: Vec<u32> = (0..4).map(|i| c.index().rack_of(i)).collect();
+        assert_eq!(racks, [0, 1, 0, 1], "layout must fragment");
         let weights = SoftConstraintWeights::default();
         let state = GlobalState::new(&c);
         let request = ResourceRequest::new(60.0, 900.0, 0.0);
         let fast = NodeSelector::new(&c, &weights).select(&state, &request);
         let scan = NodeSelector::new_scan_only(&c, &weights).select(&state, &request);
         assert_eq!(fast.unwrap(), scan.unwrap());
+    }
+
+    /// The memo's work bound on the 1k-node scale cluster (20 racks of
+    /// 50): a new request scores every node, a repeat after reserving the
+    /// pick rescans only that node's rack, and a different request scores
+    /// everything again.
+    #[test]
+    fn repeated_request_rescans_one_rack() {
+        let c = rstorm_workloads::scale::scale_cluster(1000);
+        assert_eq!(c.index().rack_count(), 20);
+        let weights = SoftConstraintWeights::default();
+        let mut state = GlobalState::new(&c);
+        let mut sel = NodeSelector::new(&c, &weights);
+        let mut scan = NodeSelector::new_scan_only(&c, &weights);
+        let t = TopologyId::new("t");
+        let req = ResourceRequest::new(8.0, 48.0, 0.0);
+
+        let first = sel.select(&state, &req).unwrap();
+        assert!(sel.last_scored <= 1000, "scored {}", sel.last_scored);
+        assert_eq!(first, scan.select(&state, &req).unwrap());
+        state.reserve(&t, &first, &req).unwrap();
+        let second = sel.select(&state, &req).unwrap();
+        assert!(sel.last_scored <= 50, "scored {}", sel.last_scored);
+        assert_eq!(second, scan.select(&state, &req).unwrap());
+        // Nothing changed since the last pick: no rack is rescanned.
+        sel.select(&state, &req).unwrap();
+        assert_eq!(sel.last_scored, 0);
+
+        sel.select(&state, &ResourceRequest::new(16.0, 48.0, 0.0))
+            .unwrap();
+        assert_eq!(sel.last_scored, 1000, "a new request rescans everything");
     }
 
     /// A state built from a *different* cluster (even a structurally

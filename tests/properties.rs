@@ -4,9 +4,12 @@
 
 use proptest::prelude::*;
 use rstorm::cluster::config::StormConfig;
+use rstorm::cluster::NodeId;
 use rstorm::prelude::*;
+use rstorm::scheduler::rstorm::node_selection::NodeSelector;
 use rstorm::scheduler::rstorm::task_selection;
-use rstorm::topology::{bfs_component_order, ResourceRequest};
+use rstorm::scheduler::UndoLog;
+use rstorm::topology::{bfs_component_order, ResourceRequest, TopologyId};
 
 // ---------- generators ----------------------------------------------------
 
@@ -412,6 +415,157 @@ proptest! {
             prop_assert!(matches!(err, ScheduleError::InsufficientMemory { .. }));
             prop_assert_eq!(observable_bits(&state, &cluster), before);
             prop_assert!(!state.is_scheduled("heavy"));
+        }
+    }
+}
+
+// ---------- node-selection memo vs scan oracle ------------------------------
+
+/// Random clusters for the selector differential: heterogeneous nodes,
+/// 1–4 racks, some nodes dead from the start, and racks either contiguous
+/// in node-id order or interleaved (`n00` in r0, `n01` in r1, ...).
+fn arb_selection_cluster() -> impl Strategy<Value = Cluster> {
+    (
+        0u32..2,
+        1usize..=4,
+        proptest::collection::vec((50u32..200, 512u32..4096, 0u32..6), 1..21),
+    )
+        .prop_map(|(fragmented, racks, nodes)| {
+            let mut b = ClusterBuilder::new();
+            let mut dead = Vec::new();
+            for (i, &(cpu, mem, life)) in nodes.iter().enumerate() {
+                let (name, rack) = if fragmented == 1 {
+                    (format!("n{i:02}"), i % racks)
+                } else {
+                    let rack = i * racks / nodes.len();
+                    (format!("r{rack}-n{i:02}"), rack)
+                };
+                let capacity = ResourceCapacity::new(f64::from(cpu), f64::from(mem), 100.0);
+                b = b.add_node(name.as_str(), format!("r{rack}"), capacity, 2);
+                if life == 0 {
+                    dead.push(name);
+                }
+            }
+            let mut cluster = b.build().expect("generated clusters are valid");
+            for name in &dead {
+                cluster.kill_node(name);
+            }
+            cluster
+        })
+}
+
+fn same_pick(fast: &Result<NodeId, f64>, scan: &Result<NodeId, f64>) -> Result<(), TestCaseError> {
+    match (fast, scan) {
+        (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
+        diverged => prop_assert!(false, "selectors diverged: {:?}", diverged),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The per-rack memo of the indexed selector must pick exactly what
+    /// the scan oracle picks, step by step, while the state changes under
+    /// it through every mutation path: reservations on the pick and
+    /// elsewhere, single releases, partial undo-log rollbacks, topology
+    /// release, node failure and recovery, and selections against a
+    /// mutated clone. Requests repeat often (memo hits) and change
+    /// sometimes (memo resets); some are infeasible.
+    #[test]
+    fn memoised_selection_matches_scan_oracle(
+        cluster in arb_selection_cluster(),
+        weights_choice in 0u32..3,
+        pool in proptest::collection::vec((1u32..80, 16u32..2500), 3..4),
+        steps in proptest::collection::vec((0u32..12, 0u32..9, 0usize..64), 1..60),
+    ) {
+        let weights = match weights_choice {
+            0 => SoftConstraintWeights::default(),
+            1 => SoftConstraintWeights::default().without_network(),
+            _ => SoftConstraintWeights::new(2.0, 0.5, 3.0),
+        };
+        let mut pool: Vec<ResourceRequest> = pool
+            .iter()
+            .map(|&(cpu, mem)| ResourceRequest::new(f64::from(cpu), f64::from(mem), 0.0))
+            .collect();
+        pool.push(ResourceRequest::new(1.0, 10_000.0, 0.0)); // never fits
+        let names: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id().clone()).collect();
+        let t = TopologyId::new("t");
+
+        let mut state = GlobalState::new(&cluster);
+        let mut memo = NodeSelector::new(&cluster, &weights);
+        let mut scan = NodeSelector::new_scan_only(&cluster, &weights);
+        // Reservations of `t` since the last checkpoint are in `log`;
+        // `held` shadows every live reservation so releases never target
+        // a node `t` holds nothing on.
+        let mut log = UndoLog::new();
+        let mut held: Vec<(NodeId, ResourceRequest)> = Vec::new();
+        let mut held_at_checkpoint = held.clone();
+        let mut request = pool[0];
+
+        for &(op, req_choice, pick) in &steps {
+            // Mostly repeat the previous request, sometimes switch.
+            if req_choice >= 5 {
+                request = pool[req_choice as usize - 5];
+            }
+            let from_memo = memo.select(&state, &request);
+            let from_scan = scan.select(&state, &request);
+            same_pick(&from_memo, &from_scan)?;
+            prop_assert_eq!(memo.ref_node(), scan.ref_node());
+
+            let other = &names[pick % names.len()];
+            match op {
+                0..=3 => {
+                    if let Ok(node) = &from_memo {
+                        state.reserve_logged(&t, node, &request, &mut log).unwrap();
+                        held.push((node.clone(), request));
+                    }
+                }
+                4 => {
+                    if state.reserve_logged(&t, other, &request, &mut log).is_ok() {
+                        held.push((other.clone(), request));
+                    }
+                }
+                5 => {
+                    if !held.is_empty() {
+                        let (node, r) = held.remove(pick % held.len());
+                        // A dead node refuses the release and keeps it.
+                        if state.unreserve_logged(&t, &node, &r, &mut log).is_err() {
+                            held.push((node, r));
+                        }
+                    }
+                }
+                6 => {
+                    state.rollback(std::mem::take(&mut log));
+                    held = held_at_checkpoint.clone();
+                }
+                7 => {
+                    state.release_topology(t.as_str());
+                    log = UndoLog::new();
+                    held.clear();
+                    held_at_checkpoint.clear();
+                }
+                8 => {
+                    state.handle_node_failure(other.as_str());
+                }
+                9 => {
+                    state.handle_node_recovery(other.as_str());
+                }
+                10 => {
+                    // Select against a clone that diverged from `state`:
+                    // both share stamps up to the fork, not after it.
+                    let mut fork = state.clone();
+                    if let Ok(node) = &from_memo {
+                        fork.reserve(&t, node, &request).unwrap();
+                    }
+                    same_pick(&memo.select(&fork, &request), &scan.select(&fork, &request))?;
+                }
+                _ => {
+                    log = UndoLog::new();
+                    held_at_checkpoint = held.clone();
+                }
+            }
         }
     }
 }
