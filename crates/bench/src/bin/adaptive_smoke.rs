@@ -43,7 +43,8 @@ struct CaseResult {
 fn run_case(case: &WorkloadCase) -> CaseResult {
     let cluster = Arc::new(case.cluster.clone());
     let cfg = AdaptiveConfig::quick();
-    let out = run_adaptive_rebalance(&cluster, &case.topology, &cfg);
+    let out =
+        run_adaptive_rebalance(&cluster, &case.topology, &cfg).expect("adaptive scenario runs");
 
     // Detection gate: the drift these workloads embed must be seen.
     assert!(

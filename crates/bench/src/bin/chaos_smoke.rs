@@ -73,7 +73,8 @@ fn run_case(case: &WorkloadCase, budget: Duration) -> CaseResult {
     let mut cfg = ChaosConfig::new(victim, 20_000.0, 35_000.0);
     cfg.sim = config.clone();
     cfg.recovery = RecoveryConfig::default();
-    let out = run_crash_recover(&cluster, &case.topology, &cfg);
+    let out = run_crash_recover(&cluster, &case.topology, &cfg, &RStormScheduler::new())
+        .expect("chaos scenario runs");
 
     // Recovery gate: detected, fully re-placed, clean plan.
     let obs = out.observations;

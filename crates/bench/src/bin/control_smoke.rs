@@ -29,7 +29,7 @@ use rstorm_bench::harness::BenchReport;
 use rstorm_cluster::{Cluster, ClusterBuilder, ResourceCapacity};
 use rstorm_core::{schedulers, GlobalState, RecoveryConfig};
 use rstorm_sim::{
-    run_control_outage, run_fault_plan_with, ControlOutageConfig, FaultPlan, SimConfig,
+    run_control_outage, run_fault_plan_with, ChaosConfig, ControlOutageConfig, FaultPlan, SimConfig,
 };
 use rstorm_topology::{ExecutionProfile, TaskSet, Topology, TopologyBuilder};
 use std::sync::Arc;
@@ -130,22 +130,21 @@ fn main() {
     let scheduler = schedulers::by_name("rstorm").expect("rstorm scheduler exists");
 
     // -- Failover case: crash masked by the outage. --
-    let mut cfg = ControlOutageConfig::new(
-        &victim,
-        FAILOVER_CRASH_AT_MS,
-        FAILOVER_HEAL_AT_MS,
-        FAILOVER_NIMBUS_AT_MS,
-        FAILOVER_NIMBUS_DOWN_MS,
-    );
-    cfg.sim = failover_sim();
-    cfg.recovery.journal = true;
+    let mut chaos = ChaosConfig::new(&victim, FAILOVER_CRASH_AT_MS, FAILOVER_HEAL_AT_MS);
+    chaos.sim = failover_sim();
+    chaos.recovery.journal = true;
+    let cfg = ControlOutageConfig::new(chaos, FAILOVER_NIMBUS_AT_MS, FAILOVER_NIMBUS_DOWN_MS);
     let t0 = Instant::now();
-    let journaled = run_control_outage(&cluster, &topology, &cfg).expect("failover case runs");
+    let journaled =
+        run_control_outage(&cluster, &topology, &cfg, &*scheduler).expect("failover case runs");
     let failover_ns = t0.elapsed().as_nanos() as u64;
+    let journaled_audit = journaled
+        .reconciliation
+        .expect("an outage carries an audit");
     assert!(
-        journaled.time_to_reassume_ms >= FAILOVER_NIMBUS_DOWN_MS,
+        journaled_audit.time_to_reassume_ms >= FAILOVER_NIMBUS_DOWN_MS,
         "successor reassumed after {} ms of a {} ms outage",
-        journaled.time_to_reassume_ms,
+        journaled_audit.time_to_reassume_ms,
         FAILOVER_NIMBUS_DOWN_MS
     );
     assert!(
@@ -162,8 +161,9 @@ fn main() {
     // saw the victim heartbeat, so detection is structurally impossible
     // and the replay budget drains dry.
     let mut cold_cfg = cfg.clone();
-    cold_cfg.recovery.journal = false;
-    let cold = run_control_outage(&cluster, &topology, &cold_cfg).expect("cold twin runs");
+    cold_cfg.chaos.recovery.journal = false;
+    let cold =
+        run_control_outage(&cluster, &topology, &cold_cfg, &*scheduler).expect("cold twin runs");
     assert_eq!(
         cold.observations.time_to_detect_ms, -1.0,
         "a cold successor cannot detect a pre-failover silence"
@@ -176,22 +176,19 @@ fn main() {
     );
 
     // -- Replay case: decisions journaled before the outage. --
-    let mut cfg = ControlOutageConfig::new(
-        &victim,
-        REPLAY_CRASH_AT_MS,
-        REPLAY_HEAL_AT_MS,
-        REPLAY_NIMBUS_AT_MS,
-        REPLAY_NIMBUS_DOWN_MS,
-    );
-    cfg.sim = SimConfig::quick().with_max_replays(8);
-    cfg.recovery.journal = true;
+    let mut chaos = ChaosConfig::new(&victim, REPLAY_CRASH_AT_MS, REPLAY_HEAL_AT_MS);
+    chaos.sim = SimConfig::quick().with_max_replays(8);
+    chaos.recovery.journal = true;
+    let cfg = ControlOutageConfig::new(chaos, REPLAY_NIMBUS_AT_MS, REPLAY_NIMBUS_DOWN_MS);
     let t0 = Instant::now();
-    let replayed = run_control_outage(&cluster, &topology, &cfg).expect("replay case runs");
+    let replayed =
+        run_control_outage(&cluster, &topology, &cfg, &*scheduler).expect("replay case runs");
     let replay_ns = t0.elapsed().as_nanos() as u64;
+    let replayed_audit = replayed.reconciliation.expect("an outage carries an audit");
     assert!(
-        replayed.decisions_replayed >= 2,
+        replayed_audit.decisions_replayed >= 2,
         "expected the declare + reschedule records in the journal, replayed {}",
-        replayed.decisions_replayed
+        replayed_audit.decisions_replayed
     );
     assert_eq!(
         replayed.report.zero_loss_ratio(),
@@ -247,17 +244,17 @@ fn main() {
     println!(
         "{:<10} {:>14.0} {:>12.3} {:>12} {:>7.2} s",
         "failover",
-        journaled.time_to_reassume_ms,
+        journaled_audit.time_to_reassume_ms,
         journaled_zero_loss,
-        journaled.decisions_replayed,
+        journaled_audit.decisions_replayed,
         failover_ns as f64 / 1e9
     );
     println!(
         "{:<10} {:>14.0} {:>12.3} {:>12} {:>7.2} s",
         "replay",
-        replayed.time_to_reassume_ms,
+        replayed_audit.time_to_reassume_ms,
         replayed.report.zero_loss_ratio(),
-        replayed.decisions_replayed,
+        replayed_audit.decisions_replayed,
         replay_ns as f64 / 1e9
     );
     println!("cold twin zero_loss_ratio: {cold_zero_loss:.3} (journal off, loses by design)");
@@ -267,13 +264,13 @@ fn main() {
         "{{\"name\": \"control/failover\", \"wall_ns\": {failover_ns}, \
          \"time_to_reassume_ms\": {:?}, \"journaled_zero_loss\": {journaled_zero_loss:?}, \
          \"cold_zero_loss\": {cold_zero_loss:?}, \"failover_zero_loss\": {journaled_zero_loss:?}}}",
-        journaled.time_to_reassume_ms
+        journaled_audit.time_to_reassume_ms
     ));
     report.push_case(format!(
         "{{\"name\": \"control/replay\", \"wall_ns\": {replay_ns}, \
          \"time_to_reassume_ms\": {:?}, \"decisions_replayed\": {}, \
          \"reconciliation_convergence\": {convergence:?}}}",
-        replayed.time_to_reassume_ms, replayed.decisions_replayed
+        replayed_audit.time_to_reassume_ms, replayed_audit.decisions_replayed
     ));
     report.write("BENCH_control.json");
 }

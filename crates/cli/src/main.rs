@@ -342,6 +342,9 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         None => 0,
     };
 
+    let mut chaos = ChaosConfig::new(victim.clone(), crash_at_s * 1000.0, heal_at_s * 1000.0);
+    chaos.sim = config.with_max_replays(max_replays);
+
     // `--nimbus-down-ms` switches to the control-plane outage scenario:
     // Nimbus goes dark 2 s before the crash, so the victim's silence
     // starts while nobody is watching.
@@ -354,16 +357,17 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
                 format!("invalid --nimbus-down-ms `{raw}` (need a positive duration)")
             })?;
         let journal = journal_flag(flags, true)?;
-        let mut outage = ControlOutageConfig::new(
-            victim.clone(),
-            crash_at_s * 1000.0,
-            heal_at_s * 1000.0,
+        chaos.recovery.journal = journal;
+        let outage = ControlOutageConfig::new(
+            chaos,
             (crash_at_s * 1000.0 - 2_000.0).max(0.0),
             nimbus_down_ms,
         );
-        outage.sim = config.with_max_replays(max_replays);
-        outage.recovery.journal = journal;
-        let out = run_control_outage(&cluster, &topology, &outage).map_err(|e| e.to_string())?;
+        let out = run_control_outage(&cluster, &topology, &outage, &RStormScheduler::new())
+            .map_err(|e| e.to_string())?;
+        let audit = out
+            .reconciliation
+            .expect("a Nimbus outage carries an audit");
 
         println!(
             "control outage on `{}`: crash {victim} at {crash_at_s:.0} s, Nimbus down \
@@ -382,15 +386,15 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
             println!("  {event:?}");
         }
         println!();
-        if out.time_to_reassume_ms >= 0.0 {
+        if audit.time_to_reassume_ms >= 0.0 {
             println!(
                 "time to reassume: {:.0} ms after Nimbus went down",
-                out.time_to_reassume_ms
+                audit.time_to_reassume_ms
             );
         } else {
             println!("time to reassume: never (the outage outlived the run)");
         }
-        println!("journal decisions replayed: {}", out.decisions_replayed);
+        println!("journal decisions replayed: {}", audit.decisions_replayed);
         let obs = out.observations;
         if obs.time_to_detect_ms >= 0.0 {
             println!(
@@ -432,9 +436,8 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         return Err("--journal requires --nimbus-down-ms".into());
     }
 
-    let mut chaos = ChaosConfig::new(victim.clone(), crash_at_s * 1000.0, heal_at_s * 1000.0);
-    chaos.sim = config.with_max_replays(max_replays);
-    let out = run_crash_recover(&cluster, &topology, &chaos);
+    let out = run_crash_recover(&cluster, &topology, &chaos, &RStormScheduler::new())
+        .map_err(|e| e.to_string())?;
 
     println!(
         "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s \
@@ -538,7 +541,7 @@ fn rebalance_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     adaptive.sim = config;
 
     let cluster = Arc::new(cluster);
-    let out = run_adaptive_rebalance(&cluster, &topology, &adaptive);
+    let out = run_adaptive_rebalance(&cluster, &topology, &adaptive).map_err(|e| e.to_string())?;
 
     println!(
         "adaptive rebalance on `{}`: profiled {:.0} s, rebalance at {:.0} s, \
@@ -983,6 +986,55 @@ mod tests {
         let mut bad = flags.clone();
         bad.insert("alpha".into(), "3".into());
         assert!(rebalance_cmd(&bad).unwrap_err().contains("alpha"));
+    }
+
+    /// Flags for a topology whose spout needs more memory than any node
+    /// has, so no scheduler can place it.
+    fn unplaceable_flags(test: &str) -> BTreeMap<String, String> {
+        let dir = std::env::temp_dir().join(test);
+        std::fs::create_dir_all(&dir).unwrap();
+        let topo = dir.join("t.spec");
+        let clus = dir.join("c.spec");
+        std::fs::write(
+            &topo,
+            "topology t\nspout s parallelism=1 cpu=20 mem=9000\n\
+             bolt k parallelism=1 cpu=20 mem=128 emit=0\n  subscribe s shuffle\n",
+        )
+        .unwrap();
+        std::fs::write(
+            &clus,
+            "cluster\nrack r0\n  node n0 cpu=100 mem=2048 slots=4\n  node n1 cpu=100 mem=2048 slots=4\n",
+        )
+        .unwrap();
+        parse_flags(&[
+            "--topology".into(),
+            topo.to_string_lossy().into_owned(),
+            "--cluster".into(),
+            clus.to_string_lossy().into_owned(),
+            "--duration-s".into(),
+            "20".into(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn chaos_on_an_unplaceable_topology_is_an_error() {
+        // With an explicit victim the CLI never places the topology
+        // itself, so the failure comes from the chaos runner.
+        let mut flags = unplaceable_flags("rstorm-cli-unplaceable-chaos-test");
+        flags.insert("victim".into(), "n0".into());
+        let err = chaos_cmd(&flags).unwrap_err();
+        assert!(err.contains("no initial placement"), "{err}");
+        flags.insert("nimbus-down-ms".into(), "4000".into());
+        let err = chaos_cmd(&flags).unwrap_err();
+        assert!(err.contains("no initial placement"), "{err}");
+    }
+
+    #[test]
+    fn rebalance_on_an_unplaceable_topology_is_an_error() {
+        let flags = unplaceable_flags("rstorm-cli-unplaceable-rebalance-test");
+        let err = rebalance_cmd(&flags).unwrap_err();
+        assert!(err.contains("no initial placement"), "{err}");
     }
 
     #[test]

@@ -30,12 +30,14 @@
 //! dense or liveness vectors go through that recomputation, so a rack
 //! whose stamp is unchanged has unchanged contents; and since no stamp is
 //! ever issued twice, equal stamps mean equal contents even across clones
-//! of a state. Node selection keys its per-rack memo on them: a repeated
-//! request rescans only the racks touched since the previous pick, so it
-//! costs O(racks + rack size) instead of O(alive nodes). Stamps
-//! are identity, not state — they are left out of the `Debug` output, so a
-//! rollback (which restores contents under fresh stamps) prints exactly
-//! the state it restored.
+//! of a state. Node selection keys its per-rack memo on them: when two
+//! consecutive picks send bit-identical requests (consecutive picks come
+//! from different components, since task ordering interleaves them), the
+//! second rescans only the racks touched since the first, so it costs
+//! O(racks + rack size) instead of O(alive nodes). Stamps are identity,
+//! not state — their `Debug` prints a constant, so a rollback (which
+//! restores contents under fresh stamps) prints exactly the state it
+//! restored.
 
 use crate::assignment::{Assignment, SchedulingPlan};
 use crate::error::ScheduleError;
@@ -49,6 +51,18 @@ use std::sync::Arc;
 /// Source of rack stamps, shared by every state in the process so a stamp
 /// is never issued twice. Starts at 1: 0 is free for "never computed".
 static NEXT_RACK_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Per-rack stamps. They are identity, not state, so their `Debug` prints
+/// a constant: a rollback restores contents under fresh stamps and must
+/// still print exactly the state it restored.
+#[derive(Clone)]
+struct RackStamps(Vec<u64>);
+
+impl fmt::Debug for RackStamps {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("RackStamps(..)")
+    }
+}
 
 /// A node's remaining (unreserved) resources.
 ///
@@ -149,7 +163,7 @@ enum UndoEntry {
 }
 
 /// Cluster-wide scheduling state shared across scheduler invocations.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct GlobalState {
     /// The immutable layout this state's dense vectors are keyed by.
     index: Arc<ClusterIndex>,
@@ -168,7 +182,7 @@ pub struct GlobalState {
     rack_alive: Vec<u32>,
     /// Per-rack stamp, fresh from [`NEXT_RACK_STAMP`] at every
     /// recomputation of the rack's aggregates.
-    rack_stamp: Vec<u64>,
+    rack_stamp: RackStamps,
     plan: SchedulingPlan,
     /// Per-topology, per-node reserved totals, for release on unschedule.
     reserved: HashMap<TopologyId, BTreeMap<NodeId, ResourceRequest>>,
@@ -205,7 +219,7 @@ impl GlobalState {
             rack_abundance: vec![0.0; racks],
             rack_max_mem: vec![f64::NEG_INFINITY; racks],
             rack_alive: vec![0; racks],
-            rack_stamp: vec![0; racks],
+            rack_stamp: RackStamps(vec![0; racks]),
             plan: SchedulingPlan::new(),
             reserved: HashMap::new(),
             topology_slots: HashMap::new(),
@@ -242,7 +256,7 @@ impl GlobalState {
         self.rack_alive[rack as usize] = alive_count;
         // `Relaxed` suffices: only uniqueness matters, which `fetch_add`
         // guarantees under any ordering, and a stamp publishes no data.
-        self.rack_stamp[rack as usize] = NEXT_RACK_STAMP.fetch_add(1, Ordering::Relaxed);
+        self.rack_stamp.0[rack as usize] = NEXT_RACK_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The cluster layout index this state is keyed by. Fast paths that
@@ -286,7 +300,7 @@ impl GlobalState {
     /// stamps (in this or any other state of the process) denote
     /// identical rack contents.
     pub fn rack_stamps(&self) -> &[u64] {
-        &self.rack_stamp
+        &self.rack_stamp.0
     }
 
     /// Remaining resources of a node ([`None`] for unknown/dead nodes).
@@ -736,24 +750,6 @@ impl GlobalState {
             state.commit(assignment.clone());
         }
         state
-    }
-}
-
-impl fmt::Debug for GlobalState {
-    /// Every field but the rack stamps (see the module docs).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GlobalState")
-            .field("index", &self.index)
-            .field("dense", &self.dense)
-            .field("alive", &self.alive)
-            .field("rack_abundance", &self.rack_abundance)
-            .field("rack_max_mem", &self.rack_max_mem)
-            .field("rack_alive", &self.rack_alive)
-            .field("plan", &self.plan)
-            .field("reserved", &self.reserved)
-            .field("topology_slots", &self.topology_slots)
-            .field("slot_occupancy", &self.slot_occupancy)
-            .finish_non_exhaustive()
     }
 }
 

@@ -1,39 +1,43 @@
-//! The chaos harness: one crash-then-recover scenario, end to end.
+//! The chaos harness: one two-plane runner behind every fault scenario.
 //!
-//! [`run_crash_recover`] wires the workspace's two fault halves together
-//! for a single topology:
+//! Each scenario is a [`FaultPlan`] handed to the same private core:
+//! [`run_crash_recover`] crashes one victim and heals it,
+//! [`run_control_outage`] does the same through a Nimbus outage, and
+//! [`run_fault_plan_with`] runs an arbitrary plan (the chaos fuzzer's
+//! input). The core
 //!
-//! * **Control plane** — a [`RecoveryManager`] replay. The harness clones
-//!   the cluster, schedules the topology with [`RStormScheduler`], then
-//!   steps simulated time one heartbeat interval at a time. Every node
-//!   heartbeats except the victim while it is down
-//!   (`[crash_at_ms, heal_at_ms)`); the manager's ticks detect the
-//!   failure, re-place the displaced topology on the survivors (degraded
-//!   if it must) and upgrade the placement once the victim heals. The
-//!   collected [`RecoveryEvent`]s yield time-to-detect and
-//!   time-to-recover.
-//! * **Data plane** — a fault-injected [`Simulation`] of the *original*
-//!   assignment. The [`FaultPlan`] crashes the victim at `crash_at_ms`
-//!   and revives it when the control plane first re-placed the topology —
-//!   modelling Storm handing the displaced executors to replacement
-//!   workers at that moment. (The simulator replays one fixed assignment,
-//!   so "recovery" is the original workers coming back rather than a
-//!   mid-run re-placement; detection and re-placement latency still come
-//!   from the control-plane replay.) The run yields tuples lost and the
-//!   throughput-dip depth.
+//! 1. resolves every node and rack name the plan references;
+//! 2. replays the **control plane**: it clones the cluster, places the
+//!    topology, then steps a [`RecoveryManager`] one heartbeat interval
+//!    at a time. A node is silent while one of its
+//!    [`FaultPlan::node_down_windows`] covers the tick, or one of its
+//!    rack's [`FaultPlan::rack_partition_windows`] does (heartbeats
+//!    cross racks to reach the control loop). During a
+//!    [`FaultEvent::ControlLoss`] window no heartbeat arrives; during a
+//!    [`FaultEvent::NimbusCrash`] window nothing happens at all, and at
+//!    the first tick after it a successor reassumes, replaying the
+//!    write-ahead [`rstorm_core::ControlJournal`] when journaling is on
+//!    and starting cold otherwise;
+//! 3. runs the **data plane**: a checked fault-injected [`Simulation`]
+//!    of the *initial* assignment ([`Simulation::run_checked`]);
+//! 4. folds the recovery events and the report into one
+//!    [`RecoveryObservations`];
+//! 5. attaches a [`ReconcileAudit`] when the plan carries control faults.
 //!
-//! The control plane is itself a fault domain: [`run_control_outage`]
-//! crashes Nimbus mid-scenario (no detection, no rescheduling while it
-//! is down) and fails over to a successor that replays the
-//! write-ahead [`rstorm_core::ControlJournal`] — or starts cold when
-//! journaling is off — and [`run_fault_plan_with`] derives a
-//! [`ReconcileAudit`] whenever a plan carries
-//! [`FaultEvent::NimbusCrash`] / [`FaultEvent::ControlLoss`] atoms.
+//! The victim scenarios differ from a plain plan in two ways. Their data
+//! plane crashes the victim at `crash_at_ms` and revives it when the
+//! control plane first re-placed the topology, modelling Storm handing
+//! the displaced executors to replacement workers at that moment. (The
+//! simulator replays one fixed assignment, so "recovery" is the original
+//! workers coming back rather than a mid-run re-placement; detection and
+//! re-placement latency still come from the control-plane replay.) And
+//! their observations anchor on the crash, where a plain plan's anchor
+//! on its earliest fault.
 //!
-//! Both halves are deterministic, so the whole [`ChaosOutcome`] — report
-//! bits included — is a pure function of `(cluster, topology, config)`.
-//! Any migrations the scenario schedules reach the routing layer through
-//! the engine's incremental patch path (see
+//! Both planes are deterministic, so the whole [`ChaosOutcome`] — report
+//! bits included — is a pure function of the scenario's inputs. Any
+//! migrations a scenario schedules reach the routing layer through the
+//! engine's incremental patch path (see
 //! [`SimConfig::incremental_routing`]); crash and recover themselves
 //! never touch the routing table — placement is unchanged, only
 //! liveness flips.
@@ -44,8 +48,8 @@ use crate::report::{InvariantViolation, RecoveryObservations, SimReport};
 use crate::sim::{CheckedReport, Simulation};
 use rstorm_cluster::Cluster;
 use rstorm_core::{
-    Assignment, GlobalState, RStormScheduler, RecoveryConfig, RecoveryEvent, RecoveryManager,
-    ScheduleError, Scheduler, SchedulingPlan,
+    Assignment, GlobalState, RecoveryConfig, RecoveryEvent, RecoveryManager, ScheduleError,
+    Scheduler, SchedulingPlan,
 };
 use rstorm_topology::Topology;
 use std::collections::BTreeSet;
@@ -158,14 +162,111 @@ impl ChaosConfig {
             recovery: RecoveryConfig::default(),
         }
     }
+
+    /// The control plane's view of the scenario: the victim is silent
+    /// over `[crash_at_ms, heal_at_ms)`, for good when the heal time is
+    /// not finite.
+    fn fault_plan(&self) -> FaultPlan {
+        let plan = FaultPlan::new().crash_node(self.crash_at_ms, &self.victim);
+        if self.heal_at_ms.is_finite() {
+            plan.recover_node(self.heal_at_ms, &self.victim)
+        } else {
+            plan
+        }
+    }
+
+    /// The data plane's view: the victim crashes at `crash_at_ms` and its
+    /// workers come back the moment the control plane first re-placed
+    /// the topology (replacement workers taking over).
+    fn data_plan(&self, first_resched: Option<f64>) -> FaultPlan {
+        let plan = FaultPlan::new().crash_node(self.crash_at_ms, &self.victim);
+        match first_resched {
+            Some(at) if at > self.crash_at_ms => plan.recover_node(at, &self.victim),
+            _ => plan,
+        }
+    }
+
+    /// Runs `plan` (this scenario's control-plane view plus any extra
+    /// faults) with the victim's data plane and crash-anchored
+    /// observations.
+    fn run_plan(
+        &self,
+        cluster: &Arc<Cluster>,
+        topology: &Topology,
+        plan: &FaultPlan,
+        scheduler: &(dyn Scheduler + '_),
+    ) -> Result<ChaosOutcome, ChaosError> {
+        if !cluster
+            .nodes()
+            .iter()
+            .any(|n| n.id().as_str() == self.victim)
+        {
+            return Err(ChaosError::UnknownVictim {
+                victim: self.victim.clone(),
+            });
+        }
+        run_two_planes(
+            cluster,
+            topology,
+            plan,
+            &self.sim,
+            &self.recovery,
+            scheduler,
+            self.crash_at_ms,
+            |first_resched| self.data_plan(first_resched),
+        )
+    }
 }
 
-/// Everything a crash-then-recover run produced.
+/// One control-plane outage scenario: a [`ChaosConfig`] crash plus a
+/// Nimbus outage over `[nimbus_down_at_ms, nimbus_down_at_ms +
+/// nimbus_down_ms)`. Whether the failover is journaled is governed by
+/// `chaos.recovery.journal` (see [`rstorm_core::RecoveryConfig`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlOutageConfig {
+    /// The data-plane crash, the simulation and the recovery loop.
+    pub chaos: ChaosConfig,
+    /// Simulation time Nimbus goes down.
+    pub nimbus_down_at_ms: f64,
+    /// Length of the Nimbus outage in milliseconds.
+    pub nimbus_down_ms: f64,
+}
+
+impl ControlOutageConfig {
+    /// `chaos` with a Nimbus outage added (note the default journal is
+    /// **off** — a cold failover).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the Nimbus window start is finite and non-negative
+    /// and its duration is finite and positive.
+    pub fn new(chaos: ChaosConfig, nimbus_down_at_ms: f64, nimbus_down_ms: f64) -> Self {
+        assert!(
+            nimbus_down_at_ms.is_finite() && nimbus_down_at_ms >= 0.0,
+            "the Nimbus outage needs a finite non-negative start"
+        );
+        assert!(
+            nimbus_down_ms.is_finite() && nimbus_down_ms > 0.0,
+            "the Nimbus outage must last a positive duration"
+        );
+        Self {
+            chaos,
+            nimbus_down_at_ms,
+            nimbus_down_ms,
+        }
+    }
+}
+
+/// Everything a chaos scenario or fault-plan run produced.
 #[derive(Debug, Clone)]
 pub struct ChaosOutcome {
     /// The fault-injected data-plane report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
+    /// Invariant violations the checked engine observed — always empty
+    /// unless `check_invariants` was on in the simulation config (the
+    /// fuzzer's oracle input).
+    pub violations: Vec<InvariantViolation>,
     /// The control-plane recovery events, in occurrence order.
     pub events: Vec<RecoveryEvent>,
     /// The control plane's final scheduling plan — what the cluster runs
@@ -174,33 +275,16 @@ pub struct ChaosOutcome {
     pub plan: SchedulingPlan,
     /// The derived recovery metrics (also embedded in `report`).
     pub observations: RecoveryObservations,
-}
-
-/// Everything a generalized fault-plan run produced (see
-/// [`run_fault_plan_with`]).
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The fault-injected data-plane report, with
-    /// [`SimReport::recovery`] populated.
-    pub report: SimReport,
-    /// Invariant violations the checked engine observed — always empty
-    /// unless `sim_cfg.check_invariants` was on (the fuzzer's oracle
-    /// input).
-    pub violations: Vec<InvariantViolation>,
-    /// The control-plane recovery events, in occurrence order.
-    pub events: Vec<RecoveryEvent>,
-    /// The derived recovery metrics (also embedded in `report`).
-    pub observations: RecoveryObservations,
     /// Post-failover reconciliation audit — `Some` exactly when the plan
-    /// carried control-plane events ([`FaultPlan::has_control_faults`]),
-    /// the fuzz plane's reconciliation-oracle input.
+    /// carried control-plane events ([`FaultPlan::has_control_faults`]):
+    /// every [`run_control_outage`], and the fuzz plane's
+    /// reconciliation-oracle input.
     pub reconciliation: Option<ReconcileAudit>,
 }
 
 /// What a successor's post-failover reconciliation looked like — the
-/// control-plane analog of [`RecoveryObservations`], derived by
-/// [`run_fault_plan_with`] whenever the plan carries Nimbus or
-/// control-channel faults.
+/// control-plane analog of [`RecoveryObservations`], derived whenever
+/// the plan carries Nimbus or control-channel faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconcileAudit {
     /// Latency from the first Nimbus outage's start to the first tick a
@@ -227,179 +311,52 @@ pub struct ReconcileAudit {
 }
 
 /// Runs the crash-then-recover scenario described by `cfg` for one
-/// topology. See the module docs for the two-plane structure.
-///
-/// Both the initial placement and the control plane's re-placements use
-/// [`RStormScheduler`]; [`run_crash_recover_with`] accepts any scheduler
-/// (the sweep harness grids over them).
-///
-/// # Panics
-///
-/// Panics if the topology does not fit the healthy cluster (the scenario
-/// needs a valid initial placement to disrupt) or if `cfg.victim` names
-/// an unknown node.
-pub fn run_crash_recover(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ChaosConfig,
-) -> ChaosOutcome {
-    run_crash_recover_with(cluster, topology, cfg, &RStormScheduler::new())
-}
-
-/// [`run_crash_recover`] with an explicit scheduler: `scheduler` computes
-/// both the initial placement and every control-plane re-placement, so a
-/// scenario grid can compare recovery behavior across schedulers.
-///
-/// # Panics
-///
-/// As [`run_crash_recover`]. [`try_run_crash_recover_with`] returns the
-/// same failures as typed [`ChaosError`]s instead.
-pub fn run_crash_recover_with(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ChaosConfig,
-    scheduler: &(dyn Scheduler + '_),
-) -> ChaosOutcome {
-    match try_run_crash_recover_with(cluster, topology, cfg, scheduler) {
-        Ok(out) => out,
-        Err(ChaosError::UnknownVictim { victim }) => {
-            panic!("chaos victim `{victim}` is not a node of the cluster")
-        }
-        Err(ChaosError::InitialPlacement { .. }) => {
-            panic!("chaos scenario requires an initial placement on the healthy cluster")
-        }
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// [`run_crash_recover_with`], with start-up failures — an unknown
-/// victim, a topology that cannot place on the healthy cluster — as
-/// typed [`ChaosError`]s instead of panics. The chaos fuzzer calls this
-/// so generated scenarios surface as results, not aborts.
+/// topology. `scheduler` computes both the initial placement and every
+/// control-plane re-placement, so a scenario grid can compare recovery
+/// behavior across schedulers. See the module docs for the two planes.
 ///
 /// # Errors
 ///
 /// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn try_run_crash_recover_with(
+pub fn run_crash_recover(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     cfg: &ChaosConfig,
     scheduler: &(dyn Scheduler + '_),
 ) -> Result<ChaosOutcome, ChaosError> {
-    if !cluster
-        .nodes()
-        .iter()
-        .any(|n| n.id().as_str() == cfg.victim)
-    {
-        return Err(ChaosError::UnknownVictim {
-            victim: cfg.victim.clone(),
-        });
-    }
+    cfg.run_plan(cluster, topology, &cfg.fault_plan(), scheduler)
+}
 
-    // -- Control plane: replay the recovery loop over heartbeat ticks. --
-    let mut control = (**cluster).clone();
-    let mut state = GlobalState::new(&control);
-    let initial = scheduler
-        .schedule(topology, &control, &mut state)
-        .map_err(|error| ChaosError::InitialPlacement {
-            topology: topology.id().as_str().to_owned(),
-            error,
-        })?;
-    let mut manager = RecoveryManager::new(cfg.recovery.clone());
-    let mut events = Vec::new();
-
-    let interval = cfg.recovery.heartbeat_interval_ms;
-    let names: Vec<String> = cluster
-        .nodes()
-        .iter()
-        .map(|n| n.id().as_str().to_owned())
-        .collect();
-    let mut t = 0.0;
-    while t <= cfg.sim.sim_time_ms {
-        for name in &names {
-            let victim_down = *name == cfg.victim && t >= cfg.crash_at_ms && t < cfg.heal_at_ms;
-            if !victim_down {
-                manager.observe_heartbeat(name, t);
-            }
-        }
-        events.extend(manager.tick(t, &mut control, &mut state, scheduler, &[topology]));
-        t += interval;
-    }
-
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: the same outage injected into the simulator. --
-    let mut plan = FaultPlan::new().crash_node(cfg.crash_at_ms, &cfg.victim);
-    if let Some(at) = first_resched {
-        // The victim's workers come back the moment the control plane
-        // first re-placed the topology (replacement workers taking over).
-        if at > cfg.crash_at_ms {
-            plan = plan.recover_node(at, &cfg.victim);
-        }
-    }
-    let mut sim = Simulation::new(Arc::clone(cluster), cfg.sim.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan);
-    let mut report = sim.run();
-
-    // -- Derived observations. --
-    let outage_end = first_resched.unwrap_or(cfg.sim.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(
-                &t.windows,
-                t.window_ms,
-                cfg.crash_at_ms,
-                outage_end + t.window_ms,
-            )
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: cfg.crash_at_ms,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    Ok(ChaosOutcome {
-        report,
-        events,
-        plan: state.plan().clone(),
-        observations,
-    })
+/// Runs a crash-then-recover scenario through a Nimbus outage: the
+/// victim goes silent as in [`run_crash_recover`], but during the
+/// outage the control plane observes nothing and decides nothing. At
+/// the first tick after the window a successor reassumes — replaying
+/// the journal when `cfg.chaos.recovery.journal` is on, starting cold
+/// (and blind to any node that fell silent before the failover)
+/// otherwise. The outcome's [`ChaosOutcome::reconciliation`] carries
+/// the time to reassume and the decisions replayed.
+///
+/// # Errors
+///
+/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
+pub fn run_control_outage(
+    cluster: &Arc<Cluster>,
+    topology: &Topology,
+    cfg: &ControlOutageConfig,
+    scheduler: &(dyn Scheduler + '_),
+) -> Result<ChaosOutcome, ChaosError> {
+    let plan = cfg
+        .chaos
+        .fault_plan()
+        .nimbus_crash(cfg.nimbus_down_at_ms, cfg.nimbus_down_ms);
+    cfg.chaos.run_plan(cluster, topology, &plan, scheduler)
 }
 
 /// Runs an arbitrary [`FaultPlan`] — crashes, recovers, flap storms,
-/// crash bursts, link degradations and rack partitions — through both
-/// planes, the generalization of [`run_crash_recover_with`] the chaos
-/// fuzzer drives:
-///
-/// * **Control plane** — the [`RecoveryManager`] replay, where a node
-///   misses heartbeats while it is crashed (per
-///   [`FaultPlan::node_down_windows`]) *or* while its rack is
-///   partitioned (per [`FaultPlan::rack_partition_windows`] — heartbeats
-///   cross racks to reach the control loop), exercising detection, trust
-///   hysteresis and the churn limiter under correlated loss.
-/// * **Data plane** — the full plan injected into a checked simulation
-///   ([`Simulation::run_checked`]), so `sim_cfg.check_invariants = true`
-///   surfaces accounting violations in the outcome.
-///
-/// Control-plane atoms compose in: during a
-/// [`FaultEvent::NimbusCrash`] window the manager neither observes nor
-/// ticks (a successor reassumes at the first tick after it), during a
-/// [`FaultEvent::ControlLoss`] window it ticks but observes nothing —
-/// and the outcome carries a [`ReconcileAudit`] whenever the plan has
-/// either.
-///
-/// The derived [`RecoveryObservations`] anchor on the plan's earliest
-/// fault (detection/recovery latencies are measured from there).
+/// crash bursts, link degradations, rack partitions, Nimbus outages and
+/// control-channel losses — through both planes. The data plane runs
+/// the full plan, and the observations anchor on the plan's earliest
+/// fault (or `0` for an empty plan).
 ///
 /// # Errors
 ///
@@ -413,7 +370,33 @@ pub fn run_fault_plan_with(
     sim_cfg: &SimConfig,
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
-) -> Result<PlanOutcome, ChaosError> {
+) -> Result<ChaosOutcome, ChaosError> {
+    run_two_planes(
+        cluster,
+        topology,
+        plan,
+        sim_cfg,
+        recovery,
+        scheduler,
+        plan.first_event_ms().unwrap_or(0.0),
+        |_| plan.clone(),
+    )
+}
+
+/// The one two-plane core (see the module docs): the control plane
+/// replays `plan`, the data plane runs `data_plan(first reschedule)`,
+/// and the observations measure from `anchor_ms`.
+#[allow(clippy::too_many_arguments)]
+fn run_two_planes(
+    cluster: &Arc<Cluster>,
+    topology: &Topology,
+    plan: &FaultPlan,
+    sim_cfg: &SimConfig,
+    recovery: &RecoveryConfig,
+    scheduler: &(dyn Scheduler + '_),
+    anchor_ms: f64,
+    data_plan: impl FnOnce(Option<f64>) -> FaultPlan,
+) -> Result<ChaosOutcome, ChaosError> {
     // Resolve every name the plan references up front so fuzzed plans
     // surface as typed errors here instead of engine panics mid-run.
     for ev in plan.events() {
@@ -436,7 +419,91 @@ pub fn run_fault_plan_with(
         }
     }
 
-    // -- Control plane: replay the recovery loop over heartbeat ticks. --
+    let replay = replay_control_plane(
+        cluster,
+        topology,
+        plan,
+        recovery,
+        scheduler,
+        sim_cfg.sim_time_ms,
+    )?;
+    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&replay.events);
+
+    let mut sim = Simulation::new(Arc::clone(cluster), sim_cfg.clone());
+    sim.add_topology(topology, &replay.initial);
+    sim.set_fault_plan(data_plan(first_resched));
+    let CheckedReport {
+        mut report,
+        violations,
+    } = sim.run_checked();
+
+    let outage_end = first_resched.unwrap_or(sim_cfg.sim_time_ms);
+    let dip = report
+        .throughput
+        .get(topology.id().as_str())
+        .map_or(0.0, |t| {
+            dip_depth(&t.windows, t.window_ms, anchor_ms, outage_end + t.window_ms)
+        });
+    let observations = RecoveryObservations {
+        crash_at_ms: anchor_ms,
+        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - anchor_ms),
+        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - anchor_ms),
+        tuples_lost: report.totals.tuples_lost,
+        throughput_dip_depth: dip,
+        reschedule_attempts: replay.manager.reschedule_attempts(),
+        roots_replayed: report.totals.roots_replayed,
+        tuples_quarantined: report.totals.tuples_quarantined,
+        suppressed_flaps: replay.manager.suppressed_flaps(),
+    };
+    report.recovery = Some(observations);
+
+    let reconciliation = plan
+        .has_control_faults()
+        .then(|| reconcile_audit(cluster, topology, scheduler, &replay));
+    Ok(ChaosOutcome {
+        report,
+        violations,
+        plan: replay.state.plan().clone(),
+        events: replay.events,
+        observations,
+        reconciliation,
+    })
+}
+
+/// What [`replay_control_plane`] hands back to the core.
+struct ControlReplay {
+    manager: RecoveryManager,
+    events: Vec<RecoveryEvent>,
+    state: GlobalState,
+    initial: Assignment,
+    /// Latency from the first Nimbus outage's start to the first
+    /// successor tick, `-1.0` when no successor took over.
+    time_to_reassume_ms: f64,
+    decisions_replayed: u64,
+}
+
+/// The control-plane replay: schedules the topology, then steps
+/// heartbeat ticks to `horizon_ms` with the silences, channel losses
+/// and Nimbus outages `plan` implies (see the module docs).
+fn replay_control_plane(
+    cluster: &Arc<Cluster>,
+    topology: &Topology,
+    plan: &FaultPlan,
+    recovery: &RecoveryConfig,
+    scheduler: &(dyn Scheduler + '_),
+    horizon_ms: f64,
+) -> Result<ControlReplay, ChaosError> {
+    let mut control = (**cluster).clone();
+    let mut state = GlobalState::new(&control);
+    let initial = scheduler
+        .schedule(topology, &control, &mut state)
+        .map_err(|error| ChaosError::InitialPlacement {
+            topology: topology.id().as_str().to_owned(),
+            error,
+        })?;
+    let mut manager = RecoveryManager::new(recovery.clone());
+    let mut events = Vec::new();
+
     // A node is silent while any of its own down windows or its rack's
     // partition windows covers the tick.
     let node_windows = plan.node_down_windows();
@@ -454,339 +521,9 @@ pub fn run_fault_plan_with(
             (name, windows)
         })
         .collect();
+    let roster: Vec<String> = down_windows.iter().map(|(name, _)| name.clone()).collect();
     let nimbus_windows = plan.nimbus_down_windows();
     let loss_windows = plan.control_loss_windows();
-    let replay = replay_control_plane(
-        cluster,
-        topology,
-        recovery,
-        scheduler,
-        sim_cfg.sim_time_ms,
-        &down_windows,
-        &nimbus_windows,
-        &loss_windows,
-    )?;
-    let ControlReplay {
-        manager,
-        events,
-        state,
-        initial,
-        reassumed_at_ms,
-        decisions_replayed,
-    } = replay;
-
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: the full plan injected into a checked simulation. --
-    let mut sim = Simulation::new(Arc::clone(cluster), sim_cfg.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan.clone());
-    let CheckedReport {
-        mut report,
-        violations,
-    } = sim.run_checked();
-
-    // -- Derived observations, anchored on the earliest fault. --
-    let first_fault = plan
-        .events()
-        .iter()
-        .map(FaultEvent::at_ms)
-        .fold(f64::INFINITY, f64::min);
-    let anchor = if first_fault.is_finite() {
-        first_fault
-    } else {
-        0.0
-    };
-    let outage_end = first_resched.unwrap_or(sim_cfg.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(&t.windows, t.window_ms, anchor, outage_end + t.window_ms)
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: anchor,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - anchor),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - anchor),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    // -- Reconciliation audit, when the control plane itself faulted. --
-    let reconciliation = plan.has_control_faults().then(|| {
-        reconcile_audit(
-            cluster,
-            topology,
-            scheduler,
-            &manager,
-            &state,
-            nimbus_windows.first().map(|w| w.0),
-            reassumed_at_ms,
-            decisions_replayed,
-        )
-    });
-
-    Ok(PlanOutcome {
-        report,
-        violations,
-        events,
-        observations,
-        reconciliation,
-    })
-}
-
-/// One control-plane outage scenario: the data-plane victim and outage
-/// window of a [`ChaosConfig`], plus when Nimbus itself goes down and
-/// for how long. Whether the failover is journaled is governed by
-/// `recovery.journal` (see [`rstorm_core::RecoveryConfig`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlOutageConfig {
-    /// The data-plane node to crash. Must exist in the cluster.
-    pub victim: String,
-    /// Simulation time of the victim's crash, in milliseconds.
-    pub crash_at_ms: f64,
-    /// Simulation time the victim starts heartbeating again. Use a value
-    /// past `sim.sim_time_ms` for a crash that never heals.
-    pub heal_at_ms: f64,
-    /// Simulation time Nimbus goes down.
-    pub nimbus_down_at_ms: f64,
-    /// Length of the Nimbus outage in milliseconds.
-    pub nimbus_down_ms: f64,
-    /// Data-plane simulation parameters.
-    pub sim: SimConfig,
-    /// Control-plane recovery-loop parameters — `recovery.journal`
-    /// selects journaled versus cold failover.
-    pub recovery: RecoveryConfig,
-}
-
-impl ControlOutageConfig {
-    /// A scenario with default simulation and recovery knobs (note the
-    /// default journal is **off** — a cold failover).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= crash_at_ms < heal_at_ms`, the Nimbus window
-    /// start is finite and non-negative, and its duration is finite and
-    /// positive.
-    pub fn new(
-        victim: impl Into<String>,
-        crash_at_ms: f64,
-        heal_at_ms: f64,
-        nimbus_down_at_ms: f64,
-        nimbus_down_ms: f64,
-    ) -> Self {
-        assert!(
-            crash_at_ms.is_finite() && heal_at_ms.is_finite() && crash_at_ms >= 0.0,
-            "chaos times must be finite and non-negative, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        assert!(
-            crash_at_ms < heal_at_ms,
-            "the victim must heal after it crashes, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        assert!(
-            nimbus_down_at_ms.is_finite() && nimbus_down_at_ms >= 0.0,
-            "the Nimbus outage needs a finite non-negative start"
-        );
-        assert!(
-            nimbus_down_ms.is_finite() && nimbus_down_ms > 0.0,
-            "the Nimbus outage must last a positive duration"
-        );
-        Self {
-            victim: victim.into(),
-            crash_at_ms,
-            heal_at_ms,
-            nimbus_down_at_ms,
-            nimbus_down_ms,
-            sim: SimConfig::default(),
-            recovery: RecoveryConfig::default(),
-        }
-    }
-}
-
-/// Everything a control-outage run produced: the [`ChaosOutcome`] fields
-/// plus the failover metrics.
-#[derive(Debug, Clone)]
-pub struct ControlOutcome {
-    /// The fault-injected data-plane report, with
-    /// [`SimReport::recovery`] populated.
-    pub report: SimReport,
-    /// The control-plane recovery events, in occurrence order.
-    pub events: Vec<RecoveryEvent>,
-    /// The control plane's final scheduling plan.
-    pub plan: SchedulingPlan,
-    /// The derived recovery metrics (also embedded in `report`).
-    pub observations: RecoveryObservations,
-    /// Latency from the Nimbus outage's start to the first successor
-    /// tick, or `-1.0` if the outage outlived the run.
-    pub time_to_reassume_ms: f64,
-    /// Journal decisions the successor replayed — zero for a cold
-    /// failover.
-    pub decisions_replayed: u64,
-}
-
-/// Runs a crash-then-recover scenario through a Nimbus outage: the
-/// victim goes silent as in [`run_crash_recover`], but during
-/// `[nimbus_down_at_ms, nimbus_down_at_ms + nimbus_down_ms)` the control
-/// plane observes nothing and decides nothing. At the first tick after
-/// the window a successor reassumes — replaying the journal when
-/// `cfg.recovery.journal` is on, starting cold (and blind to any node
-/// that fell silent before the failover) otherwise. The data plane
-/// mirrors [`run_crash_recover`]: the victim's workers come back the
-/// moment the control plane first re-placed the topology.
-///
-/// # Errors
-///
-/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn run_control_outage(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ControlOutageConfig,
-) -> Result<ControlOutcome, ChaosError> {
-    if !cluster
-        .nodes()
-        .iter()
-        .any(|n| n.id().as_str() == cfg.victim)
-    {
-        return Err(ChaosError::UnknownVictim {
-            victim: cfg.victim.clone(),
-        });
-    }
-    let scheduler = RStormScheduler::new();
-
-    // -- Control plane: the victim is silent for its outage window. --
-    let down_windows: Vec<(String, Vec<(f64, f64)>)> = cluster
-        .nodes()
-        .iter()
-        .map(|n| {
-            let name = n.id().as_str().to_owned();
-            let windows = if name == cfg.victim {
-                vec![(cfg.crash_at_ms, cfg.heal_at_ms)]
-            } else {
-                Vec::new()
-            };
-            (name, windows)
-        })
-        .collect();
-    let nimbus_windows = vec![(
-        cfg.nimbus_down_at_ms,
-        cfg.nimbus_down_at_ms + cfg.nimbus_down_ms,
-    )];
-    let ControlReplay {
-        manager,
-        events,
-        state,
-        initial,
-        reassumed_at_ms,
-        decisions_replayed,
-    } = replay_control_plane(
-        cluster,
-        topology,
-        &cfg.recovery,
-        &scheduler,
-        cfg.sim.sim_time_ms,
-        &down_windows,
-        &nimbus_windows,
-        &[],
-    )?;
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&events);
-
-    // -- Data plane: as in `run_crash_recover`. --
-    let mut plan = FaultPlan::new().crash_node(cfg.crash_at_ms, &cfg.victim);
-    if let Some(at) = first_resched {
-        if at > cfg.crash_at_ms {
-            plan = plan.recover_node(at, &cfg.victim);
-        }
-    }
-    let mut sim = Simulation::new(Arc::clone(cluster), cfg.sim.clone());
-    sim.add_topology(topology, &initial);
-    sim.set_fault_plan(plan);
-    let mut report = sim.run();
-
-    // -- Derived observations. --
-    let outage_end = first_resched.unwrap_or(cfg.sim.sim_time_ms);
-    let dip = report
-        .throughput
-        .get(topology.id().as_str())
-        .map_or(0.0, |t| {
-            dip_depth(
-                &t.windows,
-                t.window_ms,
-                cfg.crash_at_ms,
-                outage_end + t.window_ms,
-            )
-        });
-    let observations = RecoveryObservations {
-        crash_at_ms: cfg.crash_at_ms,
-        time_to_detect_ms: detect_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - cfg.crash_at_ms),
-        tuples_lost: report.totals.tuples_lost,
-        throughput_dip_depth: dip,
-        reschedule_attempts: manager.reschedule_attempts(),
-        roots_replayed: report.totals.roots_replayed,
-        tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: manager.suppressed_flaps(),
-    };
-    report.recovery = Some(observations);
-
-    Ok(ControlOutcome {
-        report,
-        events,
-        plan: state.plan().clone(),
-        observations,
-        time_to_reassume_ms: reassumed_at_ms.map_or(-1.0, |at| at - cfg.nimbus_down_at_ms),
-        decisions_replayed,
-    })
-}
-
-/// What [`replay_control_plane`] hands back to the harnesses.
-struct ControlReplay {
-    manager: RecoveryManager,
-    events: Vec<RecoveryEvent>,
-    state: GlobalState,
-    initial: Assignment,
-    reassumed_at_ms: Option<f64>,
-    decisions_replayed: u64,
-}
-
-/// The shared control-plane replay: schedules the topology, then steps
-/// heartbeat ticks to `horizon_ms`. A node listed in `down_windows` is
-/// silent while any of its windows covers the tick; while a
-/// `loss_windows` window is active *no* heartbeat is observed (Nimbus
-/// still ticks); while a `nimbus_windows` window is active nothing at
-/// all happens, and at the first tick after it a successor reassumes via
-/// [`RecoveryManager::reassume`] — with the predecessor's journal when
-/// journaling is on, cold otherwise.
-#[allow(clippy::too_many_arguments)]
-fn replay_control_plane(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    recovery: &RecoveryConfig,
-    scheduler: &(dyn Scheduler + '_),
-    horizon_ms: f64,
-    down_windows: &[(String, Vec<(f64, f64)>)],
-    nimbus_windows: &[(f64, f64)],
-    loss_windows: &[(f64, f64)],
-) -> Result<ControlReplay, ChaosError> {
-    let mut control = (**cluster).clone();
-    let mut state = GlobalState::new(&control);
-    let initial = scheduler
-        .schedule(topology, &control, &mut state)
-        .map_err(|error| ChaosError::InitialPlacement {
-            topology: topology.id().as_str().to_owned(),
-            error,
-        })?;
-    let mut manager = RecoveryManager::new(recovery.clone());
-    let mut events = Vec::new();
-    let roster: Vec<String> = cluster
-        .nodes()
-        .iter()
-        .map(|n| n.id().as_str().to_owned())
-        .collect();
 
     let interval = recovery.heartbeat_interval_ms;
     let covers =
@@ -796,7 +533,7 @@ fn replay_control_plane(
     let mut reassumed_at_ms = None;
     let mut decisions_replayed = 0u64;
     while t <= horizon_ms {
-        if covers(nimbus_windows, t) {
+        if covers(&nimbus_windows, t) {
             // Nimbus is down: no observation, no detection, no
             // rescheduling — the data plane runs on without it.
             was_down = true;
@@ -812,8 +549,8 @@ fn replay_control_plane(
             decisions_replayed += replayed;
             reassumed_at_ms.get_or_insert(t);
         }
-        let channel_lost = covers(loss_windows, t);
-        for (name, windows) in down_windows {
+        let channel_lost = covers(&loss_windows, t);
+        for (name, windows) in &down_windows {
             if !channel_lost && !covers(windows, t) {
                 manager.observe_heartbeat(name, t);
             }
@@ -822,12 +559,16 @@ fn replay_control_plane(
         t += interval;
     }
 
+    let time_to_reassume_ms = match (nimbus_windows.first(), reassumed_at_ms) {
+        (Some(&(down, _)), Some(up)) => up - down,
+        _ => -1.0,
+    };
     Ok(ControlReplay {
         manager,
         events,
         state,
         initial,
-        reassumed_at_ms,
+        time_to_reassume_ms,
         decisions_replayed,
     })
 }
@@ -859,21 +600,16 @@ fn fold_recovery_events(events: &[RecoveryEvent]) -> (Option<f64>, Option<f64>, 
 
 /// Derives the [`ReconcileAudit`] from the final control-plane state
 /// (see the field docs for the two oracles).
-#[allow(clippy::too_many_arguments)]
 fn reconcile_audit(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     scheduler: &(dyn Scheduler + '_),
-    manager: &RecoveryManager,
-    state: &GlobalState,
-    first_nimbus_down_ms: Option<f64>,
-    reassumed_at_ms: Option<f64>,
-    decisions_replayed: u64,
+    replay: &ControlReplay,
 ) -> ReconcileAudit {
-    let dead: BTreeSet<&str> = manager.dead_nodes().collect();
-    let quiesced = !manager.has_pending_reschedules();
+    let dead: BTreeSet<&str> = replay.manager.dead_nodes().collect();
+    let quiesced = !replay.manager.has_pending_reschedules();
     let total = topology.total_tasks() as usize;
-    let assignment = state.plan().assignment(topology.id().as_str());
+    let assignment = replay.state.plan().assignment(topology.id().as_str());
 
     let double_placed_or_orphaned = match assignment {
         Some(a) => {
@@ -905,11 +641,8 @@ fn reconcile_audit(
     };
 
     ReconcileAudit {
-        time_to_reassume_ms: match (first_nimbus_down_ms, reassumed_at_ms) {
-            (Some(down), Some(up)) => up - down,
-            _ => -1.0,
-        },
-        decisions_replayed,
+        time_to_reassume_ms: replay.time_to_reassume_ms,
+        decisions_replayed: replay.decisions_replayed,
         converged,
         double_placed_or_orphaned,
     }
@@ -949,7 +682,7 @@ fn dip_depth(windows: &[f64], window_ms: f64, crash_at_ms: f64, outage_end_ms: f
 mod tests {
     use super::*;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
-    use rstorm_core::verify_plan;
+    use rstorm_core::{verify_plan, RStormScheduler};
     use rstorm_topology::{ExecutionProfile, TopologyBuilder};
 
     fn topology() -> Topology {
@@ -997,7 +730,7 @@ mod tests {
         let cluster = cluster();
         let t = topology();
         let cfg = scenario(host_node(&cluster, &t));
-        let out = run_crash_recover(&cluster, &t, &cfg);
+        let out = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
 
         let obs = out.observations;
         // Detection takes at least the miss window measured from the
@@ -1039,8 +772,8 @@ mod tests {
         let cluster = cluster();
         let t = topology();
         let cfg = scenario(host_node(&cluster, &t));
-        let a = run_crash_recover(&cluster, &t, &cfg);
-        let b = run_crash_recover(&cluster, &t, &cfg);
+        let a = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let b = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
         assert_eq!(a.report, b.report, "same scenario, same bits");
         assert_eq!(a.events, b.events);
         assert_eq!(a.report.to_json(), b.report.to_json());
@@ -1071,7 +804,7 @@ mod tests {
         let victim = cluster.nodes()[0].id().as_str().to_owned();
         let mut cfg = ChaosConfig::new(victim, 10_000.0, 120_000.0); // never heals in a quick run
         cfg.sim = SimConfig::quick();
-        let out = run_crash_recover(&cluster, &t, &cfg);
+        let out = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
 
         assert!(out.observations.time_to_detect_ms > 0.0, "crash detected");
         assert!(
@@ -1089,18 +822,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a node")]
     fn unknown_victim_is_rejected() {
-        run_crash_recover(
-            &cluster(),
-            &topology(),
-            &ChaosConfig::new("ghost", 1.0, 2.0),
-        );
-    }
-
-    #[test]
-    fn try_variant_reports_unknown_victim_as_value() {
-        let err = try_run_crash_recover_with(
+        let err = run_crash_recover(
             &cluster(),
             &topology(),
             &ChaosConfig::new("ghost", 1.0, 2.0),
@@ -1134,17 +857,69 @@ mod tests {
         let t = b.build().unwrap();
         let victim = cluster.nodes()[0].id().as_str().to_owned();
         let cfg = ChaosConfig::new(victim, 1_000.0, 2_000.0);
-        let err =
-            try_run_crash_recover_with(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap_err();
+        let err = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap_err();
         assert!(
             matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
             "got {err:?}"
         );
-        // The same failure keeps panicking through the legacy entry point.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_crash_recover(&cluster, &t, &cfg)
-        }));
-        assert!(caught.is_err(), "the panicking wrapper still panics");
+        // The outage scenario surfaces the same failure the same way.
+        let outage = ControlOutageConfig::new(cfg, 500.0, 1_000.0);
+        let err = run_control_outage(&cluster, &t, &outage, &RStormScheduler::new()).unwrap_err();
+        assert!(
+            matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn victim_scenarios_share_the_plan_runners_control_plane() {
+        // Given the same crash and heal, the crash scenario and the plan
+        // runner replay the same control plane: same events, same final
+        // plan, same recovery-loop counters. Only the data plane differs
+        // (the victim's workers return at the first reschedule).
+        let cluster = cluster();
+        let t = topology();
+        let scheduler = RStormScheduler::new();
+        let mut cfg = scenario(host_node(&cluster, &t));
+        cfg.recovery.journal = true;
+        let plan = FaultPlan::new()
+            .crash_node(cfg.crash_at_ms, &cfg.victim)
+            .recover_node(cfg.heal_at_ms, &cfg.victim);
+        let same_control_plane = |a: &ChaosOutcome, b: &ChaosOutcome| {
+            assert_eq!(a.events, b.events);
+            assert_eq!(a.plan, b.plan);
+            assert_eq!(
+                a.observations.reschedule_attempts,
+                b.observations.reschedule_attempts
+            );
+            assert_eq!(
+                a.observations.suppressed_flaps,
+                b.observations.suppressed_flaps
+            );
+        };
+        let victim = run_crash_recover(&cluster, &t, &cfg, &scheduler).unwrap();
+        let planned =
+            run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
+        assert!(!victim.events.is_empty(), "the crash must be handled");
+        same_control_plane(&victim, &planned);
+        assert!(victim.reconciliation.is_none() && planned.reconciliation.is_none());
+
+        // A Nimbus window after the detection: the outage scenario and
+        // the plan runner also agree on the failover.
+        let (down_at, down_ms) = (28_000.0, 4_000.0);
+        let outage = ControlOutageConfig::new(cfg.clone(), down_at, down_ms);
+        let victim = run_control_outage(&cluster, &t, &outage, &scheduler).unwrap();
+        let plan = plan.nimbus_crash(down_at, down_ms);
+        let planned =
+            run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
+        same_control_plane(&victim, &planned);
+        let (a, b) = (
+            victim.reconciliation.expect("outage audit"),
+            planned.reconciliation.expect("plan audit"),
+        );
+        assert!(a.time_to_reassume_ms >= down_ms && a.decisions_replayed > 0);
+        assert_eq!(a.time_to_reassume_ms, b.time_to_reassume_ms);
+        assert_eq!(a.decisions_replayed, b.decisions_replayed);
     }
 
     #[test]
@@ -1242,34 +1017,32 @@ mod tests {
         // roster's heartbeats on reassumption and still detects it.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            20_000.0,
-            50_000.0,
-            18_000.0,
-            12_000.0,
-        );
-        cfg.sim = SimConfig::quick();
-        cfg.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 20_000.0, 50_000.0);
+        chaos.sim = SimConfig::quick();
+        let mut cfg = ControlOutageConfig::new(chaos, 18_000.0, 12_000.0);
+        cfg.chaos.recovery.journal = true;
+        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let audit = out.reconciliation.expect("an outage carries an audit");
 
         // Reassumption happens at the first tick past the 12 s window.
         assert!(
-            out.time_to_reassume_ms >= cfg.nimbus_down_ms
-                && out.time_to_reassume_ms
-                    <= cfg.nimbus_down_ms + 2.0 * cfg.recovery.heartbeat_interval_ms,
+            audit.time_to_reassume_ms >= cfg.nimbus_down_ms
+                && audit.time_to_reassume_ms
+                    <= cfg.nimbus_down_ms + 2.0 * cfg.chaos.recovery.heartbeat_interval_ms,
             "reassumed after {} ms of a {} ms outage",
-            out.time_to_reassume_ms,
+            audit.time_to_reassume_ms,
             cfg.nimbus_down_ms
         );
         // Nothing was journaled pre-outage, so nothing replays — the
         // win here is the seeded roster, not the record replay.
-        assert_eq!(out.decisions_replayed, 0);
+        assert_eq!(audit.decisions_replayed, 0);
         let declared = out
             .events
             .iter()
             .find_map(|e| match e {
-                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. } if *node == cfg.victim => {
+                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. }
+                    if *node == cfg.chaos.victim =>
+                {
                     Some(*at_ms)
                 }
                 _ => None,
@@ -1282,10 +1055,10 @@ mod tests {
         assert!(out.observations.time_to_recover_ms >= out.observations.time_to_detect_ms);
 
         // Deterministic end to end.
-        let again = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let again = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
         assert_eq!(out.report, again.report);
         assert_eq!(out.events, again.events);
-        assert_eq!(out.time_to_reassume_ms, again.time_to_reassume_ms);
+        assert_eq!(out.reconciliation, again.reconciliation);
     }
 
     #[test]
@@ -1294,18 +1067,13 @@ mod tests {
         // a heartbeat from the victim, so it can never count the misses.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            20_000.0,
-            50_000.0,
-            18_000.0,
-            12_000.0,
-        );
-        cfg.sim = SimConfig::quick();
-        assert!(!cfg.recovery.journal, "cold failover is the default");
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 20_000.0, 50_000.0);
+        chaos.sim = SimConfig::quick();
+        let cfg = ControlOutageConfig::new(chaos, 18_000.0, 12_000.0);
+        assert!(!cfg.chaos.recovery.journal, "cold failover is the default");
+        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
 
-        assert_eq!(out.decisions_replayed, 0);
+        assert_eq!(out.reconciliation.unwrap().decisions_replayed, 0);
         assert!(
             !out.events
                 .iter()
@@ -1323,29 +1091,24 @@ mod tests {
         // the successor replays those records and must not act twice.
         let cluster = cluster();
         let t = topology();
-        let mut cfg = ControlOutageConfig::new(
-            host_node(&cluster, &t),
-            5_000.0,
-            50_000.0,
-            14_000.0,
-            8_000.0,
-        );
-        cfg.sim = SimConfig::quick();
-        cfg.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg).unwrap();
+        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 5_000.0, 50_000.0);
+        chaos.sim = SimConfig::quick();
+        let mut cfg = ControlOutageConfig::new(chaos, 14_000.0, 8_000.0);
+        cfg.chaos.recovery.journal = true;
+        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
 
         // At least the dead declaration and one reschedule were in the
         // journal when the outage hit.
+        let replayed = out.reconciliation.unwrap().decisions_replayed;
         assert!(
-            out.decisions_replayed >= 2,
-            "expected the declare + reschedule records, replayed {}",
-            out.decisions_replayed
+            replayed >= 2,
+            "expected the declare + reschedule records, replayed {replayed}"
         );
         let declarations = out
             .events
             .iter()
             .filter(|e| {
-                matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == cfg.victim)
+                matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == cfg.chaos.victim)
             })
             .count();
         assert_eq!(
@@ -1360,7 +1123,8 @@ mod tests {
         let err = run_control_outage(
             &cluster(),
             &topology(),
-            &ControlOutageConfig::new("ghost", 1_000.0, 2_000.0, 500.0, 1_000.0),
+            &ControlOutageConfig::new(ChaosConfig::new("ghost", 1_000.0, 2_000.0), 500.0, 1_000.0),
+            &RStormScheduler::new(),
         )
         .unwrap_err();
         assert_eq!(

@@ -75,9 +75,8 @@ mod slab;
 pub mod sweep;
 
 pub use chaos::{
-    run_control_outage, run_crash_recover, run_crash_recover_with, run_fault_plan_with,
-    try_run_crash_recover_with, ChaosConfig, ChaosError, ChaosOutcome, ControlOutageConfig,
-    ControlOutcome, PlanOutcome, ReconcileAudit,
+    run_control_outage, run_crash_recover, run_fault_plan_with, ChaosConfig, ChaosError,
+    ChaosOutcome, ControlOutageConfig, ReconcileAudit,
 };
 pub use config::{NetworkModel, SimConfig};
 pub use faults::{FaultEvent, FaultPlan, ParsePlanError};
@@ -86,10 +85,7 @@ pub use fuzz::{
     FuzzReproducer, FuzzVerdict, OracleKind,
 };
 pub use network::LinkClass;
-pub use rebalance::{
-    refined_clone, run_adaptive_rebalance, try_run_adaptive_rebalance, AdaptiveConfig,
-    AdaptiveOutcome,
-};
+pub use rebalance::{refined_clone, run_adaptive_rebalance, AdaptiveConfig, AdaptiveOutcome};
 pub use reference::ReferenceSimulation;
 pub use report::{
     InvariantViolation, LinkUtilization, NetworkObservations, RecoveryObservations, SimDebugStats,

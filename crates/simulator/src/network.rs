@@ -2,8 +2,8 @@
 //! over a hierarchical link graph.
 //!
 //! Where the legacy path serializes each transfer through FIFO
-//! [`crate::servers::LinkServer`]s (per-node NICs plus one *global*
-//! uplink), this plane models the paper's Emulab fabric structurally:
+//! `LinkServer`s (per-node NICs plus one *global* uplink), this plane
+//! models the paper's Emulab fabric structurally:
 //!
 //! * a duplex NIC per node — an egress link and an ingress link, each at
 //!   the node bandwidth;

@@ -136,37 +136,19 @@ impl AdaptiveOutcome {
 /// Runs the profile → detect → plan → compare scenario described by
 /// `cfg` for one topology. See the module docs for the four stages.
 ///
-/// # Panics
-///
-/// Panics if the topology does not fit the cluster (the scenario needs a
-/// valid initial placement to improve on) or if the configured times are
-/// not positive and finite. [`try_run_adaptive_rebalance`] surfaces the
-/// placement and migration-planning failures as values instead.
-pub fn run_adaptive_rebalance(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &AdaptiveConfig,
-) -> AdaptiveOutcome {
-    try_run_adaptive_rebalance(cluster, topology, cfg)
-        .unwrap_or_else(|e| panic!("adaptive rebalance on `{}` failed: {e}", topology.id()))
-}
-
-/// [`run_adaptive_rebalance`] with the recovery→migration lookups
-/// surfaced as typed [`ChaosError`]s instead of panics: an unplaceable
-/// topology is [`ChaosError::InitialPlacement`]; a delta plan or a
-/// full-reschedule baseline over inconsistent state (a task outside the
-/// task set, an incomplete "complete" placement) is
-/// [`ChaosError::MigrationPlanning`].
-///
 /// # Errors
 ///
-/// [`ChaosError::InitialPlacement`] and [`ChaosError::MigrationPlanning`].
+/// [`ChaosError::InitialPlacement`] when the topology does not fit the
+/// cluster (the scenario needs a valid initial placement to improve
+/// on), and [`ChaosError::MigrationPlanning`] when a delta plan or the
+/// full-reschedule baseline meets inconsistent state (a task outside
+/// the task set, an incomplete "complete" placement).
 ///
 /// # Panics
 ///
-/// Still panics when `cfg.observe_ms` is not positive and finite — that
-/// is a caller contract, not a property of the fuzzed inputs.
-pub fn try_run_adaptive_rebalance(
+/// Panics when `cfg.observe_ms` is not positive and finite — that is a
+/// caller contract, not a property of the fuzzed inputs.
+pub fn run_adaptive_rebalance(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     cfg: &AdaptiveConfig,
@@ -474,7 +456,7 @@ mod tests {
     fn drifted_workload_is_detected_and_adaptive_beats_static() {
         let cluster = cluster();
         let t = drifted_topology();
-        let out = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick());
+        let out = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick()).unwrap();
 
         assert!(!out.drift.is_clean(), "the under-declared bolt drifts");
         assert!(
@@ -506,7 +488,7 @@ mod tests {
     fn honest_workload_yields_empty_plan_and_identical_run() {
         let cluster = cluster();
         let t = honest_topology();
-        let out = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick());
+        let out = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick()).unwrap();
         assert!(out.drift.is_clean(), "drift: {:?}", out.drift.drifted);
         assert!(out.plan.is_empty());
         assert_eq!(
@@ -523,7 +505,7 @@ mod tests {
         cfg.sim = cfg
             .sim
             .with_network_model(crate::config::NetworkModel::Fair);
-        let out = run_adaptive_rebalance(&cluster, &t, &cfg);
+        let out = run_adaptive_rebalance(&cluster, &t, &cfg).unwrap();
         let network = out
             .profile_report
             .network
@@ -551,8 +533,8 @@ mod tests {
     fn adaptive_runs_are_deterministic() {
         let cluster = cluster();
         let t = drifted_topology();
-        let a = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick());
-        let b = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick());
+        let a = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick()).unwrap();
+        let b = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick()).unwrap();
         assert_eq!(a.drift, b.drift);
         assert_eq!(a.plan.moves, b.plan.moves);
         assert_eq!(a.adaptive_report, b.adaptive_report);
@@ -560,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn unplaceable_topology_surfaces_as_typed_error_and_wrapper_panics() {
+    fn unplaceable_topology_surfaces_as_typed_error() {
         let cluster = cluster();
         let mut b = TopologyBuilder::new("galaxy");
         b.set_spout("feed", 4)
@@ -569,30 +551,13 @@ mod tests {
             .set_memory_load(1_000_000.0); // no emulab node holds a TB
         let t = b.build().unwrap();
 
-        let err = try_run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick())
+        let err = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick())
             .expect_err("a topology that fits no node cannot be placed");
         match &err {
             ChaosError::InitialPlacement { topology, .. } => assert_eq!(topology, "galaxy"),
             other => panic!("expected InitialPlacement, got {other}"),
         }
         assert!(err.to_string().contains("galaxy"), "{err}");
-
-        let caught = std::panic::catch_unwind(|| {
-            run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick())
-        });
-        assert!(caught.is_err(), "the panicking wrapper still panics");
-    }
-
-    #[test]
-    fn try_runner_matches_the_panicking_wrapper_on_the_happy_path() {
-        let cluster = cluster();
-        let t = honest_topology();
-        let tried = try_run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick())
-            .expect("the honest workload fits");
-        let ran = run_adaptive_rebalance(&cluster, &t, &AdaptiveConfig::quick());
-        assert_eq!(tried.plan.moves, ran.plan.moves);
-        assert_eq!(tried.static_report, ran.static_report);
-        assert_eq!(tried.adaptive_report, ran.adaptive_report);
     }
 
     #[test]

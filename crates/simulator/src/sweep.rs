@@ -34,7 +34,7 @@
 //! guarantee: if a future change smuggles non-`Send` state into
 //! [`Simulation`], this module stops compiling.
 
-use crate::chaos::{run_crash_recover_with, run_fault_plan_with, ChaosConfig};
+use crate::chaos::{run_crash_recover, run_fault_plan_with, ChaosConfig};
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::report::SimReport;
@@ -504,7 +504,8 @@ fn run_fault_job(
 ) -> (SimReport, f64, f64) {
     let mut cfg = ChaosConfig::new(host_node(assignment), crash_at_ms, heal_at_ms);
     cfg.sim = sim_cfg;
-    let out = run_crash_recover_with(&case.cluster, &case.topology, &cfg, scheduler);
+    let out = run_crash_recover(&case.cluster, &case.topology, &cfg, scheduler)
+        .unwrap_or_else(|e| panic!("crash job failed on sweep case {}: {e}", case.name));
     let obs = out.observations;
     (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
 }

@@ -118,7 +118,7 @@ pub fn scale_cluster(nodes: u32) -> Cluster {
 
 /// Schedules `topology` on `cluster` and plays `rounds` of synthetic
 /// drift through the [`DeltaScheduler`]: every round pretends all
-/// components under-declared CPU by [`CHURN_DRIFT_RATIO`] and marks one
+/// components under-declared CPU by `CHURN_DRIFT_RATIO` (3×) and marks one
 /// initially-used node (cycling in name order) saturated, so the delta
 /// scheduler sheds most of that node's tasks onto nodes with headroom.
 /// Plans compose — each round plans against the state the previous

@@ -32,8 +32,10 @@ fn same_fault_plan_and_seed_are_bit_identical() {
     let cluster = Arc::new(clusters::emulab_micro());
     let topology = micro::linear_network_bound();
     let cfg = quick_scenario(host_node(&cluster, &topology), 20_000.0, 35_000.0);
-    let a = rstorm::sim::run_crash_recover(&cluster, &topology, &cfg);
-    let b = rstorm::sim::run_crash_recover(&cluster, &topology, &cfg);
+    let a =
+        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
+    let b =
+        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
     assert_eq!(a.report, b.report);
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.events, b.events);
@@ -217,7 +219,8 @@ fn yahoo_page_load_crash_then_recover_replaces_everything() {
     let cluster = Arc::new(clusters::emulab_multi());
     let topology = yahoo::page_load();
     let cfg = quick_scenario(host_node(&cluster, &topology), 15_000.0, 30_000.0);
-    let out = rstorm::sim::run_crash_recover(&cluster, &topology, &cfg);
+    let out =
+        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
 
     // The outage was seen and fully recovered from.
     let obs = out.observations;
