@@ -105,3 +105,86 @@ fn linear_net_fair_faulted_report_is_stable() {
     );
     check_golden("linear_net_fair_faulted", &report.to_json());
 }
+
+/// Migration churn, pinned: a scaled-down scale-plane run (400 tasks on
+/// 40 nodes) with ten rounds of delta-scheduler migrations cut over
+/// mid-run. Every move re-derives the moved tasks' link kinds, receiver
+/// nodes and latencies, so any drift in how routing follows placement
+/// shows up here.
+#[test]
+fn scale_churn_report_is_stable() {
+    use rstorm::workloads::scale::{churn_plans, scale_cluster, scale_topology, schedule_churn};
+    const HORIZON_MS: f64 = 10_000.0;
+    let topology = scale_topology(400);
+    let cluster = scale_cluster(40);
+    let (assignment, plans) = churn_plans(&topology, &cluster, 10);
+    let moves: usize = plans.iter().map(MigrationPlan::len).sum();
+    assert!(moves >= 10, "expected sustained churn, got {moves} moves");
+    let mut sim = Simulation::new(cluster, SimConfig::quick().with_sim_time_ms(HORIZON_MS));
+    sim.add_topology(&topology, &assignment);
+    schedule_churn(&mut sim, &plans, HORIZON_MS);
+    let report = sim.run();
+    assert!(report.totals.tuples_completed > 0, "the chain flows");
+    check_golden("scale_churn_400", &report.to_json());
+}
+
+/// Local-or-shuffle routing across a migration, pinned: PageLoad's
+/// `parse → geo-enrich` edge is local-or-shuffle, so its preference pools
+/// depend on placement. One `parse` task (an LoS producer) and one
+/// `geo-enrich` task (an LoS consumer) move into the same worker on a
+/// node the topology did not use, and that node then crashes and
+/// recovers. The roots lost in the crash time out after 30 s, so the
+/// last windows show traffic flowing through the recovered node.
+#[test]
+fn page_load_los_migration_report_is_stable() {
+    use rstorm::workloads::{clusters, yahoo};
+    use std::collections::BTreeMap;
+    let topology = yahoo::page_load();
+    let cluster = clusters::emulab_multi();
+    let assignment = RStormScheduler::new()
+        .schedule(&topology, &cluster, &mut GlobalState::new(&cluster))
+        .expect("page_load fits the multi cluster");
+    let used = assignment.used_nodes();
+    let dest = cluster
+        .nodes()
+        .iter()
+        .map(|n| n.id().clone())
+        .find(|n| !used.contains(n))
+        .expect("page_load leaves nodes free");
+    let tasks = topology.task_set();
+    let moved = [tasks.tasks_of("parse")[0], tasks.tasks_of("geo-enrich")[0]];
+    let mut slots: BTreeMap<_, _> = assignment
+        .iter()
+        .map(|(task, slot)| (task, slot.clone()))
+        .collect();
+    let moves = moved
+        .iter()
+        .map(|&task| {
+            let from = slots[&task].node.clone();
+            slots.insert(task, WorkerSlot::new(dest.as_str(), 6700));
+            let component = tasks.task(task).expect("task exists").component.as_str();
+            MigrationMove {
+                task,
+                component: component.to_owned(),
+                from,
+                to: dest.clone(),
+            }
+        })
+        .collect();
+    let plan = MigrationPlan {
+        topology: topology.id().clone(),
+        moves,
+        updated: Assignment::new(topology.id().clone(), slots),
+    };
+    let mut sim = Simulation::new(cluster, SimConfig::quick());
+    sim.add_topology(&topology, &assignment);
+    sim.schedule_migration(&plan, 5_000.0, 200.0);
+    sim.set_fault_plan(
+        FaultPlan::new()
+            .crash_node(8_000.0, dest.as_str())
+            .recover_node(10_000.0, dest.as_str()),
+    );
+    let report = sim.run();
+    assert!(report.totals.tuples_completed > 0, "the pipeline flows");
+    check_golden("page_load_los_migration", &report.to_json());
+}
