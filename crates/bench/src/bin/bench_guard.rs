@@ -12,9 +12,6 @@
 //! survivable sweep group) are additionally held to exactly 1.0:
 //! guaranteed processing is a correctness property, not a performance
 //! number, so no environment variable can relax it. The same goes for
-//! `routing_parity` (the scale smoke's churn case): an incrementally
-//! patched routing table that is not bit-identical to a full rebuild is
-//! a correctness failure, whatever the speedup says. So does
 //! `fuzz_violations` (the fuzz smoke's campaign cases), pinned at
 //! exactly 0: a fixed-seed fuzz campaign that trips an oracle found a
 //! real robustness bug. And `rstorm_beats_even_on_trunk` (the
@@ -60,7 +57,6 @@ use std::process::{Command, ExitCode};
 /// One gated case: its `speedup_vs_reference` (absent on sweep group
 /// lines, which are pure correctness gates), its `zero_loss_ratio`
 /// (present on replay cases and survivable sweep groups), its
-/// `routing_parity` (present on the scale smoke's churn case), its
 /// `fuzz_violations` (present on the fuzz smoke's campaign cases), its
 /// `rstorm_beats_even_on_trunk` (present on the congestion smoke's
 /// contention case), and its `failover_zero_loss` /
@@ -71,7 +67,6 @@ struct Reading {
     case: String,
     speedup: Option<f64>,
     zero_loss_ratio: Option<f64>,
-    routing_parity: Option<f64>,
     fuzz_violations: Option<f64>,
     trunk_win: Option<f64>,
     failover_zero_loss: Option<f64>,
@@ -96,10 +91,6 @@ fn extract_speedups(json: &str) -> Vec<Reading> {
             raw.parse::<f64>()
                 .unwrap_or_else(|e| panic!("bad zero_loss_ratio {raw:?}: {e}"))
         });
-        let routing_parity = field(line, "\"routing_parity\":").map(|raw| {
-            raw.parse::<f64>()
-                .unwrap_or_else(|e| panic!("bad routing_parity {raw:?}: {e}"))
-        });
         let fuzz_violations = field(line, "\"fuzz_violations\":").map(|raw| {
             raw.parse::<f64>()
                 .unwrap_or_else(|e| panic!("bad fuzz_violations {raw:?}: {e}"))
@@ -119,7 +110,6 @@ fn extract_speedups(json: &str) -> Vec<Reading> {
             });
         if speedup.is_none()
             && zero_loss_ratio.is_none()
-            && routing_parity.is_none()
             && fuzz_violations.is_none()
             && trunk_win.is_none()
             && failover_zero_loss.is_none()
@@ -134,7 +124,6 @@ fn extract_speedups(json: &str) -> Vec<Reading> {
             case,
             speedup,
             zero_loss_ratio,
-            routing_parity,
             fuzz_violations,
             trunk_win,
             failover_zero_loss,
@@ -223,10 +212,9 @@ fn check_file(path: &str, min: f64) -> Result<usize, String> {
     }
     let mut failures = 0;
     for r in &readings {
-        // zero_loss_ratio and routing_parity are correctness gates,
-        // pinned at exactly 1.0 regardless of BENCH_GUARD_MIN.
+        // zero_loss_ratio is a correctness gate, pinned at exactly 1.0
+        // regardless of BENCH_GUARD_MIN.
         let lossy = r.zero_loss_ratio.is_some_and(|z| z != 1.0);
-        let unparity = r.routing_parity.is_some_and(|p| p != 1.0);
         let fuzzed = r.fuzz_violations.is_some_and(|v| v != 0.0);
         let congested = r.trunk_win.is_some_and(|t| t < 1.0);
         let failover_lossy = r.failover_zero_loss.is_some_and(|z| z != 1.0);
@@ -234,9 +222,6 @@ fn check_file(path: &str, min: f64) -> Result<usize, String> {
         let verdict = if lossy {
             failures += 1;
             "TUPLE LOSS"
-        } else if unparity {
-            failures += 1;
-            "PARITY"
         } else if fuzzed {
             failures += 1;
             "ORACLE VIOLATION"
@@ -262,9 +247,6 @@ fn check_file(path: &str, min: f64) -> Result<usize, String> {
         let mut gates = String::new();
         if let Some(z) = r.zero_loss_ratio {
             gates.push_str(&format!("zero_loss {z:.3}  "));
-        }
-        if let Some(p) = r.routing_parity {
-            gates.push_str(&format!("routing_parity {p:.3}  "));
         }
         if let Some(v) = r.fuzz_violations {
             gates.push_str(&format!("fuzz_violations {v:.0}  "));
@@ -357,7 +339,6 @@ mod tests {
                     case: "a".into(),
                     speedup: Some(2.5),
                     zero_loss_ratio: None,
-                    routing_parity: None,
                     fuzz_violations: None,
                     trunk_win: None,
                     failover_zero_loss: None,
@@ -367,7 +348,6 @@ mod tests {
                     case: "b".into(),
                     speedup: Some(0.91),
                     zero_loss_ratio: None,
-                    routing_parity: None,
                     fuzz_violations: None,
                     trunk_win: None,
                     failover_zero_loss: None,
@@ -430,7 +410,6 @@ mod tests {
                 case: "sweep/parallel_speedup".into(),
                 speedup: Some(7.27),
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: None,
@@ -443,7 +422,6 @@ mod tests {
                 case: "linear_net/rstorm/crash_recover".into(),
                 speedup: None,
                 zero_loss_ratio: Some(1.0),
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: None,
@@ -453,50 +431,23 @@ mod tests {
     }
 
     #[test]
-    fn real_bench_scale_shapes_parse() {
-        // The exact line shapes scale_smoke writes: the base case gated
-        // on speedup only, the churn case on speedup + routing parity.
-        let json = r#"    {"name": "scale/base", "tasks": 10000, "nodes": 1000, "sim_ms": 60000, "events": 121100, "fast_ns": 36640000, "reference_ns": 57310000, "speedup_vs_reference": 1.56},
-    {"name": "scale/churn", "tasks": 10000, "nodes": 1000, "sim_ms": 60000, "migrations": 800, "patched_ns": 40750000, "full_ns": 960080000, "routing_parity": 1.000, "speedup_vs_reference": 23.56}"#;
+    fn real_bench_scale_shape_parses() {
+        // The exact line shape scale_smoke writes, gated on speedup only.
+        let json = r#"    {"name": "scale/base", "tasks": 10000, "nodes": 1000, "sim_ms": 60000, "events": 121100, "fast_ns": 36640000, "reference_ns": 57310000, "speedup_vs_reference": 1.56}"#;
         let readings = extract_speedups(json);
-        assert_eq!(readings.len(), 2);
+        assert_eq!(readings.len(), 1);
         assert_eq!(
             readings[0],
             Reading {
                 case: "scale/base".into(),
                 speedup: Some(1.56),
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: None,
                 reconciliation_convergence: None
             }
         );
-        assert_eq!(
-            readings[1],
-            Reading {
-                case: "scale/churn".into(),
-                speedup: Some(23.56),
-                zero_loss_ratio: None,
-                routing_parity: Some(1.0),
-                fuzz_violations: None,
-                trunk_win: None,
-                failover_zero_loss: None,
-                reconciliation_convergence: None
-            }
-        );
-    }
-
-    #[test]
-    fn broken_routing_parity_fails_even_when_fast() {
-        let readings = extract_speedups(
-            r#"    {"name": "scale/churn", "routing_parity": 0.000, "speedup_vs_reference": 99.0}"#,
-        );
-        assert_eq!(readings[0].routing_parity, Some(0.0));
-        // check_file's gate: parity != 1.0 counts as a failure; pin the
-        // predicate the gate uses.
-        assert!(readings[0].routing_parity.is_some_and(|p| p != 1.0));
     }
 
     #[test]
@@ -514,7 +465,6 @@ mod tests {
                 case: "network/trunk_contention".into(),
                 speedup: None,
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: Some(1.68),
                 failover_zero_loss: None,
@@ -527,7 +477,6 @@ mod tests {
                 case: "network/legacy_engine".into(),
                 speedup: Some(3.02),
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: None,
@@ -581,7 +530,6 @@ mod tests {
                 case: "control/failover".into(),
                 speedup: None,
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: Some(1.0),
@@ -594,7 +542,6 @@ mod tests {
                 case: "control/replay".into(),
                 speedup: None,
                 zero_loss_ratio: None,
-                routing_parity: None,
                 fuzz_violations: None,
                 trunk_win: None,
                 failover_zero_loss: None,

@@ -1,24 +1,14 @@
 //! Scale-plane smoke benchmark: the 10k-task / 1k-node case.
 //!
-//! Two cases, written to `BENCH_scale.json`:
-//!
-//! * **`scale/base`** — the plain scale topology, fast engine vs the
-//!   string-keyed `ReferenceSimulation` (identical reports asserted
-//!   before timing), reported as `speedup_vs_reference` like the other
-//!   smoke bins.
-//! * **`scale/churn`** — the migration-churn variant: ~100 composed
-//!   `DeltaScheduler` plans applied across the run. The fast engine runs
-//!   twice — incremental routing patches on vs off (full rebuild per
-//!   migration) — with bit-identical reports asserted (`routing_parity`)
-//!   before timing. The full-vs-patched ratio is reported under the
-//!   `speedup_vs_reference` key so `bench_guard`'s ≥ 1.0 gate applies
-//!   to it unchanged; the acceptance target for this row is ≥ 5x.
+//! One case, written to `BENCH_scale.json`: **`scale/base`**, the plain
+//! scale topology, fast engine vs the string-keyed `ReferenceSimulation`
+//! (identical reports asserted before timing), reported as
+//! `speedup_vs_reference` like the other smoke bins. The churn variant is
+//! timed by the benchmark of record's `scale_churn` workload.
 //!
 //! `SCALE_SMOKE_HORIZON_MS` trims the simulated horizon (default
 //! 60 000 ms — one tenth of the workload's full 10-minute case — so the
-//! reference engine stays affordable; CI trims further). The reference
-//! engine is skipped entirely for the churn case: the incremental-vs-full
-//! comparison is internal to the fast engine.
+//! reference engine stays affordable; CI trims further).
 //!
 //! Run with `cargo run --release -p rstorm-bench --bin scale_smoke`.
 
@@ -26,10 +16,7 @@ use rstorm_bench::harness::{median_ns, BenchReport};
 use rstorm_bench::schedule_fresh;
 use rstorm_core::RStormScheduler;
 use rstorm_sim::{ReferenceSimulation, SimConfig, Simulation};
-use rstorm_workloads::scale::{
-    churn_plans, scale_cluster, scale_topology, schedule_churn, SCALE_CHURN_ROUNDS, SCALE_NODES,
-    SCALE_TASKS,
-};
+use rstorm_workloads::scale::{scale_cluster, scale_topology, SCALE_NODES, SCALE_TASKS};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,68 +84,6 @@ fn main() {
          \"sim_ms\": {horizon:.0}, \"events\": {}, \"fast_ns\": {fast_ns}, \
          \"reference_ns\": {reference_ns}, \"speedup_vs_reference\": {base_speedup:.2}}}",
         fast_report.debug.events
-    ));
-
-    // ---- scale/churn: incremental patches vs full rebuilds ------------
-    let (churn_assignment, plans) = churn_plans(&topology, &cluster, SCALE_CHURN_ROUNDS);
-    let migrations: usize = plans.iter().map(|p| p.len()).sum();
-    assert!(
-        plans.len() >= SCALE_CHURN_ROUNDS as usize / 2,
-        "churn generation collapsed: only {} of {SCALE_CHURN_ROUNDS} rounds moved tasks",
-        plans.len()
-    );
-    let build_churn = |incremental: bool| {
-        let cluster = Arc::clone(&cluster);
-        let topology = &topology;
-        let assignment = &churn_assignment;
-        let plans = &plans;
-        move || {
-            let mut sim = Simulation::new(
-                Arc::clone(&cluster),
-                SimConfig::default()
-                    .with_sim_time_ms(horizon)
-                    .with_incremental_routing(incremental),
-            );
-            sim.add_topology(topology, assignment);
-            schedule_churn(&mut sim, plans, horizon);
-            sim
-        }
-    };
-    let patched_report = build_churn(true)().run();
-    let full_report = build_churn(false)().run();
-    assert_eq!(
-        patched_report, full_report,
-        "scale/churn: patched and fully-rebuilt runs disagree"
-    );
-    assert_eq!(patched_report.debug.events, full_report.debug.events);
-    let patched_ns = median_ns(
-        build_churn(true),
-        |sim| {
-            std::hint::black_box(sim.run());
-        },
-        budget,
-    );
-    let full_ns = median_ns(
-        build_churn(false),
-        |sim| {
-            std::hint::black_box(sim.run());
-        },
-        budget,
-    );
-    let churn_speedup = full_ns as f64 / patched_ns as f64;
-    println!(
-        "scale/churn  {} migrations over {} plans: \
-         patched {:.2} ms vs full rebuild {:.2} ms ({churn_speedup:.2}x)",
-        migrations,
-        plans.len(),
-        patched_ns as f64 / 1e6,
-        full_ns as f64 / 1e6,
-    );
-    report.push_case(format!(
-        "{{\"name\": \"scale/churn\", \"tasks\": {SCALE_TASKS}, \"nodes\": {SCALE_NODES}, \
-         \"sim_ms\": {horizon:.0}, \"migrations\": {migrations}, \"patched_ns\": {patched_ns}, \
-         \"full_ns\": {full_ns}, \"routing_parity\": 1.000, \
-         \"speedup_vs_reference\": {churn_speedup:.2}}}"
     ));
 
     report.write("BENCH_scale.json");

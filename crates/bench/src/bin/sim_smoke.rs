@@ -117,7 +117,7 @@ fn main() {
     let mut report = BenchReport::new("simulation wall time (median per full run)", "ns");
     let quick = SimConfig::quick();
     // One long-horizon case: steady state dominates, which is where the
-    // pooled slab and precomputed routes pay off most.
+    // pooled slab and dense routing pay off most.
     let long = SimConfig::quick().with_sim_time_ms(600_000.0);
 
     let mut results = Vec::new();

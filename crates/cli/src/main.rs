@@ -688,7 +688,7 @@ fn sweep_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 /// workload: seeded fault plans sampled from the crash / flap / burst /
 /// partition / degrade / Nimbus-outage / control-loss grammar, each
 /// checked against the oracle set (accounting invariants, zero loss,
-/// detection liveness, routing parity, reconciliation convergence and
+/// detection liveness, reconciliation convergence and
 /// placement, determinism), with violating plans shrunk to minimal
 /// reproducers. `--corpus-dir` writes each reproducer as a replayable
 /// `.plan` file; a campaign that finds violations exits non-zero.
@@ -780,8 +780,8 @@ fn fuzz_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 /// Runs the scale plane from the CLI: a √tasks-wide chain of exactly
 /// `--tasks` tasks on a `--nodes`-node cluster, optionally with the
 /// migration-churn variant (`--churn`) that drives the composed
-/// `DeltaScheduler` plans through the run — exercising the incremental
-/// routing patch path at whatever size fits the terminal's patience.
+/// `DeltaScheduler` plans through the run at whatever size fits the
+/// terminal's patience.
 fn scale_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use rstorm_workloads::scale;
 
@@ -841,7 +841,7 @@ fn scale_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
             scale::churn_plans(&topology, &cluster, scale::SCALE_CHURN_ROUNDS);
         let migrations: usize = plans.iter().map(|p| p.len()).sum();
         println!(
-            "churn: {} migrations over {} plans via the incremental routing patch path",
+            "churn: {} migrations over {} plans",
             migrations,
             plans.len()
         );

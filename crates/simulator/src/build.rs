@@ -2,11 +2,16 @@
 //! interning every entity the hot path touches into dense integer ids.
 //!
 //! All naming happens here, once, at build time: tasks, components,
-//! topologies and nodes become dense indices, and per producer task ×
-//! output stream the full routing decision — which consumer tasks can
-//! receive a batch, over which link path, at which fixed latency — is
-//! resolved into a flat [`RoutingTable`]. The steady-state event loop in
-//! [`crate::sim`] then never hashes a `String`, never compares a
+//! topologies and nodes become dense indices, and each component's
+//! subscriptions resolve to one target list of global consumer task
+//! indices, shared by every task of the producing component. Routing
+//! stores nothing about placement except the local-or-shuffle preference
+//! pools ([`SimBuild::los_pools`]): the link a batch takes and its latency
+//! are the paper's four-level network distance between the two tasks, a
+//! pure function of where they sit, which the engine derives on every
+//! emission ([`ClusterIndex::link`]). A migration therefore only rewrites
+//! its tasks' placement and refreshes the pools. The steady-state event
+//! loop in [`crate::sim`] never hashes a `String`, never compares a
 //! `WorkerSlot` and never re-derives a grouping; it only indexes arrays.
 
 use rstorm_cluster::{Cluster, NetworkCosts, PlacementRelation, WorkerSlot};
@@ -15,8 +20,7 @@ use rstorm_topology::{StreamGrouping, Topology};
 use std::collections::HashMap;
 
 /// One downstream subscription of a component, resolved to global
-/// simulator task indices (reference-engine routing: the grouping is
-/// re-interpreted per emission).
+/// simulator task indices.
 #[derive(Debug, Clone)]
 pub(crate) struct ConsumerGroup {
     pub grouping: StreamGrouping,
@@ -24,10 +28,18 @@ pub(crate) struct ConsumerGroup {
     pub targets: Vec<usize>,
 }
 
+impl ConsumerGroup {
+    /// True when an emission goes to every candidate (all and global
+    /// groupings) rather than to one drawn uniformly.
+    pub fn fans_out(&self) -> bool {
+        matches!(self.grouping, StreamGrouping::All | StreamGrouping::Global)
+    }
+}
+
 /// Sentinel for "this task's component is not a sink".
 pub(crate) const NO_SINK: u32 = u32::MAX;
 
-/// A task as the simulator sees it: placement, profile and routing table.
+/// A task as the simulator sees it: placement and profile.
 #[derive(Debug, Clone)]
 pub(crate) struct SimTaskSpec {
     pub topology: String,
@@ -52,21 +64,9 @@ pub(crate) struct SimTaskSpec {
     /// Declared per-task memory, needed to re-derive a node's memory
     /// demand (and thus its thrash state) when the task migrates.
     pub memory_mb: f64,
-    pub consumers: Vec<ConsumerGroup>,
 }
 
-/// How a precomputed route group selects targets per emission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GroupKind {
-    /// Draw one route uniformly from the group's range (shuffle, fields,
-    /// and local-or-shuffle over its precomputed pool).
-    Pick,
-    /// Send over every route in the range (all-grouping; global grouping
-    /// is stored as a single-route range).
-    All,
-}
-
-/// The physical link class of a precomputed route.
+/// The physical link class a transfer takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkKind {
     /// Same worker or same node: no NIC serialization, latency only.
@@ -75,36 +75,6 @@ pub(crate) enum LinkKind {
     SameRack,
     /// Across racks: egress → shared uplink → ingress.
     InterRack,
-}
-
-/// One fully resolved producer-task → consumer-task route.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Route {
-    /// Global index of the receiving task.
-    pub to: u32,
-    /// The receiver's node (ingress link server index).
-    pub to_node: u32,
-    pub kind: LinkKind,
-    /// Fixed propagation latency of this route's placement relation.
-    pub latency_ms: f64,
-}
-
-/// A contiguous range of routes with a selection rule.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RouteGroup {
-    pub kind: GroupKind,
-    pub start: u32,
-    pub len: u32,
-}
-
-/// Flat per-task routing: `task_groups[task]` is a range into `groups`,
-/// each group a range into `routes`.
-#[derive(Debug, Default)]
-pub(crate) struct RoutingTable {
-    pub groups: Vec<RouteGroup>,
-    pub routes: Vec<Route>,
-    /// Per global task: (start, len) into `groups`.
-    pub task_groups: Vec<(u32, u32)>,
 }
 
 /// Index structures over the cluster, shared by all topologies added to a
@@ -116,6 +86,9 @@ pub(crate) struct ClusterIndex {
     pub cores: Vec<f64>,
     pub memory_mb: Vec<f64>,
     pub node_names: Vec<String>,
+    /// `NetworkCosts::latency_ms` per placement relation, in the order
+    /// same worker, same node, same rack, inter-rack.
+    latency_ms: [f64; 4],
 }
 
 impl ClusterIndex {
@@ -136,12 +109,36 @@ impl ClusterIndex {
             memory_mb.push(n.capacity().memory_mb);
             node_names.push(n.id().as_str().to_owned());
         }
+        let costs: &NetworkCosts = cluster.costs();
         Self {
             node_of,
             rack_of_node,
             cores,
             memory_mb,
             node_names,
+            latency_ms: [
+                PlacementRelation::SameWorker,
+                PlacementRelation::SameNode,
+                PlacementRelation::SameRack,
+                PlacementRelation::InterRack,
+            ]
+            .map(|r| costs.latency_ms(r)),
+        }
+    }
+
+    /// The link class and fixed latency of a transfer from a task placed
+    /// at `(node, port)` `from` to one at `to`: the placement relation of
+    /// [`relation_of`], where the same node and port is the same worker.
+    pub fn link(&self, from: (u32, u16), to: (u32, u16)) -> (LinkKind, f64) {
+        if from.0 == to.0 {
+            (
+                LinkKind::Local,
+                self.latency_ms[usize::from(from.1 != to.1)],
+            )
+        } else if self.rack_of_node[from.0 as usize] == self.rack_of_node[to.0 as usize] {
+            (LinkKind::SameRack, self.latency_ms[2])
+        } else {
+            (LinkKind::InterRack, self.latency_ms[3])
         }
     }
 }
@@ -151,21 +148,17 @@ impl ClusterIndex {
 #[derive(Debug)]
 pub(crate) struct SimBuild {
     pub specs: Vec<SimTaskSpec>,
-    pub routing: RoutingTable,
-    /// Producer task of each route, parallel to `routing.routes` — the
-    /// reverse edge [`Self::patch_routing`] needs to re-derive a single
-    /// route without replaying its whole group.
-    pub route_from: Vec<u32>,
-    /// Per global task: indices into `routing.routes` of every route that
-    /// *targets* the task, so a moved consumer's inbound rows are
-    /// reachable in O(degree) instead of a full-table scan.
-    pub incoming: Vec<Vec<u32>>,
-    /// Per global task: true when the task produces or can receive a
-    /// local-or-shuffle group. Moving such a task can change the group's
-    /// precomputed preference *pool* (and with it the table's shape), so
-    /// [`Self::patch_routing`] refuses and the caller falls back to a
-    /// full rebuild.
-    pub los_member: Vec<bool>,
+    /// Per global task: dense id of its component, the index into
+    /// [`Self::subscriptions`].
+    pub comp_of: Vec<u32>,
+    /// Per dense component id: its subscriptions, in declaration order.
+    /// Placement-independent and shared by every task of the component.
+    pub subscriptions: Vec<Vec<ConsumerGroup>>,
+    /// Per global task: for each subscription of its component, the
+    /// local-or-shuffle targets sharing the task's worker slot. Empty for
+    /// a task whose component has no local-or-shuffle subscription; an
+    /// empty pool falls back to all of the subscription's targets.
+    pub los_pools: Vec<Vec<Vec<usize>>>,
     pub node_mem_demand: Vec<f64>,
     /// Per node: global ids of the tasks placed on it, in placement
     /// order — the `DenseCpuServer` slot layout.
@@ -184,10 +177,9 @@ impl SimBuild {
     pub fn new(node_count: usize) -> Self {
         Self {
             specs: Vec::new(),
-            routing: RoutingTable::default(),
-            route_from: Vec::new(),
-            incoming: Vec::new(),
-            los_member: Vec::new(),
+            comp_of: Vec::new(),
+            subscriptions: Vec::new(),
+            los_pools: Vec::new(),
             node_mem_demand: vec![0.0; node_count],
             node_tasks: vec![Vec::new(); node_count],
             topo_names: Vec::new(),
@@ -197,8 +189,8 @@ impl SimBuild {
     }
 
     /// Appends every task of `topology` (placed per `assignment`),
-    /// resolving consumer routing to global indices and precomputing the
-    /// fast path's route table, and accumulates each node's memory demand.
+    /// resolving its components' subscriptions to global indices, and
+    /// accumulates each node's memory demand.
     ///
     /// # Panics
     ///
@@ -209,7 +201,6 @@ impl SimBuild {
     pub fn append_topology(
         &mut self,
         index: &ClusterIndex,
-        costs: &NetworkCosts,
         topology: &Topology,
         assignment: &Assignment,
     ) {
@@ -232,7 +223,33 @@ impl SimBuild {
             .push((0..sink_names.len()).map(|k| ctr_base + k as u32).collect());
         self.sink_counters += sink_names.len();
 
-        // First pass: create specs without consumer routing.
+        // Resolve each component's subscriptions to global indices once;
+        // every task of the component shares them.
+        let global_of: HashMap<&str, Vec<usize>> = task_set
+            .by_component()
+            .map(|(c, ids)| {
+                (
+                    c.as_str(),
+                    ids.iter().map(|t| base + t.index()).collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let mut comp_id: HashMap<&str, u32> = HashMap::new();
+        for component in topology.components() {
+            let name = component.id().as_str();
+            comp_id.insert(name, self.subscriptions.len() as u32);
+            self.subscriptions.push(
+                topology
+                    .consumers(name)
+                    .iter()
+                    .map(|(consumer, decl)| ConsumerGroup {
+                        grouping: decl.grouping.clone(),
+                        targets: global_of[consumer.as_str()].clone(),
+                    })
+                    .collect(),
+            );
+        }
+
         for task in task_set.tasks() {
             let component = topology
                 .component(task.component.as_str())
@@ -259,6 +276,7 @@ impl SimBuild {
                 .get(task.component.as_str())
                 .copied()
                 .unwrap_or(NO_SINK);
+            self.comp_of.push(comp_id[task.component.as_str()]);
             self.specs.push(SimTaskSpec {
                 topology: topology.id().as_str().to_owned(),
                 component: task.component.as_str().to_owned(),
@@ -276,196 +294,80 @@ impl SimBuild {
                 max_rate_tuples_per_sec: profile.max_rate_tuples_per_sec,
                 max_spout_pending: topology.max_spout_pending(),
                 memory_mb: component.resources().memory_mb,
-                consumers: Vec::new(),
             });
         }
-
-        // Second pass: resolve each component's consumers to global
-        // indices, and freeze every routing decision that does not depend
-        // on the run — target sets per grouping (including the
-        // local-or-shuffle preference pool) and the link path plus
-        // latency per (producer, consumer) pair.
-        self.incoming.resize(self.specs.len(), Vec::new());
-        self.los_member.resize(self.specs.len(), false);
-        let global_of: HashMap<&str, Vec<usize>> = task_set
-            .by_component()
-            .map(|(c, ids)| {
-                (
-                    c.as_str(),
-                    ids.iter().map(|t| base + t.index()).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        for task in task_set.tasks() {
-            let from = base + task.id.index();
-            let groups_start = self.routing.groups.len() as u32;
-            let groups: Vec<ConsumerGroup> = topology
-                .consumers(task.component.as_str())
-                .iter()
-                .map(|(consumer, decl)| ConsumerGroup {
-                    grouping: decl.grouping.clone(),
-                    targets: global_of[consumer.as_str()].clone(),
-                })
-                .collect();
-            for group in &groups {
-                self.push_route_group(costs, from, group);
-            }
-            let len = self.routing.groups.len() as u32 - groups_start;
-            debug_assert_eq!(self.routing.task_groups.len(), from);
-            self.routing.task_groups.push((groups_start, len));
-            self.specs[from].consumers = groups;
+        // Pools read the placement of every task of the topology, so they
+        // are filled once all of them exist.
+        for from in base..self.specs.len() {
+            let pools = self.los_pools_of(from);
+            self.los_pools.push(pools);
         }
     }
 
-    /// Recomputes the whole routing table from the current task specs.
-    ///
-    /// Live migration moves tasks between worker slots, which invalidates
-    /// every placement-derived routing decision: link kinds, per-route
-    /// latencies and the local-or-shuffle preference pools. The consumer
-    /// groups (grouping + target task sets) are placement-independent, so
-    /// replaying them through the same [`Self::push_route_group`] logic
-    /// reproduces exactly the table a fresh build of the new placement
-    /// would produce — tasks that did not move get bit-identical routes.
-    ///
-    /// The existing buffers are reused (`clear()` + refill) rather than
-    /// reallocated: the table's capacity is already exactly right from
-    /// the previous build, so repeated rebuilds stop churning the
-    /// allocator.
-    pub fn rebuild_routing(&mut self, costs: &NetworkCosts) {
-        self.routing.groups.clear();
-        self.routing.routes.clear();
-        self.routing.task_groups.clear();
-        self.route_from.clear();
-        for list in &mut self.incoming {
-            list.clear();
+    /// The subscriptions of `task`'s component.
+    pub fn consumers(&self, task: usize) -> &[ConsumerGroup] {
+        &self.subscriptions[self.comp_of[task] as usize]
+    }
+
+    /// The targets subscription `g` of `from` sends to: every one of them
+    /// when the group [fans out](ConsumerGroup::fans_out), otherwise one
+    /// drawn uniformly. Global grouping keeps only the first target;
+    /// local-or-shuffle prefers the targets in the producer's worker.
+    pub fn candidates(&self, from: usize, g: usize) -> &[usize] {
+        let group = &self.consumers(from)[g];
+        match group.grouping {
+            StreamGrouping::Global => &group.targets[..1],
+            StreamGrouping::LocalOrShuffle if !self.los_pools[from][g].is_empty() => {
+                &self.los_pools[from][g]
+            }
+            _ => &group.targets,
         }
-        self.los_member.fill(false);
+    }
+
+    /// Recomputes every local-or-shuffle pool from the current placement:
+    /// the only routing state a migration invalidates.
+    pub fn refresh_los_pools(&mut self) {
         for from in 0..self.specs.len() {
-            let groups_start = self.routing.groups.len() as u32;
-            let groups = std::mem::take(&mut self.specs[from].consumers);
-            for group in &groups {
-                self.push_route_group(costs, from, group);
+            if !self.los_pools[from].is_empty() {
+                self.los_pools[from] = self.los_pools_of(from);
             }
-            self.specs[from].consumers = groups;
-            let len = self.routing.groups.len() as u32 - groups_start;
-            self.routing.task_groups.push((groups_start, len));
         }
     }
 
-    /// Patches the routing table in place after the tasks in `moved`
-    /// changed placement, recomputing only the route rows whose producer
-    /// or consumer moved — O(moved · degree) instead of the full
-    /// O(tasks · fan-out) rebuild.
-    ///
-    /// Sound because for shuffle, fields, all and global groupings the
-    /// *shape* of the table (group ranges, target order, route count) is
-    /// placement-independent: a from-scratch rebuild after the same moves
-    /// would produce the identical layout with only the affected rows'
-    /// link kind, latency and destination node changed — exactly the rows
-    /// patched here. Re-deriving a row is idempotent, so a route whose
-    /// two endpoints both moved is simply recomputed twice.
-    ///
-    /// Returns `false` — leaving the table untouched — when any moved
-    /// task participates in a local-or-shuffle group: its precomputed
-    /// preference pool (and with it the table's shape) depends on
-    /// placement, so the caller must fall back to
-    /// [`Self::rebuild_routing`].
-    pub fn patch_routing(&mut self, costs: &NetworkCosts, moved: &[usize]) -> bool {
-        if moved.iter().any(|&t| self.los_member[t]) {
-            return false;
-        }
-        for &t in moved {
-            // Rows the moved task produces: every route of its groups.
-            let (gs, gl) = self.routing.task_groups[t];
-            for g in gs..gs + gl {
-                let group = self.routing.groups[g as usize];
-                for r in group.start..group.start + group.len {
-                    self.repatch_route(costs, t, r as usize);
-                }
-            }
-            // Rows the moved task consumes: every route targeting it.
-            for k in 0..self.incoming[t].len() {
-                let r = self.incoming[t][k] as usize;
-                let from = self.route_from[r] as usize;
-                self.repatch_route(costs, from, r);
-            }
-        }
-        true
+    /// Stored routing entries: shared subscription targets plus
+    /// local-or-shuffle pool members.
+    pub fn route_entries(&self) -> usize {
+        let targets: usize = self
+            .subscriptions
+            .iter()
+            .flatten()
+            .map(|g| g.targets.len())
+            .sum();
+        let pools: usize = self.los_pools.iter().flatten().map(Vec::len).sum();
+        targets + pools
     }
 
-    /// Recomputes one route's placement-derived fields from the current
-    /// specs of its (unchanged) endpoints.
-    fn repatch_route(&mut self, costs: &NetworkCosts, from: usize, r: usize) {
-        let to = self.routing.routes[r].to as usize;
-        let relation = relation_of(&self.specs[from], &self.specs[to]);
-        let link = match relation {
-            PlacementRelation::SameWorker | PlacementRelation::SameNode => LinkKind::Local,
-            PlacementRelation::SameRack => LinkKind::SameRack,
-            PlacementRelation::InterRack => LinkKind::InterRack,
-        };
-        self.routing.routes[r] = Route {
-            to: to as u32,
-            to_node: self.specs[to].node_idx as u32,
-            kind: link,
-            latency_ms: costs.latency_ms(relation),
-        };
-    }
-
-    fn push_route_group(&mut self, costs: &NetworkCosts, from: usize, group: &ConsumerGroup) {
-        let targets = &group.targets;
-        debug_assert!(!targets.is_empty(), "validated topologies have tasks");
-        if matches!(group.grouping, StreamGrouping::LocalOrShuffle) {
-            self.los_member[from] = true;
-            for &t in targets {
-                self.los_member[t] = true;
-            }
+    fn los_pools_of(&self, from: usize) -> Vec<Vec<usize>> {
+        let groups = self.consumers(from);
+        if !groups
+            .iter()
+            .any(|g| g.grouping == StreamGrouping::LocalOrShuffle)
+        {
+            return Vec::new();
         }
-        let start = self.routing.routes.len() as u32;
-        let (kind, chosen): (GroupKind, Vec<usize>) = match &group.grouping {
-            // Fields grouping with uniformly distributed keys is
-            // statistically identical to shuffle at this granularity, so
-            // both pick uniformly over the full target set.
-            StreamGrouping::Shuffle | StreamGrouping::Fields(_) => {
-                (GroupKind::Pick, targets.clone())
-            }
-            StreamGrouping::All => (GroupKind::All, targets.clone()),
-            StreamGrouping::Global => (GroupKind::All, vec![targets[0]]),
-            StreamGrouping::LocalOrShuffle => {
-                let from_slot = &self.specs[from].slot;
-                let local: Vec<usize> = targets
+        let slot = &self.specs[from].slot;
+        groups
+            .iter()
+            .map(|g| match g.grouping {
+                StreamGrouping::LocalOrShuffle => g
+                    .targets
                     .iter()
                     .copied()
-                    .filter(|&t| self.specs[t].slot == *from_slot)
-                    .collect();
-                let pool = if local.is_empty() {
-                    targets.clone()
-                } else {
-                    local
-                };
-                (GroupKind::Pick, pool)
-            }
-        };
-        for to in chosen {
-            let relation = relation_of(&self.specs[from], &self.specs[to]);
-            let link = match relation {
-                PlacementRelation::SameWorker | PlacementRelation::SameNode => LinkKind::Local,
-                PlacementRelation::SameRack => LinkKind::SameRack,
-                PlacementRelation::InterRack => LinkKind::InterRack,
-            };
-            self.incoming[to].push(self.routing.routes.len() as u32);
-            self.route_from.push(from as u32);
-            self.routing.routes.push(Route {
-                to: to as u32,
-                to_node: self.specs[to].node_idx as u32,
-                kind: link,
-                latency_ms: costs.latency_ms(relation),
-            });
-        }
-        self.routing.groups.push(RouteGroup {
-            kind,
-            start,
-            len: self.routing.routes.len() as u32 - start,
-        });
+                    .filter(|&t| self.specs[t].slot == *slot)
+                    .collect(),
+                _ => Vec::new(),
+            })
+            .collect()
     }
 }
 
@@ -486,7 +388,8 @@ mod tests {
     use super::*;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
     use rstorm_core::{GlobalState, RStormScheduler, Scheduler};
-    use rstorm_topology::TopologyBuilder;
+    use rstorm_topology::{TaskId, TopologyBuilder};
+    use std::collections::BTreeMap;
 
     fn setup() -> (Cluster, Topology, Assignment) {
         let cluster = ClusterBuilder::new()
@@ -512,7 +415,7 @@ mod tests {
     fn build(cluster: &Cluster, topology: &Topology, assignment: &Assignment) -> SimBuild {
         let idx = ClusterIndex::new(cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), topology, assignment);
+        b.append_topology(&idx, topology, assignment);
         b
     }
 
@@ -534,63 +437,70 @@ mod tests {
         let (cluster, topology, assignment) = setup();
         let b = build(&cluster, &topology, &assignment);
         assert_eq!(b.specs.len(), 6);
-        // Spout tasks route to the middle bolt's three tasks.
+        // Spout tasks route to the middle bolt's three tasks, one drawn
+        // per emission.
         let spout = &b.specs[0];
         assert!(spout.is_spout);
         assert!(!spout.is_sink);
-        assert_eq!(spout.consumers.len(), 1);
-        assert_eq!(spout.consumers[0].targets, vec![2, 3, 4]);
-        // Middle bolt routes to the sink.
-        assert_eq!(b.specs[2].consumers[0].targets, vec![5]);
-        assert_eq!(b.specs[2].consumers[0].grouping, StreamGrouping::Global);
+        assert_eq!(b.consumers(0).len(), 1);
+        assert_eq!(b.consumers(0)[0].targets, vec![2, 3, 4]);
+        assert!(!b.consumers(0)[0].fans_out());
+        assert_eq!(b.candidates(0, 0), &[2, 3, 4]);
+        // Middle bolt routes to the sink; global grouping fans out to its
+        // single candidate.
+        assert_eq!(b.consumers(2)[0].targets, vec![5]);
+        assert_eq!(b.consumers(2)[0].grouping, StreamGrouping::Global);
+        assert!(b.consumers(2)[0].fans_out());
+        assert_eq!(b.candidates(2, 0), &[5]);
         // The sink has no consumers and is flagged.
         assert!(b.specs[5].is_sink);
-        assert!(b.specs[5].consumers.is_empty());
+        assert!(b.consumers(5).is_empty());
+        // One target list per (component, subscription), shared by the
+        // component's tasks; no local-or-shuffle pools.
+        assert_eq!(b.subscriptions.len(), 3);
+        assert_eq!(b.comp_of[0], b.comp_of[1]);
+        assert_eq!(b.route_entries(), 3 + 1);
+        assert!(b.los_pools.iter().all(Vec::is_empty));
         // Memory demand accumulated: 6 tasks × 100 MB.
         assert!((b.node_mem_demand.iter().sum::<f64>() - 600.0).abs() < 1e-9);
     }
 
     #[test]
-    fn routing_table_mirrors_consumer_groups() {
-        let (cluster, topology, assignment) = setup();
-        let b = build(&cluster, &topology, &assignment);
-        assert_eq!(b.routing.task_groups.len(), 6);
-        // Spout task 0: one shuffle group over the three middle tasks.
-        let (gs, gl) = b.routing.task_groups[0];
-        assert_eq!(gl, 1);
-        let g = b.routing.groups[gs as usize];
-        assert_eq!(g.kind, GroupKind::Pick);
-        assert_eq!(g.len, 3);
-        let tos: Vec<u32> = (g.start..g.start + g.len)
-            .map(|r| b.routing.routes[r as usize].to)
-            .collect();
-        assert_eq!(tos, vec![2, 3, 4]);
-        // Middle task 2: global grouping stored as a single-route All.
-        let (gs2, gl2) = b.routing.task_groups[2];
-        assert_eq!(gl2, 1);
-        let g2 = b.routing.groups[gs2 as usize];
-        assert_eq!(g2.kind, GroupKind::All);
-        assert_eq!(g2.len, 1);
-        assert_eq!(b.routing.routes[g2.start as usize].to, 5);
-        // The sink has no groups.
-        assert_eq!(b.routing.task_groups[5].1, 0);
-        // Every route's link kind is consistent with its latency: a
-        // local route costs at most a same-rack one, etc.
+    fn link_follows_the_four_level_distance() {
+        let (cluster, _, _) = setup();
+        let idx = ClusterIndex::new(&cluster);
         let costs = cluster.costs();
-        for r in &b.routing.routes {
-            let expected = match r.kind {
-                LinkKind::Local => {
-                    assert!(
-                        r.latency_ms <= costs.latency_ms(PlacementRelation::SameNode),
-                        "local latency out of range"
-                    );
-                    continue;
-                }
-                LinkKind::SameRack => costs.latency_ms(PlacementRelation::SameRack),
-                LinkKind::InterRack => costs.latency_ms(PlacementRelation::InterRack),
-            };
-            assert_eq!(r.latency_ms, expected);
-        }
+        let (a, b) = (0, 1);
+        let far = (0..6).find(|&n| idx.rack_of_node[n] != idx.rack_of_node[0]);
+        let far = far.expect("two racks") as u32;
+        assert_eq!(
+            idx.link((a, 6700), (a, 6700)),
+            (
+                LinkKind::Local,
+                costs.latency_ms(PlacementRelation::SameWorker)
+            )
+        );
+        assert_eq!(
+            idx.link((a, 6700), (a, 6701)),
+            (
+                LinkKind::Local,
+                costs.latency_ms(PlacementRelation::SameNode)
+            )
+        );
+        assert_eq!(
+            idx.link((a, 6700), (b, 6700)),
+            (
+                LinkKind::SameRack,
+                costs.latency_ms(PlacementRelation::SameRack)
+            )
+        );
+        assert_eq!(
+            idx.link((a, 6700), (far, 6700)),
+            (
+                LinkKind::InterRack,
+                costs.latency_ms(PlacementRelation::InterRack)
+            )
+        );
     }
 
     #[test]
@@ -617,51 +527,15 @@ mod tests {
         let (cluster, topology, assignment) = setup();
         let idx = ClusterIndex::new(&cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
         assert_eq!(b.specs.len(), 12);
         // Second copy's spout routes into the second copy's bolts.
-        assert_eq!(b.specs[6].consumers[0].targets, vec![8, 9, 10]);
-        let (gs, _) = b.routing.task_groups[6];
-        let g = b.routing.groups[gs as usize];
-        let tos: Vec<u32> = (g.start..g.start + g.len)
-            .map(|r| b.routing.routes[r as usize].to)
-            .collect();
-        assert_eq!(tos, vec![8, 9, 10]);
+        assert_eq!(b.consumers(6)[0].targets, vec![8, 9, 10]);
+        assert_eq!(b.subscriptions.len(), 6);
         // Sink counters are disjoint per topology.
         assert_eq!(b.sink_ctrs_by_topo, vec![vec![0], vec![1]]);
         assert_eq!(b.specs[11].sink_ctr, 1);
-    }
-
-    #[test]
-    fn rebuild_without_moves_reproduces_the_table() {
-        let (cluster, topology, assignment) = setup();
-        let mut b = build(&cluster, &topology, &assignment);
-        let before = format!("{:?}", b.routing);
-        b.rebuild_routing(cluster.costs());
-        assert_eq!(before, format!("{:?}", b.routing));
-    }
-
-    #[test]
-    fn rebuild_tracks_a_moved_task() {
-        let (cluster, topology, assignment) = setup();
-        let mut b = build(&cluster, &topology, &assignment);
-        let idx = ClusterIndex::new(&cluster);
-        // Move the sink (global task 5) to a node hosting nothing else.
-        let dest = (0..idx.node_names.len())
-            .find(|&n| b.specs.iter().all(|s| s.node_idx != n))
-            .expect("6 nodes, 6 colocated tasks: some node is free");
-        b.specs[5].node_idx = dest;
-        b.specs[5].rack_idx = idx.rack_of_node[dest];
-        b.specs[5].slot = rstorm_cluster::WorkerSlot::new(idx.node_names[dest].as_str(), 9000);
-        b.rebuild_routing(cluster.costs());
-        // The middle bolt's single global route now points at the new node.
-        let (gs, _) = b.routing.task_groups[2];
-        let g = b.routing.groups[gs as usize];
-        let r = b.routing.routes[g.start as usize];
-        assert_eq!(r.to, 5);
-        assert_eq!(r.to_node, dest as u32);
-        assert_ne!(r.kind, LinkKind::Local, "the sink left its producers");
     }
 
     #[test]
@@ -672,110 +546,13 @@ mod tests {
         build(&cluster, &topology, &empty);
     }
 
-    /// Everything the patch path may touch, in one comparable blob: the
-    /// routing table plus the side indexes that must stay in lockstep.
-    fn fingerprint(b: &SimBuild) -> String {
-        format!(
-            "{:?}|{:?}|{:?}|{:?}",
-            b.routing, b.route_from, b.incoming, b.los_member
-        )
-    }
-
-    /// Applies the placement part of a migration directly to the specs,
-    /// the way `apply_migration` does before refreshing the routes.
-    fn relocate(b: &mut SimBuild, idx: &ClusterIndex, task: usize, dest: usize) {
-        b.specs[task].node_idx = dest;
-        b.specs[task].rack_idx = idx.rack_of_node[dest];
-        b.specs[task].slot = rstorm_cluster::WorkerSlot::new(idx.node_names[dest].as_str(), 9000);
-    }
-
-    #[test]
-    fn patch_with_no_moves_is_a_noop() {
-        let (cluster, topology, assignment) = setup();
-        let mut b = build(&cluster, &topology, &assignment);
-        let before = fingerprint(&b);
-        assert!(b.patch_routing(cluster.costs(), &[]));
-        assert_eq!(before, fingerprint(&b));
-    }
-
-    #[test]
-    fn patch_matches_full_rebuild_for_moved_tasks() {
-        let (cluster, topology, assignment) = setup();
-        let idx = ClusterIndex::new(&cluster);
-        let mut patched = build(&cluster, &topology, &assignment);
-        let mut rebuilt = build(&cluster, &topology, &assignment);
-        // Move a producer (spout task 0) and a consumer (sink task 5) to
-        // a free node — exercises both the outgoing and incoming rows,
-        // including a task that is both endpoints of a crossing route.
-        let dest = (0..idx.node_names.len())
-            .find(|&n| patched.specs.iter().all(|s| s.node_idx != n))
-            .expect("6 nodes, 6 colocated tasks: some node is free");
-        for b in [&mut patched, &mut rebuilt] {
-            relocate(b, &idx, 0, dest);
-            relocate(b, &idx, 5, dest);
-        }
-        assert!(patched.patch_routing(cluster.costs(), &[0, 5]));
-        rebuilt.rebuild_routing(cluster.costs());
-        assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
-        // The move is visible: spout 0's routes now leave `dest`.
-        let (gs, _) = patched.routing.task_groups[0];
-        let g = patched.routing.groups[gs as usize];
-        assert_ne!(
-            patched.routing.routes[g.start as usize].kind,
-            LinkKind::Local,
-            "the spout left its consumers"
-        );
-    }
-
-    #[test]
-    fn local_or_shuffle_members_force_full_rebuild() {
-        let cluster = ClusterBuilder::new()
-            .homogeneous_racks(2, 3, ResourceCapacity::emulab_node(), 4)
-            .build()
-            .unwrap();
-        let mut tb = TopologyBuilder::new("los");
-        tb.set_spout("s", 2).set_memory_load(100.0);
-        tb.set_bolt("m", 3)
-            .shuffle_grouping("s")
-            .set_memory_load(100.0);
-        tb.set_bolt("k", 2)
-            .local_or_shuffle_grouping("m")
-            .set_memory_load(100.0);
-        let topology = tb.build().unwrap();
-        let mut state = GlobalState::new(&cluster);
-        let assignment = RStormScheduler::new()
-            .schedule(&topology, &cluster, &mut state)
-            .unwrap();
-        let b = build(&cluster, &topology, &assignment);
-        // Producers (m: 2..5) and targets (k: 5..7) of the LoS group are
-        // flagged; the spout tasks are not.
-        assert!(!b.los_member[0] && !b.los_member[1]);
-        assert!((2..7).all(|t| b.los_member[t]));
-        // A LoS member declines the patch and leaves the table untouched…
-        let mut declined = build(&cluster, &topology, &assignment);
-        let before = fingerprint(&declined);
-        assert!(!declined.patch_routing(cluster.costs(), &[0, 3]));
-        assert_eq!(before, fingerprint(&declined));
-        // …while a move of only the (non-member) spout still patches and
-        // matches the full rebuild.
-        let idx = ClusterIndex::new(&cluster);
-        let mut patched = build(&cluster, &topology, &assignment);
-        let mut rebuilt = build(&cluster, &topology, &assignment);
-        let dest = (patched.specs[0].node_idx + 1) % idx.node_names.len();
-        relocate(&mut patched, &idx, 0, dest);
-        relocate(&mut rebuilt, &idx, 0, dest);
-        assert!(patched.patch_routing(cluster.costs(), &[0]));
-        rebuilt.rebuild_routing(cluster.costs());
-        assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
-    }
-
     #[test]
     fn node_task_lists_are_sorted_by_global_id() {
         let (cluster, topology, assignment) = setup();
         let idx = ClusterIndex::new(&cluster);
         let mut b = SimBuild::new(cluster.nodes().len());
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
-        b.append_topology(&idx, cluster.costs(), &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
+        b.append_topology(&idx, &topology, &assignment);
         // The engine's sorted-membership invariant starts here: appending
         // walks tasks in increasing global id, so every per-node list is
         // born sorted and `apply_migration` keeps it that way.
@@ -784,27 +561,229 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        /// For any random move set — empty, partial or a full shuffle of
-        /// every task — the patched table and side indexes are
-        /// bit-identical to a from-scratch rebuild.
-        #[test]
-        fn patch_is_bit_identical_to_rebuild(
-            moves in proptest::collection::vec((0usize..6, 0usize..6), 0..7),
-        ) {
-            let (cluster, topology, assignment) = setup();
-            let idx = ClusterIndex::new(&cluster);
-            let mut patched = build(&cluster, &topology, &assignment);
-            let mut rebuilt = build(&cluster, &topology, &assignment);
-            let mut moved = Vec::new();
-            for &(task, dest) in &moves {
-                relocate(&mut patched, &idx, task, dest);
-                relocate(&mut rebuilt, &idx, task, dest);
-                moved.push(task);
+    // ---- oracle: the precomputed per-producer route table ---------------
+
+    /// How a precomputed route group selects targets per emission.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum GroupKind {
+        /// Draw one route uniformly from the group's range.
+        Pick,
+        /// Send over every route in the range.
+        All,
+    }
+
+    /// One fully resolved producer-task → consumer-task route.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Route {
+        to: u32,
+        to_node: u32,
+        kind: LinkKind,
+        latency_ms: f64,
+    }
+
+    /// A contiguous range of routes with a selection rule.
+    #[derive(Debug, Clone, Copy)]
+    struct RouteGroup {
+        kind: GroupKind,
+        start: u32,
+        len: u32,
+    }
+
+    /// The routing table the engine used to precompute per producer task:
+    /// `task_groups[task]` is a range into `groups`, each group a range
+    /// into `routes`, with every route's link resolved through
+    /// [`relation_of`] and the cost matrix.
+    #[derive(Debug, Default)]
+    struct RoutingTable {
+        groups: Vec<RouteGroup>,
+        routes: Vec<Route>,
+        task_groups: Vec<(u32, u32)>,
+    }
+
+    impl RoutingTable {
+        /// Builds the table from scratch over `b`'s current placement.
+        fn build(b: &SimBuild, costs: &NetworkCosts) -> Self {
+            let mut table = Self::default();
+            for from in 0..b.specs.len() {
+                let start = table.groups.len() as u32;
+                for group in b.consumers(from) {
+                    table.push_route_group(&b.specs, costs, from, group);
+                }
+                let len = table.groups.len() as u32 - start;
+                table.task_groups.push((start, len));
             }
-            proptest::prop_assert!(patched.patch_routing(cluster.costs(), &moved));
-            rebuilt.rebuild_routing(cluster.costs());
-            proptest::prop_assert_eq!(fingerprint(&patched), fingerprint(&rebuilt));
+            table
+        }
+
+        fn push_route_group(
+            &mut self,
+            specs: &[SimTaskSpec],
+            costs: &NetworkCosts,
+            from: usize,
+            group: &ConsumerGroup,
+        ) {
+            let targets = &group.targets;
+            let start = self.routes.len() as u32;
+            let (kind, chosen): (GroupKind, Vec<usize>) = match &group.grouping {
+                StreamGrouping::Shuffle | StreamGrouping::Fields(_) => {
+                    (GroupKind::Pick, targets.clone())
+                }
+                StreamGrouping::All => (GroupKind::All, targets.clone()),
+                StreamGrouping::Global => (GroupKind::All, vec![targets[0]]),
+                StreamGrouping::LocalOrShuffle => {
+                    let from_slot = &specs[from].slot;
+                    let local: Vec<usize> = targets
+                        .iter()
+                        .copied()
+                        .filter(|&t| specs[t].slot == *from_slot)
+                        .collect();
+                    let pool = if local.is_empty() {
+                        targets.clone()
+                    } else {
+                        local
+                    };
+                    (GroupKind::Pick, pool)
+                }
+            };
+            for to in chosen {
+                let relation = relation_of(&specs[from], &specs[to]);
+                let link = match relation {
+                    PlacementRelation::SameWorker | PlacementRelation::SameNode => LinkKind::Local,
+                    PlacementRelation::SameRack => LinkKind::SameRack,
+                    PlacementRelation::InterRack => LinkKind::InterRack,
+                };
+                self.routes.push(Route {
+                    to: to as u32,
+                    to_node: specs[to].node_idx as u32,
+                    kind: link,
+                    latency_ms: costs.latency_ms(relation),
+                });
+            }
+            self.groups.push(RouteGroup {
+                kind,
+                start,
+                len: self.routes.len() as u32 - start,
+            });
+        }
+
+        /// `from`'s groups as (selection rule, routes) lists.
+        fn groups_of(&self, from: usize) -> Vec<(GroupKind, Vec<Route>)> {
+            let (gs, gl) = self.task_groups[from];
+            self.groups[gs as usize..(gs + gl) as usize]
+                .iter()
+                .map(|g| {
+                    let routes = &self.routes[g.start as usize..(g.start + g.len) as usize];
+                    (g.kind, routes.to_vec())
+                })
+                .collect()
+        }
+    }
+
+    /// What the engine's emission sees for `from`: per subscription, the
+    /// selection rule and every candidate with the receiver's node, link
+    /// class and latency derived from the dense placement.
+    fn derived_groups(
+        b: &SimBuild,
+        idx: &ClusterIndex,
+        from: usize,
+    ) -> Vec<(GroupKind, Vec<Route>)> {
+        let place = |t: usize| (b.specs[t].node_idx as u32, b.specs[t].slot.port);
+        (0..b.consumers(from).len())
+            .map(|g| {
+                let kind = if b.consumers(from)[g].fans_out() {
+                    GroupKind::All
+                } else {
+                    GroupKind::Pick
+                };
+                let routes = b
+                    .candidates(from, g)
+                    .iter()
+                    .map(|&to| {
+                        let (kind, latency_ms) = idx.link(place(from), place(to));
+                        Route {
+                            to: to as u32,
+                            to_node: place(to).0,
+                            kind,
+                            latency_ms,
+                        }
+                    })
+                    .collect();
+                (kind, routes)
+            })
+            .collect()
+    }
+
+    /// Moves `task` to `port` on `node`, the way `apply_migration`
+    /// rewrites a moved task's placement.
+    fn relocate(b: &mut SimBuild, idx: &ClusterIndex, task: usize, node: usize, port: u16) {
+        b.specs[task].node_idx = node;
+        b.specs[task].rack_idx = idx.rack_of_node[node];
+        b.specs[task].slot = WorkerSlot::new(idx.node_names[node].as_str(), port);
+    }
+
+    const GROUPINGS: [fn() -> StreamGrouping; 5] = [
+        || StreamGrouping::Shuffle,
+        || StreamGrouping::Fields(vec!["k".to_owned()]),
+        || StreamGrouping::All,
+        || StreamGrouping::Global,
+        || StreamGrouping::LocalOrShuffle,
+    ];
+
+    /// A spout plus one bolt per `(parallelism, grouping, source)` entry,
+    /// each subscribing to an earlier component.
+    fn random_topology(spout: u32, bolts: &[(u32, usize, usize)]) -> Topology {
+        let mut tb = TopologyBuilder::new("t");
+        tb.set_spout("c0", spout);
+        for (k, &(parallelism, grouping, source)) in bolts.iter().enumerate() {
+            let from = format!("c{}", source % (k + 1));
+            tb.set_bolt(format!("c{}", k + 1), parallelism)
+                .grouping(from, GROUPINGS[grouping % GROUPINGS.len()]());
+        }
+        tb.build().expect("a chain of earlier sources is acyclic")
+    }
+
+    proptest::proptest! {
+        /// Routing derived from placement on emission equals the old
+        /// precomputed table, rebuilt from scratch on the moved specs, for
+        /// every producer and subscription: same targets in the same
+        /// order, receiver nodes, link classes, latencies and
+        /// local-or-shuffle pools. Holds after each move of a random
+        /// sequence, including moves within a node (a port change).
+        #[test]
+        fn placement_derived_routing_matches_the_table_oracle(
+            spout in 1u32..4,
+            bolts in proptest::collection::vec((1u32..4, 0usize..5, 0usize..8), 1..5),
+            placement in proptest::collection::vec((0usize..6, 6700u16..6703), 16..17),
+            moves in proptest::collection::vec((0usize..16, 0usize..6, 6700u16..6703), 0..8),
+        ) {
+            let cluster = ClusterBuilder::new()
+                .homogeneous_racks(2, 3, ResourceCapacity::emulab_node(), 4)
+                .build()
+                .unwrap();
+            let idx = ClusterIndex::new(&cluster);
+            let topology = random_topology(spout, &bolts);
+            let n = topology.total_tasks() as usize;
+            let slots: BTreeMap<TaskId, WorkerSlot> = (0..n)
+                .map(|t| {
+                    let (node, port) = placement[t];
+                    (TaskId(t as u32), WorkerSlot::new(idx.node_names[node].as_str(), port))
+                })
+                .collect();
+            let mut b = SimBuild::new(cluster.nodes().len());
+            b.append_topology(&idx, &topology, &Assignment::new("t", slots));
+            let check = |b: &SimBuild| -> Result<(), proptest::test_runner::TestCaseError> {
+                let oracle = RoutingTable::build(b, cluster.costs());
+                for from in 0..n {
+                    proptest::prop_assert_eq!(derived_groups(b, &idx, from), oracle.groups_of(from));
+                }
+                Ok(())
+            };
+            check(&b)?;
+            for &(task, node, port) in &moves {
+                relocate(&mut b, &idx, task % n, node, port);
+                b.refresh_los_pools();
+                check(&b)?;
+            }
         }
     }
 }

@@ -35,11 +35,8 @@
 //! on its earliest fault.
 //!
 //! Both planes are deterministic, so the whole [`ChaosOutcome`] — report
-//! bits included — is a pure function of the scenario's inputs. Any
-//! migrations a scenario schedules reach the routing layer through the
-//! engine's incremental patch path (see
-//! [`SimConfig::incremental_routing`]); crash and recover themselves
-//! never touch the routing table — placement is unchanged, only
+//! bits included — is a pure function of the scenario's inputs. Crash
+//! and recover never touch routing: placement is unchanged, only
 //! liveness flips.
 
 use crate::config::SimConfig;

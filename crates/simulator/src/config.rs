@@ -5,8 +5,7 @@
 /// The network plane (`crate::network`) is strictly opt-in: the default
 /// [`NetworkModel::Legacy`] keeps every run bit-identical to the
 /// pre-plane engine (pinned by the golden report, the parity property
-/// suite, and the gate test), exactly like replay and incremental
-/// routing were introduced.
+/// suite, and the gate test), exactly like replay was introduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkModel {
     /// Per-resource FIFO `LinkServer`s: each transfer serializes through
@@ -74,13 +73,6 @@ pub struct SimConfig {
     /// the budget are quarantined as poison tuples. `0` disables replay
     /// entirely and preserves bit-identical legacy (at-most-once) behavior.
     pub max_replays: u32,
-    /// When true (the default), migrations patch only the routing-table
-    /// rows whose producer or consumer moved instead of rebuilding the
-    /// whole table — O(moved·degree) instead of O(tasks²). The patched
-    /// table is bit-identical to a full rebuild (pinned by property
-    /// tests), so this knob changes wall-clock cost only; `false` forces
-    /// the legacy full rebuild on every migration.
-    pub incremental_routing: bool,
     /// When true, the engine evaluates its accounting invariants — the
     /// replay-plane drain invariant
     /// `emitted == acked + quarantined + in_flight`, the live-root
@@ -143,14 +135,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the configuration with incremental routing patches
-    /// enabled or disabled (`false` forces a full rebuild per migration;
-    /// results are bit-identical either way).
-    pub fn with_incremental_routing(mut self, incremental_routing: bool) -> Self {
-        self.incremental_routing = incremental_routing;
-        self
-    }
-
     /// Returns the configuration with release-build invariant checking
     /// enabled or disabled (see [`SimConfig::check_invariants`]). The
     /// report bits of a run are identical either way — only whether
@@ -187,7 +171,6 @@ impl Default for SimConfig {
             seed: 42,
             oom_thrash_factor: 0.05,
             max_replays: 0,
-            incremental_routing: true,
             check_invariants: false,
             planted_quarantine_bug: false,
             network_model: NetworkModel::Legacy,
@@ -217,24 +200,16 @@ mod tests {
         let c = SimConfig::default()
             .with_seed(7)
             .with_sim_time_ms(1000.0)
-            .with_max_replays(3)
-            .with_incremental_routing(false);
+            .with_max_replays(3);
         assert_eq!(c.seed, 7);
         assert_eq!(c.sim_time_ms, 1000.0);
         assert_eq!(c.max_replays, 3);
-        assert!(!c.incremental_routing);
     }
 
     #[test]
     fn replay_is_off_by_default() {
         assert_eq!(SimConfig::default().max_replays, 0);
         assert_eq!(SimConfig::quick().max_replays, 0);
-    }
-
-    #[test]
-    fn incremental_routing_is_on_by_default() {
-        assert!(SimConfig::default().incremental_routing);
-        assert!(SimConfig::quick().incremental_routing);
     }
 
     #[test]

@@ -25,8 +25,6 @@
 //!   tasks as a from-scratch reschedule on the survivors, and no task
 //!   may end up double-placed or orphaned (see
 //!   [`crate::chaos::ReconcileAudit`]);
-//! * **routing parity** — re-running with the incremental-routing flag
-//!   flipped must reproduce the report bit for bit;
 //! * **determinism** — an identical re-run must reproduce the report and
 //!   the control-plane event log bit for bit.
 //!
@@ -65,7 +63,7 @@ use std::sync::Arc;
 pub const QUANTUM_MS: f64 = 500.0;
 
 /// Upper bound on oracle evaluations one shrink may spend. Each
-/// evaluation is up to three simulation runs, so this caps a pathological
+/// evaluation is up to two simulation runs, so this caps a pathological
 /// shrink at a bounded (still generous) budget; real reproducers converge
 /// in far fewer.
 const SHRINK_CHECK_BUDGET: usize = 512;
@@ -83,8 +81,6 @@ pub enum OracleKind {
     /// A node was silent far past the heartbeat miss window yet the
     /// control plane never declared it dead.
     DetectLiveness,
-    /// Flipping [`SimConfig::incremental_routing`] changed the report.
-    RoutingParity,
     /// An identical re-run produced different bits.
     Determinism,
     /// After a control-plane failover the quiesced placement covered
@@ -102,14 +98,13 @@ pub enum OracleKind {
 impl OracleKind {
     /// Stable machine-readable label, used in campaign logs and corpus
     /// headers (`invariant:<kind>`, `zero_loss`, `detect_liveness`,
-    /// `routing_parity`, `determinism`, `reconcile_convergence`,
+    /// `determinism`, `reconcile_convergence`,
     /// `reconcile_placement`).
     pub fn label(&self) -> String {
         match self {
             Self::Invariant(kind) => format!("invariant:{kind}"),
             Self::ZeroLoss => "zero_loss".to_owned(),
             Self::DetectLiveness => "detect_liveness".to_owned(),
-            Self::RoutingParity => "routing_parity".to_owned(),
             Self::Determinism => "determinism".to_owned(),
             Self::ReconcileConvergence => "reconcile_convergence".to_owned(),
             Self::ReconcilePlacement => "reconcile_placement".to_owned(),
@@ -127,7 +122,6 @@ impl OracleKind {
         match label {
             "zero_loss" => Some(Self::ZeroLoss),
             "detect_liveness" => Some(Self::DetectLiveness),
-            "routing_parity" => Some(Self::RoutingParity),
             "determinism" => Some(Self::Determinism),
             "reconcile_convergence" => Some(Self::ReconcileConvergence),
             "reconcile_placement" => Some(Self::ReconcilePlacement),
@@ -353,7 +347,7 @@ impl FuzzOutcome {
 /// trips, `None` for a clean (or inapplicable — e.g. unplaceable) run.
 /// Evaluation order: accounting invariants, zero loss (only when
 /// [`FuzzConfig::survivable_by_construction`]), detection liveness,
-/// routing parity, determinism. The first run short-circuits invariant
+/// reconciliation, determinism. The first run short-circuits invariant
 /// violations, so shrinking an invariant reproducer costs one simulation
 /// per candidate.
 pub fn check_fault_plan(
@@ -386,19 +380,6 @@ pub fn check_fault_plan(
         if audit.double_placed_or_orphaned {
             return Some(OracleKind::ReconcilePlacement);
         }
-    }
-    let flipped = sim
-        .clone()
-        .with_incremental_routing(!sim.incremental_routing);
-    match run_fault_plan_with(cluster, topology, plan, &flipped, &cfg.recovery, scheduler) {
-        Ok(alt) => {
-            if alt.report != out.report || alt.report.to_json() != out.report.to_json() {
-                return Some(OracleKind::RoutingParity);
-            }
-        }
-        // The first run started, an identical one (routing flag aside)
-        // did not: that is a determinism bug, not a parity one.
-        Err(_) => return Some(OracleKind::Determinism),
     }
     match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
         Ok(again) => {
@@ -856,7 +837,6 @@ mod tests {
             OracleKind::Invariant("drain_imbalance".into()),
             OracleKind::ZeroLoss,
             OracleKind::DetectLiveness,
-            OracleKind::RoutingParity,
             OracleKind::Determinism,
             OracleKind::ReconcileConvergence,
             OracleKind::ReconcilePlacement,

@@ -15,10 +15,10 @@
 //!    starved nodes.
 //! 3. **Plan** — ask the [`DeltaScheduler`] for a minimal-move migration
 //!    plan against the *live* scheduling state — no reschedule from
-//!    scratch, every unmoved task keeps its slot and its routes. When
-//!    the plan is applied mid-run, the engine patches only the moved
-//!    tasks' routing rows (see [`SimConfig::incremental_routing`]), so
-//!    applying a small plan costs O(moved·degree), not O(tasks²).
+//!    scratch, every unmoved task keeps its slot. When the plan is
+//!    applied mid-run, the engine rewrites only the moved tasks'
+//!    placement: each transfer derives its link from where the two
+//!    tasks sit, so no routing table needs repair.
 //! 4. **Compare** — run the full horizon three ways from the same
 //!    initial placement: untouched (*static*), with the minimal-move
 //!    plan applied mid-run (*adaptive*), and with a full

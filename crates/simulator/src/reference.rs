@@ -93,7 +93,7 @@ impl ReferenceSimulation {
                 .declare_sink(topology.id().as_str(), sink.id().as_str());
         }
         self.build
-            .append_topology(&self.index, self.cluster.costs(), topology, assignment);
+            .append_topology(&self.index, topology, assignment);
     }
 
     /// Runs the simulation to completion and reports.
@@ -325,7 +325,7 @@ impl RefEngine {
 
         // Emission: anchor new copies on the root *before* releasing this
         // batch's own pending slot, so the root cannot complete early.
-        if self.build.specs[i].emit_factor > 0.0 && !self.build.specs[i].consumers.is_empty() {
+        if self.build.specs[i].emit_factor > 0.0 && !self.build.consumers(i).is_empty() {
             self.tasks[i].emit_acc += self.build.specs[i].emit_factor;
             let n_out = self.tasks[i].emit_acc.floor() as u32;
             self.tasks[i].emit_acc -= f64::from(n_out);
@@ -356,7 +356,7 @@ impl RefEngine {
     // ---- routing -------------------------------------------------------
 
     fn emit(&mut self, from: usize, batch: Batch) {
-        let group_count = self.build.specs[from].consumers.len();
+        let group_count = self.build.consumers(from).len();
         for g in 0..group_count {
             let targets = self.pick_targets(from, g);
             for to in targets {
@@ -366,7 +366,7 @@ impl RefEngine {
     }
 
     fn pick_targets(&mut self, from: usize, group: usize) -> Vec<usize> {
-        let group = &self.build.specs[from].consumers[group];
+        let group = &self.build.consumers(from)[group];
         let targets = &group.targets;
         debug_assert!(!targets.is_empty(), "validated topologies have tasks");
         match &group.grouping {
@@ -533,8 +533,8 @@ impl RefEngine {
             // sections are `None` too.
             recovery: None,
             network: None,
-            // The reference engine has no pools or precomputed routes;
-            // only the event count is meaningful here.
+            // The reference engine has no root pool and stores no
+            // routing entries; only the event count is meaningful here.
             debug: SimDebugStats {
                 events: self.events,
                 ..SimDebugStats::default()

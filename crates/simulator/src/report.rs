@@ -175,7 +175,10 @@ pub struct SimDebugStats {
     pub root_pool_misses: u64,
     /// High-water mark of simultaneously in-flight tuple trees.
     pub max_live_roots: u64,
-    /// Precomputed routes in the routing table.
+    /// Stored routing entries: the target lists shared per (component,
+    /// subscription) plus the members of every local-or-shuffle
+    /// preference pool. Link kinds and latencies are derived per
+    /// emission and stored nowhere.
     pub route_entries: u64,
 }
 

@@ -3,10 +3,11 @@
 //! The steady-state event loop touches only dense structures prepared at
 //! build time by [`crate::build`]:
 //!
-//! * routing is a precomputed table — per producer task × output stream,
-//!   the grouping is already resolved to a target pool and each target to
-//!   its link path and latency, so emitting costs one RNG draw (for pick
-//!   groupings) and zero allocation;
+//! * routing reads one shared target list per (component, subscription);
+//!   the link path and latency of each transfer are derived from the two
+//!   tasks' dense placement (node, port, rack), so emitting costs one RNG
+//!   draw (for pick groupings) and zero allocation, and a migration only
+//!   rewrites placement;
 //! * in-flight tuple trees live in a generational slab with a free-list
 //!   pool ([`crate::slab`]), not a `HashMap`;
 //! * per-node CPU contention state is a dense `Vec` indexed by
@@ -21,7 +22,7 @@
 //! reference semantics (same RNG draw sequence, same event order, same
 //! float arithmetic).
 
-use crate::build::{ClusterIndex, GroupKind, LinkKind, Route, SimBuild, NO_SINK};
+use crate::build::{ClusterIndex, LinkKind, SimBuild, NO_SINK};
 use crate::config::{NetworkModel, SimConfig};
 use crate::event::EventQueue;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -215,6 +216,8 @@ impl LatencyAccumulator {
 #[derive(Debug, Clone, Copy)]
 struct TaskStatic {
     node: u32,
+    /// Worker port on `node`: same node and port is the same worker.
+    port: u16,
     cpu_slot: u32,
     sink_ctr: u32,
     tuple_bytes: u32,
@@ -383,7 +386,7 @@ impl Simulation {
             "assignment belongs to a different topology"
         );
         self.build
-            .append_topology(&self.index, self.cluster.costs(), topology, assignment);
+            .append_topology(&self.index, topology, assignment);
     }
 
     /// Runs the simulation to completion and reports.
@@ -432,8 +435,7 @@ pub struct CheckedReport {
 struct Engine {
     config: SimConfig,
     build: SimBuild,
-    /// Kept alive for migrations, which re-derive routing from the cost
-    /// matrix when placement changes mid-run.
+    /// Rack names for the report's per-link telemetry.
     cluster: Arc<Cluster>,
     index: ClusterIndex,
     statics: Vec<TaskStatic>,
@@ -520,7 +522,7 @@ impl Engine {
         } = sim;
 
         // Borrow the cost matrix; nothing here outlives this scope and
-        // the per-route latencies were already baked in at build time.
+        // the per-relation latencies were interned by `ClusterIndex`.
         let costs = cluster.costs();
         let node_tasks = std::mem::take(&mut build.node_tasks);
         let cpus: Vec<DenseCpuServer> = index
@@ -615,21 +617,30 @@ impl Engine {
         });
         let mut migrations = Vec::new();
         for m in sim_migrations {
-            let base = build
-                .specs
-                .iter()
-                .position(|s| s.topology == m.topology)
-                .unwrap_or_else(|| {
-                    panic!("migration references unknown topology `{}`", m.topology)
-                });
+            // Task indices resolve within the named topology's own tasks,
+            // so a move can never land on another topology's task.
+            let tasks: Vec<usize> = (0..build.specs.len())
+                .filter(|&i| build.specs[i].topology == m.topology)
+                .collect();
+            assert!(
+                !tasks.is_empty(),
+                "migration references unknown topology `{}`",
+                m.topology
+            );
             let moves = m
                 .moves
                 .iter()
                 .map(|(task, slot)| {
+                    let global = *tasks.get(*task as usize).unwrap_or_else(|| {
+                        panic!(
+                            "migration references unknown task {task} of topology `{}`",
+                            m.topology
+                        )
+                    });
                     let node = *index.node_of.get(slot.node.as_str()).unwrap_or_else(|| {
                         panic!("migration references unknown node `{}`", slot.node)
                     });
-                    (base + *task as usize, node, slot.clone())
+                    (global, node, slot.clone())
                 })
                 .collect();
             fault_schedule.push((m.at_ms, fault_actions.len()));
@@ -673,6 +684,7 @@ impl Engine {
             .iter()
             .map(|s| TaskStatic {
                 node: s.node_idx as u32,
+                port: s.slot.port,
                 cpu_slot: s.cpu_slot,
                 sink_ctr: s.sink_ctr,
                 tuple_bytes: s.tuple_bytes,
@@ -902,16 +914,13 @@ impl Engine {
 
         // Emission: anchor new copies on the root *before* releasing this
         // batch's own pending slot, so the root cannot complete early.
-        if spec.emit_factor > 0.0 {
-            let (_, group_len) = self.build.routing.task_groups[i];
-            if group_len > 0 {
-                self.tasks[i].emit_acc += spec.emit_factor;
-                let n_out = self.tasks[i].emit_acc.floor() as u32;
-                self.tasks[i].emit_acc -= f64::from(n_out);
-                self.tasks[i].emitted_acc += u64::from(n_out) * u64::from(batch.tuples);
-                for _ in 0..n_out {
-                    self.emit(i, batch);
-                }
+        if spec.emit_factor > 0.0 && !self.build.consumers(i).is_empty() {
+            self.tasks[i].emit_acc += spec.emit_factor;
+            let n_out = self.tasks[i].emit_acc.floor() as u32;
+            self.tasks[i].emit_acc -= f64::from(n_out);
+            self.tasks[i].emitted_acc += u64::from(n_out) * u64::from(batch.tuples);
+            for _ in 0..n_out {
+                self.emit(i, batch);
             }
         }
 
@@ -941,29 +950,27 @@ impl Engine {
     // ---- routing -------------------------------------------------------
 
     fn emit(&mut self, from: usize, batch: Batch) {
-        let (group_start, group_len) = self.build.routing.task_groups[from];
-        for g in group_start..group_start + group_len {
-            let group = self.build.routing.groups[g as usize];
-            match group.kind {
-                GroupKind::Pick => {
-                    let k = self.rng.gen_range(0..group.len as usize);
-                    let route = self.build.routing.routes[group.start as usize + k];
-                    self.transfer(from, route, batch);
+        for g in 0..self.build.consumers(from).len() {
+            let pool = self.build.candidates(from, g);
+            if self.build.consumers(from)[g].fans_out() {
+                for k in 0..pool.len() {
+                    self.transfer(from, self.build.candidates(from, g)[k], batch);
                 }
-                GroupKind::All => {
-                    for k in 0..group.len as usize {
-                        let route = self.build.routing.routes[group.start as usize + k];
-                        self.transfer(from, route, batch);
-                    }
-                }
+            } else {
+                let to = pool[self.rng.gen_range(0..pool.len())];
+                self.transfer(from, to, batch);
             }
         }
     }
 
-    fn transfer(&mut self, from: usize, route: Route, batch: Batch) {
+    fn transfer(&mut self, from: usize, to: usize, batch: Batch) {
         let now = self.queue.now();
         let spec = self.statics[from];
         let bytes = spec.tuple_bytes.saturating_mul(batch.tuples);
+        let dst = self.statics[to];
+        let (kind, latency_ms) = self
+            .index
+            .link((spec.node, spec.port), (dst.node, dst.port));
 
         // An active rack partition severs new inter-rack sends touching
         // the partitioned rack *before* any link server is consulted:
@@ -971,10 +978,10 @@ impl Engine {
         // capacity, exactly as if the consumer's node had crashed. The
         // guard is a single integer compare when no partition is active,
         // keeping partition-free runs bit-identical.
-        if self.racks_partitioned > 0 && matches!(route.kind, LinkKind::InterRack) {
-            let src = self.index.rack_of_node[spec.node as usize];
-            let dst = self.index.rack_of_node[route.to_node as usize];
-            if self.rack_down[src] || self.rack_down[dst] {
+        if self.racks_partitioned > 0 && kind == LinkKind::InterRack {
+            let src_rack = self.index.rack_of_node[spec.node as usize];
+            let dst_rack = self.index.rack_of_node[dst.node as usize];
+            if self.rack_down[src_rack] || self.rack_down[dst_rack] {
                 // Mirror the crashed-consumer path: the batch takes its
                 // pending slot (as every transfer does) and is then lost,
                 // so the tuple tree fails through the ordinary timeout.
@@ -991,9 +998,9 @@ impl Engine {
         // concurrent flows; delivery is scheduled when the plane hands
         // the serialized batch back. Under the plane a degradation
         // shapes *capacity*, so `link_extra_ms` is not added here.
-        if self.network.is_some() && !matches!(route.kind, LinkKind::Local) {
+        if self.network.is_some() && kind != LinkKind::Local {
             let src_node = spec.node as usize;
-            let dst_node = route.to_node as usize;
+            let dst_node = dst.node as usize;
             let src_rack = self.index.rack_of_node[src_node];
             let dst_rack = self.index.rack_of_node[dst_node];
             if let Some(root) = self.roots.get_mut(batch.root) {
@@ -1006,10 +1013,10 @@ impl Engine {
                 dst_node,
                 src_rack,
                 dst_rack,
-                matches!(route.kind, LinkKind::InterRack),
+                kind == LinkKind::InterRack,
                 f64::from(bytes),
-                route.latency_ms,
-                route.to,
+                latency_ms,
+                to as u32,
                 batch.root,
                 batch.tuples,
             );
@@ -1019,26 +1026,25 @@ impl Engine {
 
         // `link_extra_ms` is 0.0 outside degradation windows; adding it
         // is then bit-neutral, preserving fault-free reference parity.
-        let arrival = match route.kind {
-            LinkKind::Local => now + route.latency_ms,
+        let arrival = match kind {
+            LinkKind::Local => now + latency_ms,
             LinkKind::SameRack => {
                 let t1 = self.egress[spec.node as usize].serve(now, bytes);
-                let t2 = self.ingress[route.to_node as usize].serve(t1, bytes);
-                t2 + route.latency_ms + self.link_extra_ms
+                let t2 = self.ingress[dst.node as usize].serve(t1, bytes);
+                t2 + latency_ms + self.link_extra_ms
             }
             LinkKind::InterRack => {
                 let t1 = self.egress[spec.node as usize].serve(now, bytes);
                 let t2 = self.uplink.serve(t1, bytes);
-                let t3 = self.ingress[route.to_node as usize].serve(t2, bytes);
-                t3 + route.latency_ms + self.link_extra_ms
+                let t3 = self.ingress[dst.node as usize].serve(t2, bytes);
+                t3 + latency_ms + self.link_extra_ms
             }
         };
 
         if let Some(root) = self.roots.get_mut(batch.root) {
             root.pending += 1;
         }
-        self.queue
-            .schedule(arrival, FastEv::deliver(route.to as usize, batch));
+        self.queue.schedule(arrival, FastEv::deliver(to, batch));
     }
 
     // ---- fair-share network plane ---------------------------------------
@@ -1302,13 +1308,12 @@ impl Engine {
     /// never consults the node), its queued batches carry over, and the
     /// task cold-starts on the destination once its pause window ends
     /// (`resume_at_ms` clamps the next service start). Memory demand and
-    /// thrash follow the task; the routing table is patched over the
-    /// moved tasks' rows (full rebuild when the patch declines or
-    /// [`SimConfig::incremental_routing`] is off).
+    /// thrash follow the task. Routing needs only the new placement,
+    /// since each transfer derives its link from it, plus refreshed
+    /// local-or-shuffle pools. A move within a node is a no-op.
     fn apply_migration(&mut self, m: usize) {
         let migration = std::mem::take(&mut self.migrations[m]);
         let now = self.queue.now();
-        let mut moved = Vec::new();
         for &(task, dest, ref slot) in &migration.moves {
             let old = self.statics[task].node as usize;
             if old == dest {
@@ -1339,19 +1344,13 @@ impl Engine {
             spec.rack_idx = self.index.rack_of_node[dest];
             spec.slot = slot.clone();
             self.statics[task].node = dest as u32;
+            self.statics[task].port = slot.port;
             self.statics[task].cpu_slot = new_local;
             self.tasks[task].resume_at_ms = now + migration.pause_ms;
             self.refresh_thrash(old);
             self.refresh_thrash(dest);
-            moved.push(task);
         }
-        if !moved.is_empty() {
-            let patched = self.config.incremental_routing
-                && self.build.patch_routing(self.cluster.costs(), &moved);
-            if !patched {
-                self.build.rebuild_routing(self.cluster.costs());
-            }
-        }
+        self.build.refresh_los_pools();
     }
 
     /// Recomputes a node's thrash factor after memory demand changed,
@@ -1645,7 +1644,7 @@ impl Engine {
                 root_pool_hits: self.roots.pool_hits,
                 root_pool_misses: self.roots.pool_misses,
                 max_live_roots: self.roots.max_live,
-                route_entries: self.build.routing.routes.len() as u64,
+                route_entries: self.build.route_entries() as u64,
             },
         };
         if self.config.check_invariants {
@@ -1750,7 +1749,7 @@ mod tests {
         let report = run_with(&RStormScheduler::new(), &t, &cluster, SimConfig::quick());
         let d = &report.debug;
         assert!(d.events > 0, "events counted");
-        assert!(d.route_entries > 0, "routes precomputed");
+        assert!(d.route_entries > 0, "subscription targets stored");
         // Root slots recycle: far more roots complete than the slab ever
         // holds at once, so the pool must be hit.
         assert!(
@@ -2037,8 +2036,8 @@ mod tests {
 
     #[test]
     fn grouping_variants_route_without_string_keys() {
-        // Exercise every grouping through the precomputed routing table
-        // in one topology.
+        // Exercise every grouping through the shared target lists in one
+        // topology.
         let cluster = emulab(2, 3);
         let mut b = TopologyBuilder::new("mix");
         b.set_spout("s", 2)
@@ -2462,6 +2461,35 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "migration references unknown task")]
+    fn migration_of_a_task_past_the_topology_is_rejected() {
+        // Task indices are resolved against the named topology: one past
+        // its last task is not a valid move, even with a single topology.
+        let cluster = emulab(2, 3);
+        let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
+        let a = assigned(&t, &cluster);
+        let ghost = rstorm_topology::TaskId(t.total_tasks());
+        let mut slots: std::collections::BTreeMap<_, _> =
+            a.iter().map(|(task, slot)| (task, slot.clone())).collect();
+        let dest = cluster.nodes()[0].id().clone();
+        slots.insert(ghost, WorkerSlot::new(dest.as_str(), 6700));
+        let plan = MigrationPlan {
+            topology: t.id().clone(),
+            moves: vec![rstorm_core::MigrationMove {
+                task: ghost,
+                component: "c".to_owned(),
+                from: dest.clone(),
+                to: dest,
+            }],
+            updated: Assignment::new(t.id().clone(), slots),
+        };
+        let mut sim = Simulation::new(cluster, SimConfig::quick());
+        sim.add_topology(&t, &a);
+        sim.schedule_migration(&plan, 1_000.0, 0.0);
+        sim.run();
+    }
+
+    #[test]
     fn migration_bookkeeping_is_move_order_insensitive() {
         // `apply_migration` keeps the membership lists sorted by global
         // task id, so a later crash/recover of a migration-touched node
@@ -2521,63 +2549,6 @@ mod tests {
             r_fwd.totals.tuples_lost > 0,
             "the post-migration crash actually destroyed work"
         );
-    }
-
-    #[test]
-    fn incremental_routing_gate_is_bit_identical() {
-        // The same migrated-and-crashed scenario, run once through the
-        // patch path and once through the legacy full rebuild: every
-        // observable — including the event count — must match, which is
-        // what licenses the patch path as the default.
-        let cluster = emulab(2, 3);
-        let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
-        let a = assigned(&t, &cluster);
-        let from = host_of(&a);
-        let dest = cluster
-            .nodes()
-            .iter()
-            .map(|n| n.id().as_str().to_owned())
-            .find(|n| {
-                !a.used_nodes()
-                    .contains(&rstorm_cluster::NodeId::new(n.as_str()))
-            })
-            .expect("an idle node exists");
-        let moved: Vec<rstorm_topology::TaskId> = a.tasks_on_node(&from);
-        let mut slots: std::collections::BTreeMap<_, _> =
-            a.iter().map(|(task, slot)| (task, slot.clone())).collect();
-        for &task in &moved {
-            slots.insert(task, WorkerSlot::new(dest.as_str(), 6700));
-        }
-        let plan = MigrationPlan {
-            topology: t.id().clone(),
-            moves: moved
-                .iter()
-                .map(|&task| rstorm_core::MigrationMove {
-                    task,
-                    component: "c".to_owned(),
-                    from: rstorm_cluster::NodeId::new(from.as_str()),
-                    to: rstorm_cluster::NodeId::new(dest.as_str()),
-                })
-                .collect(),
-            updated: Assignment::new(t.id().clone(), slots),
-        };
-        let faults = FaultPlan::new()
-            .crash_node(40_000.0, dest.as_str())
-            .recover_node(50_000.0, dest.as_str());
-        let run = |incremental: bool| {
-            let mut sim = Simulation::new(
-                cluster.clone(),
-                SimConfig::quick().with_incremental_routing(incremental),
-            );
-            sim.add_topology(&t, &a);
-            sim.schedule_migration(&plan, 20_000.0, 500.0);
-            sim.set_fault_plan(faults.clone());
-            sim.run()
-        };
-        let patched = run(true);
-        let rebuilt = run(false);
-        assert_eq!(patched, rebuilt, "the gate must not change any physics");
-        assert_eq!(patched.debug.events, rebuilt.debug.events);
     }
 
     // ---- guaranteed processing (spout replay) -------------------------
@@ -2849,7 +2820,7 @@ mod tests {
     fn network_gate_default_is_bit_identical_to_explicit_legacy() {
         // `network_model` defaults to Legacy; spelling it out must change
         // nothing, down to the engine's event count — the same license
-        // the replay and incremental-routing gates carry.
+        // the replay gate carries.
         let cluster = emulab(2, 3);
         let t = linear_topology("t", 2, ExecutionProfile::network_bound(400), 15.0, 128.0);
         let a = spread_net_assignment(&t, &cluster);

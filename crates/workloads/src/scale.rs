@@ -7,14 +7,15 @@
 //! [`scale_cluster`] pair sized at [`SCALE_TASKS`] tasks on
 //! [`SCALE_NODES`] nodes over a [`SCALE_HORIZON_MS`] horizon, plus a
 //! *migration-churn* variant ([`churn_plans`]) that drives repeated
-//! [`DeltaScheduler`] migrations through a run — the scenario where the
-//! O(tasks²) full routing rebuild used to dominate and the incremental
-//! patch path (`SimConfig::incremental_routing`) now pays off.
+//! [`DeltaScheduler`] migrations through a run. A migration rewrites
+//! only the moved tasks' placement, since the engine derives each
+//! transfer's link from where the two tasks sit.
 //!
 //! The topology is a chain of roughly √tasks components of parallelism
-//! √tasks each: total routes grow as tasks^1.5 (≈ 1M for the 10k case)
-//! instead of tasks² (100M), which keeps the case runnable in CI while
-//! still dwarfing every other workload by two orders of magnitude.
+//! √tasks each: producer-consumer task pairs grow as tasks^1.5 (≈ 1M for
+//! the 10k case) instead of tasks² (100M), which keeps the case runnable
+//! in CI while still dwarfing every other workload by two orders of
+//! magnitude.
 //! Spouts are rate-limited to one tuple per second per task so that
 //! event-processing cost stays small relative to the migration
 //! bookkeeping the churn case is designed to measure.
@@ -272,28 +273,21 @@ mod tests {
 
     /// The sweep-style determinism pin on the churn case: the whole
     /// scenario — plans included — replayed from scratch is
-    /// bit-identical, and the incremental-routing patch path produces
-    /// exactly the same run as a full rebuild per migration.
+    /// bit-identical.
     #[test]
-    fn churn_case_is_deterministic_and_patch_parity_holds() {
-        let run = |incremental: bool| {
+    fn churn_case_is_deterministic() {
+        let run = || {
             let t = scale_topology(T);
             let c = scale_cluster(N);
             let (a, plans) = churn_plans(&t, &c, 10);
-            let config = SimConfig::default()
-                .with_sim_time_ms(HORIZON)
-                .with_incremental_routing(incremental);
-            let mut sim = Simulation::new(c, config);
+            let mut sim = Simulation::new(c, SimConfig::default().with_sim_time_ms(HORIZON));
             sim.add_topology(&t, &a);
             schedule_churn(&mut sim, &plans, HORIZON);
             sim.run()
         };
-        let first = run(true);
-        let second = run(true);
+        let first = run();
+        let second = run();
         assert_eq!(first, second, "churn run must be reproducible");
         assert_eq!(first.debug.events, second.debug.events);
-        let full = run(false);
-        assert_eq!(first, full, "patch path must match full rebuilds");
-        assert_eq!(first.debug.events, full.debug.events);
     }
 }

@@ -126,3 +126,44 @@ fn duplicate_submission_is_rejected() {
     let err = schedule_all(&RStormScheduler::new(), &[&t, &t], &cluster).unwrap_err();
     assert!(matches!(err, ScheduleError::AlreadyScheduled(_)));
 }
+
+/// A migration plan's task indices belong to the topology it names. With
+/// two topologies in one simulation, an index one past `processing`'s
+/// last task would otherwise land on `page_load`'s first task and move
+/// it silently; the engine rejects the plan instead.
+#[test]
+#[should_panic(expected = "migration references unknown task 13 of topology `processing`")]
+fn migration_past_a_topology_cannot_move_its_neighbour() {
+    use std::collections::BTreeMap;
+    let cluster = clusters::emulab_multi();
+    let processing = yahoo::processing();
+    let page_load = yahoo::page_load();
+    let plan = schedule_all(
+        &RStormScheduler::new(),
+        &[&processing, &page_load],
+        &cluster,
+    )
+    .expect("both fit the 24-node cluster");
+    let a = plan.assignment("processing").unwrap();
+    let b = plan.assignment("page-load").unwrap();
+    assert_eq!(processing.total_tasks(), 13);
+    let ghost = rstorm::topology::TaskId(13);
+    let dest = cluster.nodes()[cluster.nodes().len() - 1].id().clone();
+    let mut slots: BTreeMap<_, _> = a.iter().map(|(t, s)| (t, s.clone())).collect();
+    slots.insert(ghost, WorkerSlot::new(dest.as_str(), 6700));
+    let migration = MigrationPlan {
+        topology: processing.id().clone(),
+        moves: vec![MigrationMove {
+            task: ghost,
+            component: "decode".to_owned(),
+            from: dest.clone(),
+            to: dest,
+        }],
+        updated: Assignment::new(processing.id().clone(), slots),
+    };
+    let mut sim = Simulation::new(cluster, SimConfig::quick());
+    sim.add_topology(&processing, a);
+    sim.add_topology(&page_load, b);
+    sim.schedule_migration(&migration, 1_000.0, 0.0);
+    sim.run();
+}

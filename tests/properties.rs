@@ -794,82 +794,6 @@ proptest! {
         prop_assert_eq!(fast_report.to_json(), reference_report.to_json());
     }
 
-    /// The incremental-routing tentpole's correctness bar, as a property:
-    /// for arbitrary migration plans — empty, random scatters or a full
-    /// replacement of every task — a run that patches only the moved
-    /// routing rows is bit-identical to one that rebuilds the whole table
-    /// on every migration.
-    #[test]
-    fn incremental_routing_matches_full_rebuild(
-        topology in arb_topology(),
-        raw_moves in proptest::collection::vec((0usize..64, 0usize..64), 0..10),
-        replace_all in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let cluster = std::sync::Arc::new(
-            ClusterBuilder::new()
-                .homogeneous_racks(2, 3, ResourceCapacity::new(400.0, 8192.0, 100.0), 4)
-                .build()
-                .unwrap(),
-        );
-        let Ok(assignment) = RStormScheduler::new().schedule(
-            &topology,
-            &cluster,
-            &mut GlobalState::new(&cluster),
-        ) else {
-            return Ok(());
-        };
-        let tasks: Vec<_> = assignment.iter().map(|(t, _)| t).collect();
-        let nodes: Vec<String> = cluster
-            .nodes()
-            .iter()
-            .map(|n| n.id().as_str().to_owned())
-            .collect();
-        // Either scatter a few random tasks or relocate every task — the
-        // no-op case is the empty `raw_moves` vector.
-        let picked: Vec<(usize, usize)> = if replace_all == 1 {
-            (0..tasks.len()).map(|i| (i, (i + 1) % nodes.len())).collect()
-        } else {
-            raw_moves
-                .iter()
-                .map(|&(t, n)| (t % tasks.len(), n % nodes.len()))
-                .collect()
-        };
-        let mut slots: std::collections::BTreeMap<_, _> =
-            assignment.iter().map(|(t, s)| (t, s.clone())).collect();
-        let mut moves = Vec::new();
-        for &(ti, ni) in &picked {
-            let task = tasks[ti];
-            let old = slots[&task].node.clone();
-            slots.insert(task, WorkerSlot::new(nodes[ni].as_str(), 6700));
-            moves.push(MigrationMove {
-                task,
-                component: "c".to_owned(),
-                from: old,
-                to: rstorm::cluster::NodeId::new(nodes[ni].as_str()),
-            });
-        }
-        let plan = MigrationPlan {
-            topology: topology.id().clone(),
-            moves,
-            updated: Assignment::new(topology.id().clone(), slots),
-        };
-        let run = |incremental: bool| {
-            let config = SimConfig::quick()
-                .with_sim_time_ms(8_000.0)
-                .with_seed(seed)
-                .with_incremental_routing(incremental);
-            let mut sim = Simulation::new(std::sync::Arc::clone(&cluster), config);
-            sim.add_topology(&topology, &assignment);
-            sim.schedule_migration(&plan, 3_000.0, 500.0);
-            sim.run()
-        };
-        let patched = run(true);
-        let rebuilt = run(false);
-        prop_assert_eq!(&patched, &rebuilt);
-        prop_assert_eq!(patched.debug.events, rebuilt.debug.events);
-    }
-
     /// The network-plane gate's correctness bar, as a property: leaving
     /// `network_model` at its default and setting it to `Legacy`
     /// explicitly must be the same engine bit for bit — same report,
