@@ -466,44 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn link_follows_the_four_level_distance() {
-        let (cluster, _, _) = setup();
-        let idx = ClusterIndex::new(&cluster);
-        let costs = cluster.costs();
-        let (a, b) = (0, 1);
-        let far = (0..6).find(|&n| idx.rack_of_node[n] != idx.rack_of_node[0]);
-        let far = far.expect("two racks") as u32;
-        assert_eq!(
-            idx.link((a, 6700), (a, 6700)),
-            (
-                LinkKind::Local,
-                costs.latency_ms(PlacementRelation::SameWorker)
-            )
-        );
-        assert_eq!(
-            idx.link((a, 6700), (a, 6701)),
-            (
-                LinkKind::Local,
-                costs.latency_ms(PlacementRelation::SameNode)
-            )
-        );
-        assert_eq!(
-            idx.link((a, 6700), (b, 6700)),
-            (
-                LinkKind::SameRack,
-                costs.latency_ms(PlacementRelation::SameRack)
-            )
-        );
-        assert_eq!(
-            idx.link((a, 6700), (far, 6700)),
-            (
-                LinkKind::InterRack,
-                costs.latency_ms(PlacementRelation::InterRack)
-            )
-        );
-    }
-
-    #[test]
     fn dense_ids_assigned() {
         let (cluster, topology, assignment) = setup();
         let b = build(&cluster, &topology, &assignment);
