@@ -4,8 +4,8 @@
 //! evolves.
 //!
 //! Every workload is measured twice — once on the fast engine
-//! (`Simulation`: dense ids, slab-pooled tuple trees, precomputed
-//! routing) and once on the string-keyed `ReferenceSimulation` it is
+//! (`Simulation`: dense ids, slab-pooled tuple trees, per-component
+//! target lists) and once on the string-keyed `ReferenceSimulation` it is
 //! bit-for-bit equivalent to — so the fast path's margin is tracked by
 //! the same harness that tracks its absolute cost.
 

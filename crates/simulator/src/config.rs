@@ -88,8 +88,8 @@ pub struct SimConfig {
     /// **Fuzzer self-test hook — never set this outside the planted-bug
     /// gate.** When true, quarantine accounting deliberately skips the
     /// `roots_quarantined` increment, breaking the drain invariant the
-    /// first time a root exhausts its replay budget. The fuzz smoke and
-    /// test suite use it to prove the campaign finds and shrinks a real
+    /// first time a root exhausts its replay budget. The fuzz pins and
+    /// unit tests use it to prove the campaign finds and shrinks a real
     /// violation; with the hook off (always, in real use) the branch is
     /// a single predictable-false comparison.
     #[doc(hidden)]

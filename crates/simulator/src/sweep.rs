@@ -2,13 +2,13 @@
 //! worker-thread pool.
 //!
 //! Every plane of this workspace (chaos, replay, adaptive) is
-//! deterministic and seedable, but each smoke benchmark runs a handful of
-//! scenarios serially — point estimates, not distributions. A
-//! [`SweepGrid`] crosses *cases × schedulers × fault specs × seeds* into
-//! an indexed job list; [`run_sweep`] executes the jobs on a fixed-size
-//! pool of `std::thread` workers and aggregates the per-run rows into
-//! per-group distributions (p50/p90/p99 time-to-detect/recover, zero-loss
-//! ratio, net-throughput mean ± stdev, tuples-lost histogram).
+//! deterministic and seedable, but a single scenario run is a point
+//! estimate, not a distribution. A [`SweepGrid`] crosses *cases ×
+//! schedulers × fault specs × seeds* into an indexed job list;
+//! [`run_sweep`] executes the jobs on a fixed-size pool of `std::thread`
+//! workers and aggregates the per-run rows into per-group distributions
+//! (p50/p90/p99 time-to-detect/recover, zero-loss ratio, net-throughput
+//! mean ± stdev, tuples-lost histogram).
 //!
 //! ## Determinism under parallelism
 //!
@@ -60,7 +60,7 @@ const _: () = {
 };
 
 /// Warm-up windows skipped when averaging steady-state throughput,
-/// matching the bench harness convention.
+/// matching the figure bins' convention.
 const WARMUP_WINDOWS: usize = 2;
 
 // ---- seed ranges --------------------------------------------------------
@@ -189,7 +189,7 @@ pub enum FaultSpec {
     /// No injected faults: a plain (replay-enabled) run.
     Healthy,
     /// Crash the placement's host node at `crash_at_ms`, heal it at
-    /// `heal_at_ms` — the survivable outage of the chaos/replay smokes.
+    /// `heal_at_ms` — the survivable outage of the crash/replay pins.
     CrashRecover {
         /// Simulation time of the crash in milliseconds.
         crash_at_ms: f64,
@@ -490,10 +490,10 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
     }
 }
 
-/// The crash half of [`run_job`]: victim selection mirrors the chaos
-/// smoke (the host of the first assigned task — crashing an idle machine
-/// demonstrates nothing), then the two-plane chaos harness runs under the
-/// job's scheduler.
+/// The crash half of [`run_job`]: victim selection mirrors the
+/// crash-then-recover pin (the host of the first assigned task —
+/// crashing an idle machine demonstrates nothing), then the two-plane
+/// chaos harness runs under the job's scheduler.
 fn run_fault_job(
     case: &SweepCase,
     scheduler: &dyn Scheduler,
@@ -713,10 +713,10 @@ pub struct SweepGroup {
 }
 
 impl SweepGroup {
-    /// Renders the group as one JSON object line, the shape `bench_guard`
-    /// scans: `zero_loss_ratio` appears only on survivable groups, where
-    /// it is pinned to exactly 1.0. Floats use shortest-roundtrip
-    /// formatting, so the line is byte-deterministic.
+    /// Renders the group as one JSON object line of
+    /// [`SweepSummary::to_json`]: `zero_loss_ratio` appears only on
+    /// survivable groups, where it must be exactly 1.0. Floats use
+    /// shortest-roundtrip formatting, so the line is byte-deterministic.
     pub fn json_line(&self) -> String {
         let mut out = String::new();
         let _ = write!(

@@ -1,6 +1,6 @@
-//! Named (topology, cluster) benchmark cases, shared by the sim
-//! benchmark harnesses, the parity tests and the criterion benches so
-//! they all measure the same workloads.
+//! Named (topology, cluster) benchmark cases, shared by the parity and
+//! pin tests and the criterion benches so they all measure the same
+//! workloads.
 
 use crate::{clusters, drifted, micro, yahoo};
 use rstorm_cluster::Cluster;
@@ -9,7 +9,7 @@ use rstorm_topology::Topology;
 /// A named benchmark case: one topology on one cluster preset.
 #[derive(Debug)]
 pub struct WorkloadCase {
-    /// Stable case name (used as the JSON key in `BENCH_sim.json`).
+    /// Stable case name (used in test failure messages and bench ids).
     pub name: &'static str,
     /// The workload topology.
     pub topology: Topology,
@@ -58,7 +58,7 @@ pub fn yahoo_cases() -> Vec<WorkloadCase> {
 }
 
 /// The drifted-declaration cases exercised by the adaptive rebalance
-/// plane (and its `adaptive_smoke` benchmark) on the micro cluster.
+/// plane (and pinned by `tests/pins.rs`) on the micro cluster.
 pub fn drifted_cases() -> Vec<WorkloadCase> {
     vec![
         WorkloadCase {

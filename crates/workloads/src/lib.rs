@@ -16,7 +16,8 @@
 //! * [`sweep`] — the quick/full scenario-grid presets of the Monte-Carlo
 //!   sweep fleet (`rstorm sweep`).
 //! * [`scale`] — the 10k-task / 1k-node stress case plus its
-//!   migration-churn variant (`rstorm scale`, `BENCH_scale.json`);
+//!   migration-churn variant (`rstorm scale`, the benchmark of record's
+//!   `scale_*` workloads);
 //!   sized to expose asymptotic engine costs, not to mirror the paper.
 //!
 //! Component execution profiles (per-tuple CPU cost, fan-out, tuple size)

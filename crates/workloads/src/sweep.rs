@@ -2,13 +2,14 @@
 //! (`rstorm sweep --grid quick|full`).
 //!
 //! Both grids crash the victim at t=20 s — after warm-up, with plenty of
-//! horizon left — matching the chaos and replay smoke scenarios so sweep
-//! distributions are directly comparable to the existing point estimates.
+//! horizon left — matching the crash-then-recover and replay pins in
+//! `tests/pins.rs`, so sweep distributions are directly comparable to
+//! those point estimates.
 //! Replay budgets are generous (`max_replays = 8`): on the survivable
 //! scenarios a root would need more than eight failures to be
 //! quarantined, which the crash/heal timing cannot produce, so
 //! `zero_loss_ratio == 1.0` is a hard correctness gate on every
-//! survivable group (and `bench_guard` pins it).
+//! survivable group (pinned on the quick grid by `tests/pins.rs`).
 
 use crate::{cases, clusters, micro, yahoo};
 use rstorm_sim::{FaultSpec, SeedRange, SimConfig, SweepCase, SweepGrid};
@@ -22,7 +23,7 @@ const HEAL_AT_MS: f64 = 35_000.0;
 const MAX_REPLAYS: u32 = 8;
 
 /// The quick grid: 2 cases × 2 schedulers × 2 faults × seeds, 60 s sims.
-/// Small enough for CI smoke runs; every fault spec is survivable, so
+/// Small enough for a CI test run; every fault spec is survivable, so
 /// the whole grid is zero-loss-gated.
 pub fn quick_grid(seeds: SeedRange) -> SweepGrid {
     SweepGrid {

@@ -1,12 +1,18 @@
-//! Fast-engine / reference-engine parity: the dense-id, slab-pooled,
-//! precomputed-routing `Simulation` must produce reports **identical**
-//! to the string-keyed `ReferenceSimulation` on every bundled workload —
-//! same totals, same per-window throughput, same latency bits, same
-//! event count. Any hot-path "optimization" that changes a single event
-//! ordering, RNG draw, or float-summation order fails here.
+//! Fast-engine / reference-engine parity: the dense-id, slab-pooled
+//! `Simulation` must produce reports **identical** to the string-keyed
+//! `ReferenceSimulation` on every bundled workload — same totals, same
+//! per-window throughput, same latency bits, same event count. Both
+//! engines read one target list per (component, subscription), shared by
+//! every task of the component, and derive each emission's link kind and
+//! latency from where the two tasks sit. Any hot-path "optimization" that
+//! changes a single event ordering, RNG draw, or float-summation order
+//! fails here.
+//!
+//! The 600 s Linear case costs minutes in a debug build, so it only runs
+//! with optimisations: `cargo test --release -q --test sim_parity`.
 
 use rstorm::prelude::*;
-use rstorm::workloads::cases::{fig8_cases, yahoo_cases};
+use rstorm::workloads::cases::{fig8_cases, yahoo_cases, WorkloadCase};
 use rstorm::workloads::{clusters, yahoo};
 use std::sync::Arc;
 
@@ -44,20 +50,47 @@ fn assert_parity(name: &str, build: impl Fn() -> (Simulation, ReferenceSimulatio
     );
 }
 
+fn assert_case_parity(case: &WorkloadCase, config: &SimConfig, name: &str) {
+    let cluster = Arc::new(case.cluster.clone());
+    let assignment = schedule(&case.topology, &cluster);
+    assert_parity(name, || {
+        let mut fast = Simulation::new(Arc::clone(&cluster), config.clone());
+        fast.add_topology(&case.topology, &assignment);
+        let mut reference = ReferenceSimulation::new(Arc::clone(&cluster), config.clone());
+        reference.add_topology(&case.topology, &assignment);
+        (fast, reference)
+    });
+}
+
 #[test]
 fn micro_and_yahoo_cases_are_bit_identical() {
     let config = SimConfig::quick().with_sim_time_ms(20_000.0);
     for case in fig8_cases().into_iter().chain(yahoo_cases()) {
-        let cluster = Arc::new(case.cluster.clone());
-        let assignment = schedule(&case.topology, &cluster);
-        assert_parity(case.name, || {
-            let mut fast = Simulation::new(Arc::clone(&cluster), config.clone());
-            fast.add_topology(&case.topology, &assignment);
-            let mut reference = ReferenceSimulation::new(Arc::clone(&cluster), config.clone());
-            reference.add_topology(&case.topology, &assignment);
-            (fast, reference)
-        });
+        assert_case_parity(&case, &config, case.name);
     }
+}
+
+#[test]
+fn micro_and_page_load_cases_are_bit_identical_at_the_quick_horizon() {
+    let config = SimConfig::quick();
+    let page_load = yahoo_cases().into_iter().filter(|c| c.name == "page_load");
+    for case in fig8_cases().into_iter().chain(page_load) {
+        assert_case_parity(&case, &config, case.name);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: CI runs it in the release test step"
+)]
+fn linear_net_is_bit_identical_over_a_long_horizon() {
+    let case = fig8_cases()
+        .into_iter()
+        .find(|c| c.name == "linear_net")
+        .expect("linear_net case exists");
+    let config = SimConfig::quick().with_sim_time_ms(600_000.0);
+    assert_case_parity(&case, &config, "linear_net_long");
 }
 
 #[test]
