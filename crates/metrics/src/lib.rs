@@ -29,11 +29,9 @@ mod cpu;
 mod report;
 mod stats_server;
 mod summary;
-mod timeseries;
 
 pub use counter::WindowedCounter;
 pub use cpu::CpuUtilizationTracker;
-pub use report::{csv_table, text_table};
+pub use report::text_table;
 pub use stats_server::{StatisticServer, ThroughputReport};
 pub use summary::Summary;
-pub use timeseries::TimeSeries;

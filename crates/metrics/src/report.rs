@@ -1,4 +1,4 @@
-//! Plain-text and CSV rendering for the bench harness output.
+//! Plain-text table rendering for the bench harness output.
 
 /// Renders rows as an aligned plain-text table. `header` and every row
 /// must have the same number of columns.
@@ -44,25 +44,6 @@ pub fn text_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Renders rows as CSV (no quoting — callers must not embed commas).
-pub fn csv_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = String::new();
-    out.push_str(&header.join(","));
-    out.push('\n');
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "row arity must match header");
-        for cell in row {
-            assert!(
-                !cell.contains(',') && !cell.contains('\n'),
-                "CSV cells must not contain commas or newlines: {cell:?}"
-            );
-        }
-        out.push_str(&row.join(","));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,20 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn csv_is_plain() {
-        let c = csv_table(&["a", "b"], &[vec!["1".into(), "2".into()]]);
-        assert_eq!(c, "a,b\n1,2\n");
-    }
-
-    #[test]
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_rejected() {
         text_table(&["one"], &[vec!["1".into(), "2".into()]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "CSV cells")]
-    fn commas_in_cells_rejected() {
-        csv_table(&["a"], &[vec!["1,2".into()]]);
     }
 }

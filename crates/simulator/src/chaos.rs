@@ -1,4 +1,4 @@
-//! The chaos harness: one two-plane runner behind every fault scenario.
+//! The chaos harness: one closed-loop runner behind every fault scenario.
 //!
 //! Each scenario is a [`FaultPlan`] handed to the same private core:
 //! [`run_crash_recover`] crashes one victim and heals it,
@@ -7,37 +7,31 @@
 //! input). The core
 //!
 //! 1. resolves every node and rack name the plan references;
-//! 2. replays the **control plane**: it clones the cluster, places the
-//!    topology, then steps a [`RecoveryManager`] one heartbeat interval
-//!    at a time. A node is silent while one of its
-//!    [`FaultPlan::node_down_windows`] covers the tick, or one of its
-//!    rack's [`FaultPlan::rack_partition_windows`] does (heartbeats
-//!    cross racks to reach the control loop). During a
-//!    [`FaultEvent::ControlLoss`] window no heartbeat arrives; during a
-//!    [`FaultEvent::NimbusCrash`] window nothing happens at all, and at
-//!    the first tick after it a successor reassumes, replaying the
-//!    write-ahead [`rstorm_core::ControlJournal`] when journaling is on
-//!    and starting cold otherwise;
-//! 3. runs the **data plane**: a checked fault-injected [`Simulation`]
-//!    of the *initial* assignment ([`Simulation::run_checked`]);
+//! 2. places the topology on the healthy cluster;
+//! 3. runs one checked, fault-injected [`Simulation`] of that placement
+//!    with the **recovery loop inside the engine**, as Nimbus runs
+//!    beside its workers. A [`RecoveryManager`], with its own copy of
+//!    the cluster and its own [`GlobalState`], ticks every heartbeat
+//!    interval on the engine's fault lane. A node is silent while the
+//!    engine has it down or its rack partitioned (heartbeats cross racks
+//!    to reach the control loop). During a [`FaultEvent::ControlLoss`]
+//!    window no heartbeat arrives; during a [`FaultEvent::NimbusCrash`]
+//!    window nothing happens at all, and at the first tick after it a
+//!    successor reassumes, replaying the write-ahead
+//!    [`rstorm_core::ControlJournal`] when journaling is on and starting
+//!    cold otherwise. Every reschedule moves the tasks whose node
+//!    changed at that instant, so the data plane runs what the control
+//!    plane decided;
 //! 4. folds the recovery events and the report into one
 //!    [`RecoveryObservations`];
 //! 5. attaches a [`ReconcileAudit`] when the plan carries control faults.
 //!
-//! The victim scenarios differ from a plain plan in two ways. Their data
-//! plane crashes the victim at `crash_at_ms` and revives it when the
-//! control plane first re-placed the topology, modelling Storm handing
-//! the displaced executors to replacement workers at that moment. (The
-//! simulator replays one fixed assignment, so "recovery" is the original
-//! workers coming back rather than a mid-run re-placement; detection and
-//! re-placement latency still come from the control-plane replay.) And
-//! their observations anchor on the crash, where a plain plan's anchor
-//! on its earliest fault.
+//! The victim scenarios run their crash-and-heal plan through the same
+//! core. The one difference is the anchor: their observations measure
+//! from the crash, where a plain plan's measure from its earliest fault.
 //!
-//! Both planes are deterministic, so the whole [`ChaosOutcome`] — report
-//! bits included — is a pure function of the scenario's inputs. Crash
-//! and recover never touch routing: placement is unchanged, only
-//! liveness flips.
+//! The run is deterministic, so the whole [`ChaosOutcome`] — report bits
+//! included — is a pure function of the scenario's inputs.
 
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -160,9 +154,9 @@ impl ChaosConfig {
         }
     }
 
-    /// The control plane's view of the scenario: the victim is silent
-    /// over `[crash_at_ms, heal_at_ms)`, for good when the heal time is
-    /// not finite.
+    /// The scenario as a plan: the victim is down over
+    /// `[crash_at_ms, heal_at_ms)`, for good when the heal time is not
+    /// finite.
     fn fault_plan(&self) -> FaultPlan {
         let plan = FaultPlan::new().crash_node(self.crash_at_ms, &self.victim);
         if self.heal_at_ms.is_finite() {
@@ -172,20 +166,8 @@ impl ChaosConfig {
         }
     }
 
-    /// The data plane's view: the victim crashes at `crash_at_ms` and its
-    /// workers come back the moment the control plane first re-placed
-    /// the topology (replacement workers taking over).
-    fn data_plan(&self, first_resched: Option<f64>) -> FaultPlan {
-        let plan = FaultPlan::new().crash_node(self.crash_at_ms, &self.victim);
-        match first_resched {
-            Some(at) if at > self.crash_at_ms => plan.recover_node(at, &self.victim),
-            _ => plan,
-        }
-    }
-
-    /// Runs `plan` (this scenario's control-plane view plus any extra
-    /// faults) with the victim's data plane and crash-anchored
-    /// observations.
+    /// Runs `plan` (this scenario's crash and heal plus any extra
+    /// faults) with crash-anchored observations.
     fn run_plan(
         &self,
         cluster: &Arc<Cluster>,
@@ -202,16 +184,16 @@ impl ChaosConfig {
                 victim: self.victim.clone(),
             });
         }
-        run_two_planes(
+        run_closed_loop(
             cluster,
             topology,
             plan,
             &self.sim,
             &self.recovery,
             scheduler,
-            self.crash_at_ms,
-            |first_resched| self.data_plan(first_resched),
+            Some(self.crash_at_ms),
         )
+        .map(|run| run.outcome)
     }
 }
 
@@ -257,7 +239,7 @@ impl ControlOutageConfig {
 /// Everything a chaos scenario or fault-plan run produced.
 #[derive(Debug, Clone)]
 pub struct ChaosOutcome {
-    /// The fault-injected data-plane report, with
+    /// The fault-injected simulation report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
     /// Invariant violations the checked engine observed — always empty
@@ -310,7 +292,7 @@ pub struct ReconcileAudit {
 /// Runs the crash-then-recover scenario described by `cfg` for one
 /// topology. `scheduler` computes both the initial placement and every
 /// control-plane re-placement, so a scenario grid can compare recovery
-/// behavior across schedulers. See the module docs for the two planes.
+/// behavior across schedulers. See the module docs for the run.
 ///
 /// # Errors
 ///
@@ -351,9 +333,9 @@ pub fn run_control_outage(
 
 /// Runs an arbitrary [`FaultPlan`] — crashes, recovers, flap storms,
 /// crash bursts, link degradations, rack partitions, Nimbus outages and
-/// control-channel losses — through both planes. The data plane runs
-/// the full plan, and the observations anchor on the plan's earliest
-/// fault (or `0` for an empty plan).
+/// control-channel losses — with the recovery loop inside the run. The
+/// observations anchor on the plan's earliest fault (or `0` for an
+/// empty plan).
 ///
 /// # Errors
 ///
@@ -368,32 +350,33 @@ pub fn run_fault_plan_with(
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
 ) -> Result<ChaosOutcome, ChaosError> {
-    run_two_planes(
-        cluster,
-        topology,
-        plan,
-        sim_cfg,
-        recovery,
-        scheduler,
-        plan.first_event_ms().unwrap_or(0.0),
-        |_| plan.clone(),
-    )
+    run_closed_loop(cluster, topology, plan, sim_cfg, recovery, scheduler, None)
+        .map(|run| run.outcome)
 }
 
-/// The one two-plane core (see the module docs): the control plane
-/// replays `plan`, the data plane runs `data_plan(first reschedule)`,
-/// and the observations measure from `anchor_ms`.
-#[allow(clippy::too_many_arguments)]
-fn run_two_planes(
+/// What the core hands back: the public outcome plus the
+/// placement-agreement oracle, which needs the engine's final placement.
+pub(crate) struct ClosedLoopRun {
+    pub(crate) outcome: ChaosOutcome,
+    /// Once the control plane quiesced (no reschedule pending), every
+    /// task the final plan places runs on that node in the simulation.
+    /// Vacuously `true` while a reschedule is still pending.
+    pub(crate) placement_agrees: bool,
+}
+
+/// The one core (see the module docs): runs `plan` with the recovery
+/// loop inside the engine and measures the observations from
+/// `anchor_ms`, by default the plan's earliest fault (`0` for an empty
+/// plan).
+pub(crate) fn run_closed_loop(
     cluster: &Arc<Cluster>,
     topology: &Topology,
     plan: &FaultPlan,
     sim_cfg: &SimConfig,
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
-    anchor_ms: f64,
-    data_plan: impl FnOnce(Option<f64>) -> FaultPlan,
-) -> Result<ChaosOutcome, ChaosError> {
+    anchor_ms: Option<f64>,
+) -> Result<ClosedLoopRun, ChaosError> {
     // Resolve every name the plan references up front so fuzzed plans
     // surface as typed errors here instead of engine panics mid-run.
     for ev in plan.events() {
@@ -416,23 +399,47 @@ fn run_two_planes(
         }
     }
 
-    let replay = replay_control_plane(
-        cluster,
+    let anchor_ms = anchor_ms.unwrap_or_else(|| plan.first_event_ms().unwrap_or(0.0));
+    let control = (**cluster).clone();
+    let mut state = GlobalState::new(&control);
+    let initial = scheduler
+        .schedule(topology, &control, &mut state)
+        .map_err(|error| ChaosError::InitialPlacement {
+            topology: topology.id().as_str().to_owned(),
+            error,
+        })?;
+    let control = ControlLoop {
         topology,
-        plan,
-        recovery,
         scheduler,
-        sim_cfg.sim_time_ms,
-    )?;
-    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&replay.events);
-
+        recovery: recovery.clone(),
+        roster: cluster
+            .nodes()
+            .iter()
+            .map(|n| n.id().as_str().to_owned())
+            .collect(),
+        cluster: control,
+        state,
+        manager: RecoveryManager::new(recovery.clone()),
+        events: Vec::new(),
+        was_down: false,
+        reassumed_at_ms: None,
+        decisions_replayed: 0,
+        nimbus_open: 0,
+        loss_open: 0,
+        placement: Vec::new(),
+    };
     let mut sim = Simulation::new(Arc::clone(cluster), sim_cfg.clone());
-    sim.add_topology(topology, &replay.initial);
-    sim.set_fault_plan(data_plan(first_resched));
-    let CheckedReport {
-        mut report,
-        violations,
-    } = sim.run_checked();
+    sim.add_topology(topology, &initial);
+    sim.set_fault_plan(plan.clone());
+    let (
+        CheckedReport {
+            mut report,
+            violations,
+        },
+        control,
+    ) = sim.run_with_control(Some(control));
+    let control = control.expect("the loop comes back");
+    let (detect_at, first_resched, recovered_at) = fold_recovery_events(&control.events);
 
     let outage_end = first_resched.unwrap_or(sim_cfg.sim_time_ms);
     let dip = report
@@ -447,127 +454,162 @@ fn run_two_planes(
         time_to_recover_ms: recovered_at.map_or(-1.0, |at| at - anchor_ms),
         tuples_lost: report.totals.tuples_lost,
         throughput_dip_depth: dip,
-        reschedule_attempts: replay.manager.reschedule_attempts(),
+        reschedule_attempts: control.manager.reschedule_attempts(),
         roots_replayed: report.totals.roots_replayed,
         tuples_quarantined: report.totals.tuples_quarantined,
-        suppressed_flaps: replay.manager.suppressed_flaps(),
+        suppressed_flaps: control.manager.suppressed_flaps(),
     };
     report.recovery = Some(observations);
 
+    let final_plan = control.state.plan().clone();
+    let placement_agrees = control.manager.has_pending_reschedules()
+        || final_plan
+            .assignment(topology.id().as_str())
+            .is_none_or(|a| {
+                a.iter()
+                    .all(|(task, slot)| control.placement[task.index()] == slot.node.as_str())
+            });
     let reconciliation = plan
         .has_control_faults()
-        .then(|| reconcile_audit(cluster, topology, scheduler, &replay));
-    Ok(ChaosOutcome {
-        report,
-        violations,
-        plan: replay.state.plan().clone(),
-        events: replay.events,
-        observations,
-        reconciliation,
+        .then(|| control.audit(cluster, plan));
+    Ok(ClosedLoopRun {
+        outcome: ChaosOutcome {
+            report,
+            violations,
+            plan: final_plan,
+            events: control.events,
+            observations,
+            reconciliation,
+        },
+        placement_agrees,
     })
 }
 
-/// What [`replay_control_plane`] hands back to the core.
-struct ControlReplay {
-    manager: RecoveryManager,
-    events: Vec<RecoveryEvent>,
+/// The recovery control loop the engine runs on its fault lane (see the
+/// module docs): a [`RecoveryManager`] over its own copy of the cluster
+/// and its own [`GlobalState`], re-placing one topology through
+/// `scheduler`.
+pub(crate) struct ControlLoop<'a> {
+    pub(crate) topology: &'a Topology,
+    scheduler: &'a (dyn Scheduler + 'a),
+    pub(crate) recovery: RecoveryConfig,
+    cluster: Cluster,
     state: GlobalState,
-    initial: Assignment,
-    /// Latency from the first Nimbus outage's start to the first
-    /// successor tick, `-1.0` when no successor took over.
-    time_to_reassume_ms: f64,
+    manager: RecoveryManager,
+    /// Node names in cluster order, the engine's dense node order.
+    roster: Vec<String>,
+    events: Vec<RecoveryEvent>,
+    /// The previous tick fell inside a Nimbus outage.
+    was_down: bool,
+    reassumed_at_ms: Option<f64>,
     decisions_replayed: u64,
+    /// Nimbus-outage and control-loss windows open now, counted by the
+    /// engine's fault lane so overlapping windows act as their union.
+    pub(crate) nimbus_open: i32,
+    pub(crate) loss_open: i32,
+    /// The engine's node for each task of `topology` when the run
+    /// ended, in task order.
+    pub(crate) placement: Vec<String>,
 }
 
-/// The control-plane replay: schedules the topology, then steps
-/// heartbeat ticks to `horizon_ms` with the silences, channel losses
-/// and Nimbus outages `plan` implies (see the module docs).
-fn replay_control_plane(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-    scheduler: &(dyn Scheduler + '_),
-    horizon_ms: f64,
-) -> Result<ControlReplay, ChaosError> {
-    let mut control = (**cluster).clone();
-    let mut state = GlobalState::new(&control);
-    let initial = scheduler
-        .schedule(topology, &control, &mut state)
-        .map_err(|error| ChaosError::InitialPlacement {
-            topology: topology.id().as_str().to_owned(),
-            error,
-        })?;
-    let mut manager = RecoveryManager::new(recovery.clone());
-    let mut events = Vec::new();
-
-    // A node is silent while any of its own down windows or its rack's
-    // partition windows covers the tick.
-    let node_windows = plan.node_down_windows();
-    let rack_windows = plan.rack_partition_windows();
-    let down_windows: Vec<(String, Vec<(f64, f64)>)> = cluster
-        .nodes()
-        .iter()
-        .map(|n| {
-            let name = n.id().as_str().to_owned();
-            let mut windows: Vec<(f64, f64)> =
-                node_windows.get(name.as_str()).cloned().unwrap_or_default();
-            if let Some(rw) = rack_windows.get(n.rack().as_str()) {
-                windows.extend(rw.iter().copied());
-            }
-            (name, windows)
-        })
-        .collect();
-    let roster: Vec<String> = down_windows.iter().map(|(name, _)| name.clone()).collect();
-    let nimbus_windows = plan.nimbus_down_windows();
-    let loss_windows = plan.control_loss_windows();
-
-    let interval = recovery.heartbeat_interval_ms;
-    let covers =
-        |windows: &[(f64, f64)], t: f64| windows.iter().any(|&(at, until)| t >= at && t < until);
-    let mut t = 0.0;
-    let mut was_down = false;
-    let mut reassumed_at_ms = None;
-    let mut decisions_replayed = 0u64;
-    while t <= horizon_ms {
-        if covers(&nimbus_windows, t) {
+impl ControlLoop<'_> {
+    /// One heartbeat tick at `now_ms`; `silent(k)` tells whether the
+    /// k-th node of the cluster sends no heartbeat. Returns the
+    /// topology's new assignment when this tick re-placed it.
+    pub(crate) fn tick(
+        &mut self,
+        now_ms: f64,
+        silent: impl Fn(usize) -> bool,
+    ) -> Option<&Assignment> {
+        if self.nimbus_open > 0 {
             // Nimbus is down: no observation, no detection, no
-            // rescheduling — the data plane runs on without it.
-            was_down = true;
-            t += interval;
-            continue;
+            // rescheduling — the workers run on without it.
+            self.was_down = true;
+            return None;
         }
-        if was_down {
-            was_down = false;
-            let journal = manager.take_journal();
+        if self.was_down {
+            self.was_down = false;
+            let journal = self.manager.take_journal();
             let (successor, replayed) =
-                RecoveryManager::reassume(recovery.clone(), journal, t, &roster);
-            manager = successor;
-            decisions_replayed += replayed;
-            reassumed_at_ms.get_or_insert(t);
+                RecoveryManager::reassume(self.recovery.clone(), journal, now_ms, &self.roster);
+            self.manager = successor;
+            self.decisions_replayed += replayed;
+            self.reassumed_at_ms.get_or_insert(now_ms);
         }
-        let channel_lost = covers(&loss_windows, t);
-        for (name, windows) in &down_windows {
-            if !channel_lost && !covers(windows, t) {
-                manager.observe_heartbeat(name, t);
+        if self.loss_open == 0 {
+            for (k, name) in self.roster.iter().enumerate() {
+                if !silent(k) {
+                    self.manager.observe_heartbeat(name, now_ms);
+                }
             }
         }
-        events.extend(manager.tick(t, &mut control, &mut state, scheduler, &[topology]));
-        t += interval;
+        let events = self.manager.tick(
+            now_ms,
+            &mut self.cluster,
+            &mut self.state,
+            self.scheduler,
+            &[self.topology],
+        );
+        let rescheduled = events
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::TopologyRescheduled { .. }));
+        self.events.extend(events);
+        if rescheduled {
+            self.state.plan().assignment(self.topology.id().as_str())
+        } else {
+            None
+        }
     }
 
-    let time_to_reassume_ms = match (nimbus_windows.first(), reassumed_at_ms) {
-        (Some(&(down, _)), Some(up)) => up - down,
-        _ => -1.0,
-    };
-    Ok(ControlReplay {
-        manager,
-        events,
-        state,
-        initial,
-        time_to_reassume_ms,
-        decisions_replayed,
-    })
+    /// Derives the [`ReconcileAudit`] of `plan` from the final state
+    /// (see the field docs for the two oracles).
+    fn audit(&self, cluster: &Arc<Cluster>, plan: &FaultPlan) -> ReconcileAudit {
+        let dead: BTreeSet<&str> = self.manager.dead_nodes().collect();
+        let quiesced = !self.manager.has_pending_reschedules();
+        let total = self.topology.total_tasks() as usize;
+        let assignment = self.state.plan().assignment(self.topology.id().as_str());
+
+        let double_placed_or_orphaned = match assignment {
+            Some(a) => {
+                let placed: BTreeSet<_> = a.iter().map(|(task, _)| task).collect();
+                let double = a.unplaced().iter().any(|task| placed.contains(task));
+                let uncovered = placed.len() + a.unplaced().len() != total;
+                let orphaned =
+                    quiesced && a.iter().any(|(_, slot)| dead.contains(slot.node.as_str()));
+                double || uncovered || orphaned
+            }
+            // The topology placed initially; an assignment that vanished
+            // with nothing pending to restore it is orphaned wholesale.
+            None => quiesced,
+        };
+
+        let converged = if quiesced {
+            let mut survivors = (**cluster).clone();
+            for node in &dead {
+                survivors.kill_node(node);
+            }
+            let mut fresh = GlobalState::new(&survivors);
+            let from_scratch = self
+                .scheduler
+                .schedule(self.topology, &survivors, &mut fresh)
+                .map_or(0, |a| a.len());
+            assignment.map_or(0, Assignment::len) == from_scratch
+        } else {
+            // Still converging at the horizon — the oracle judges
+            // quiesced states only.
+            true
+        };
+
+        ReconcileAudit {
+            time_to_reassume_ms: match (plan.nimbus_down_windows().first(), self.reassumed_at_ms) {
+                (Some(&(down, _)), Some(up)) => up - down,
+                _ => -1.0,
+            },
+            decisions_replayed: self.decisions_replayed,
+            converged,
+            double_placed_or_orphaned,
+        }
+    }
 }
 
 /// First detection, first reschedule, and first *full* reschedule times
@@ -593,56 +635,6 @@ fn fold_recovery_events(events: &[RecoveryEvent]) -> (Option<f64>, Option<f64>, 
         }
     }
     (detect_at, first_resched, recovered_at)
-}
-
-/// Derives the [`ReconcileAudit`] from the final control-plane state
-/// (see the field docs for the two oracles).
-fn reconcile_audit(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    scheduler: &(dyn Scheduler + '_),
-    replay: &ControlReplay,
-) -> ReconcileAudit {
-    let dead: BTreeSet<&str> = replay.manager.dead_nodes().collect();
-    let quiesced = !replay.manager.has_pending_reschedules();
-    let total = topology.total_tasks() as usize;
-    let assignment = replay.state.plan().assignment(topology.id().as_str());
-
-    let double_placed_or_orphaned = match assignment {
-        Some(a) => {
-            let placed: BTreeSet<_> = a.iter().map(|(task, _)| task).collect();
-            let double = a.unplaced().iter().any(|task| placed.contains(task));
-            let uncovered = placed.len() + a.unplaced().len() != total;
-            let orphaned = quiesced && a.iter().any(|(_, slot)| dead.contains(slot.node.as_str()));
-            double || uncovered || orphaned
-        }
-        // The topology placed initially; an assignment that vanished
-        // with nothing pending to restore it is orphaned wholesale.
-        None => quiesced,
-    };
-
-    let converged = if quiesced {
-        let mut survivors = (**cluster).clone();
-        for node in &dead {
-            survivors.kill_node(node);
-        }
-        let mut fresh = GlobalState::new(&survivors);
-        let from_scratch = scheduler
-            .schedule(topology, &survivors, &mut fresh)
-            .map_or(0, |a| a.len());
-        assignment.map_or(0, Assignment::len) == from_scratch
-    } else {
-        // Still converging at the horizon — the oracle judges quiesced
-        // states only.
-        true
-    };
-
-    ReconcileAudit {
-        time_to_reassume_ms: replay.time_to_reassume_ms,
-        decisions_replayed: replay.decisions_replayed,
-        converged,
-        double_placed_or_orphaned,
-    }
 }
 
 /// Depth of the throughput dip: `1 - worst_outage_window / steady_mean`,
@@ -675,9 +667,125 @@ fn dip_depth(windows: &[f64], window_ms: f64, crash_at_ms: f64, outage_end_ms: f
     ((steady_mean - outage_min) / steady_mean).clamp(0.0, 1.0)
 }
 
+/// The open-loop control-plane replay the in-engine loop replaced, kept
+/// as a differential oracle: it steps a [`RecoveryManager`] over
+/// heartbeat windows precomputed from the plan instead of reading the
+/// engine's liveness. Wherever the two views of liveness agree, the
+/// recovery events, the final plan and the [`ReconcileAudit`] must match
+/// the in-engine loop's.
+/// The open-loop control-plane replay the in-engine loop replaced, kept
+/// as a differential oracle: it steps a [`RecoveryManager`] over
+/// heartbeat windows precomputed from the plan instead of reading the
+/// engine's liveness. Wherever the two views of liveness agree, the
+/// recovery events, the final plan and the [`ReconcileAudit`] must match
+/// the in-engine loop's.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Schedules the topology, then steps heartbeat ticks to
+    /// `horizon_ms`. A node is silent while one of its
+    /// [`FaultPlan::node_down_windows`] or its rack's
+    /// [`FaultPlan::rack_partition_windows`] covers the tick; Nimbus
+    /// outages and control-channel losses act as in the module docs.
+    /// Returns the loop state the replay ended in (no engine ran, so
+    /// `placement` stays empty).
+    pub(crate) fn replay_control_plane<'a>(
+        cluster: &Arc<Cluster>,
+        topology: &'a Topology,
+        plan: &FaultPlan,
+        recovery: &RecoveryConfig,
+        scheduler: &'a (dyn Scheduler + 'a),
+        horizon_ms: f64,
+    ) -> Result<ControlLoop<'a>, ChaosError> {
+        let mut control = (**cluster).clone();
+        let mut state = GlobalState::new(&control);
+        scheduler
+            .schedule(topology, &control, &mut state)
+            .map_err(|error| ChaosError::InitialPlacement {
+                topology: topology.id().as_str().to_owned(),
+                error,
+            })?;
+        let mut manager = RecoveryManager::new(recovery.clone());
+        let mut events = Vec::new();
+
+        let node_windows = plan.node_down_windows();
+        let rack_windows = plan.rack_partition_windows();
+        let down_windows: Vec<(String, Vec<(f64, f64)>)> = cluster
+            .nodes()
+            .iter()
+            .map(|n| {
+                let name = n.id().as_str().to_owned();
+                let mut windows: Vec<(f64, f64)> =
+                    node_windows.get(name.as_str()).cloned().unwrap_or_default();
+                if let Some(rw) = rack_windows.get(n.rack().as_str()) {
+                    windows.extend(rw.iter().copied());
+                }
+                (name, windows)
+            })
+            .collect();
+        let roster: Vec<String> = down_windows.iter().map(|(name, _)| name.clone()).collect();
+        let nimbus_windows = plan.nimbus_down_windows();
+        let loss_windows = plan.control_loss_windows();
+
+        let interval = recovery.heartbeat_interval_ms;
+        let covers = |windows: &[(f64, f64)], t: f64| {
+            windows.iter().any(|&(at, until)| t >= at && t < until)
+        };
+        let mut t = 0.0;
+        let mut was_down = false;
+        let mut reassumed_at_ms = None;
+        let mut decisions_replayed = 0u64;
+        while t <= horizon_ms {
+            if covers(&nimbus_windows, t) {
+                was_down = true;
+                t += interval;
+                continue;
+            }
+            if was_down {
+                was_down = false;
+                let journal = manager.take_journal();
+                let (successor, replayed) =
+                    RecoveryManager::reassume(recovery.clone(), journal, t, &roster);
+                manager = successor;
+                decisions_replayed += replayed;
+                reassumed_at_ms.get_or_insert(t);
+            }
+            let channel_lost = covers(&loss_windows, t);
+            for (name, windows) in &down_windows {
+                if !channel_lost && !covers(windows, t) {
+                    manager.observe_heartbeat(name, t);
+                }
+            }
+            events.extend(manager.tick(t, &mut control, &mut state, scheduler, &[topology]));
+            t += interval;
+        }
+
+        Ok(ControlLoop {
+            topology,
+            scheduler,
+            recovery: recovery.clone(),
+            cluster: control,
+            state,
+            manager,
+            roster,
+            events,
+            was_down,
+            reassumed_at_ms,
+            decisions_replayed,
+            nimbus_open: 0,
+            loss_open: 0,
+            placement: Vec::new(),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::{generate_plan, FuzzConfig, FuzzReproducer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
     use rstorm_core::{verify_plan, RStormScheduler};
     use rstorm_topology::{ExecutionProfile, TopologyBuilder};
@@ -762,6 +870,26 @@ mod tests {
         assert!(verify_plan(&out.plan, &[&t], &cluster).is_empty());
         // The report embeds the same observations.
         assert_eq!(out.report.recovery, Some(obs));
+        // The re-placement really ran: every task sits where the final
+        // plan put it, off the victim.
+        let run = run_closed_loop(
+            &cluster,
+            &t,
+            &cfg.fault_plan(),
+            &cfg.sim,
+            &cfg.recovery,
+            &RStormScheduler::new(),
+            Some(cfg.crash_at_ms),
+        )
+        .unwrap();
+        assert!(run.placement_agrees);
+        assert!(!run
+            .outcome
+            .plan
+            .assignment(t.id().as_str())
+            .unwrap()
+            .used_nodes()
+            .contains(&rstorm_cluster::NodeId::new(cfg.victim.as_str())));
     }
 
     #[test]
@@ -868,12 +996,23 @@ mod tests {
         );
     }
 
+    /// Asserts two outcomes equal field by field, report bits included.
+    fn assert_same_outcome(a: &ChaosOutcome, b: &ChaosOutcome) {
+        assert_eq!(a.report, b.report);
+        assert_eq!(a.report.to_json(), b.report.to_json());
+        assert_eq!(a.violations, b.violations);
+        assert_eq!(a.events, b.events);
+        assert_eq!(a.plan, b.plan);
+        assert_eq!(a.observations, b.observations);
+        assert_eq!(a.reconciliation, b.reconciliation);
+    }
+
     #[test]
     fn victim_scenarios_share_the_plan_runners_control_plane() {
         // Given the same crash and heal, the crash scenario and the plan
-        // runner replay the same control plane: same events, same final
-        // plan, same recovery-loop counters. Only the data plane differs
-        // (the victim's workers return at the first reschedule).
+        // runner run the same plan through the same closed loop, and
+        // both anchor on the crash: the outcomes are equal, report
+        // included.
         let cluster = cluster();
         let t = topology();
         let scheduler = RStormScheduler::new();
@@ -882,24 +1021,12 @@ mod tests {
         let plan = FaultPlan::new()
             .crash_node(cfg.crash_at_ms, &cfg.victim)
             .recover_node(cfg.heal_at_ms, &cfg.victim);
-        let same_control_plane = |a: &ChaosOutcome, b: &ChaosOutcome| {
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.plan, b.plan);
-            assert_eq!(
-                a.observations.reschedule_attempts,
-                b.observations.reschedule_attempts
-            );
-            assert_eq!(
-                a.observations.suppressed_flaps,
-                b.observations.suppressed_flaps
-            );
-        };
         let victim = run_crash_recover(&cluster, &t, &cfg, &scheduler).unwrap();
         let planned =
             run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
         assert!(!victim.events.is_empty(), "the crash must be handled");
-        same_control_plane(&victim, &planned);
-        assert!(victim.reconciliation.is_none() && planned.reconciliation.is_none());
+        assert_same_outcome(&victim, &planned);
+        assert!(victim.reconciliation.is_none());
 
         // A Nimbus window after the detection: the outage scenario and
         // the plan runner also agree on the failover.
@@ -909,14 +1036,9 @@ mod tests {
         let plan = plan.nimbus_crash(down_at, down_ms);
         let planned =
             run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
-        same_control_plane(&victim, &planned);
-        let (a, b) = (
-            victim.reconciliation.expect("outage audit"),
-            planned.reconciliation.expect("plan audit"),
-        );
-        assert!(a.time_to_reassume_ms >= down_ms && a.decisions_replayed > 0);
-        assert_eq!(a.time_to_reassume_ms, b.time_to_reassume_ms);
-        assert_eq!(a.decisions_replayed, b.decisions_replayed);
+        assert_same_outcome(&victim, &planned);
+        let audit = victim.reconciliation.expect("outage audit");
+        assert!(audit.time_to_reassume_ms >= down_ms && audit.decisions_replayed > 0);
     }
 
     #[test]
@@ -1130,5 +1252,190 @@ mod tests {
                 victim: "ghost".into()
             }
         );
+    }
+
+    /// The fuzz corpus's cluster (two racks of two nodes) and workload
+    /// (spout and sink on different nodes), under the fuzzer's clean
+    /// configuration.
+    fn fuzz_cluster() -> Arc<Cluster> {
+        Arc::new(
+            ClusterBuilder::new()
+                .homogeneous_racks(2, 2, ResourceCapacity::emulab_node(), 4)
+                .build()
+                .unwrap(),
+        )
+    }
+
+    fn split_topology() -> Topology {
+        let mut b = TopologyBuilder::new("fuzz-t");
+        b.set_spout("src", 1)
+            .set_profile(ExecutionProfile::network_bound(100))
+            .set_cpu_load(20.0)
+            .set_memory_load(1_400.0);
+        b.set_bolt("sink", 1)
+            .shuffle_grouping("src")
+            .set_profile(ExecutionProfile::network_bound(100).into_sink())
+            .set_cpu_load(20.0)
+            .set_memory_load(1_400.0);
+        b.build().unwrap()
+    }
+
+    fn clean_cfg() -> FuzzConfig {
+        FuzzConfig {
+            sim: SimConfig::quick()
+                .with_sim_time_ms(30_000.0)
+                .with_max_replays(8),
+            ..FuzzConfig::default()
+        }
+    }
+
+    /// True when the engine's liveness can differ from the plan's
+    /// heartbeat windows: two partitions of one rack that overlap or
+    /// touch. The windows keep the rack silent until the later heal; the
+    /// engine heals it at the first (partitions are idempotent, not
+    /// counted).
+    fn liveness_views_disagree(plan: &FaultPlan) -> bool {
+        plan.rack_partition_windows().values().any(|windows| {
+            windows.iter().enumerate().any(|(i, &(a1, u1))| {
+                windows[i + 1..]
+                    .iter()
+                    .any(|&(a2, u2)| a1 <= u2 && a2 <= u1)
+            })
+        })
+    }
+
+    /// Runs `plan` through the in-engine loop and the replay oracle and
+    /// asserts the control side agrees: events, final plan, recovery
+    /// counters and, with control faults, the reconciliation audit.
+    fn assert_loop_matches_oracle(
+        cluster: &Arc<Cluster>,
+        t: &Topology,
+        plan: &FaultPlan,
+        sim: &SimConfig,
+        recovery: &RecoveryConfig,
+    ) {
+        let scheduler = RStormScheduler::new();
+        let run = run_closed_loop(cluster, t, plan, sim, recovery, &scheduler, None)
+            .unwrap()
+            .outcome;
+        let replay =
+            oracle::replay_control_plane(cluster, t, plan, recovery, &scheduler, sim.sim_time_ms)
+                .unwrap();
+        let text = plan.to_text();
+        assert_eq!(run.events, replay.events, "events differ on\n{text}");
+        assert_eq!(
+            &run.plan,
+            replay.state.plan(),
+            "final plan differs on\n{text}"
+        );
+        assert_eq!(
+            run.observations.reschedule_attempts,
+            replay.manager.reschedule_attempts()
+        );
+        assert_eq!(
+            run.observations.suppressed_flaps,
+            replay.manager.suppressed_flaps()
+        );
+        let audit = plan
+            .has_control_faults()
+            .then(|| replay.audit(cluster, plan));
+        assert_eq!(run.reconciliation, audit, "audit differs on\n{text}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The in-engine control loop decides exactly what the open-loop
+        /// replay it replaced decided, over plans drawn from the fuzz
+        /// grammar and a spread of recovery knobs, wherever the two
+        /// views of liveness agree.
+        #[test]
+        fn in_engine_loop_matches_the_replay_oracle(
+            seed in 0u64..u64::MAX,
+            journal in 0u8..2,
+            trust_threshold in 1u32..=3,
+            churn in 0u8..2,
+        ) {
+            let cluster = fuzz_cluster();
+            let cfg = clean_cfg();
+            let plan = generate_plan(&mut StdRng::seed_from_u64(seed), &cluster, &cfg);
+            if liveness_views_disagree(&plan) {
+                return Ok(());
+            }
+            let recovery = RecoveryConfig {
+                journal: journal == 1,
+                trust_threshold,
+                min_reschedule_interval_ms: if churn == 1 { 5_000.0 } else { 0.0 },
+                ..RecoveryConfig::default()
+            };
+            assert_loop_matches_oracle(&cluster, &split_topology(), &plan, &cfg.sim, &recovery);
+        }
+    }
+
+    #[test]
+    fn in_engine_loop_matches_the_replay_oracle_on_the_corpus() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus");
+        let mut plans = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "plan") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                let plan = FuzzReproducer::from_text(&text).unwrap().plan;
+                assert!(!liveness_views_disagree(&plan), "{}", path.display());
+                let cfg = clean_cfg();
+                assert_loop_matches_oracle(
+                    &fuzz_cluster(),
+                    &split_topology(),
+                    &plan,
+                    &cfg.sim,
+                    &cfg.recovery,
+                );
+                plans += 1;
+            }
+        }
+        assert!(plans > 0, "the corpus must not be empty");
+    }
+
+    #[test]
+    fn overlapping_same_rack_partitions_are_the_known_disagreement() {
+        // The split topology starts on rack-0. The windows keep rack-0
+        // silent until 12 s; the engine heals it at the first heal, 8 s,
+        // so the in-engine loop readmits its nodes earlier.
+        let cluster = fuzz_cluster();
+        let overlap = FaultPlan::new()
+            .partition_rack(2_000.0, 8_000.0, "rack-0")
+            .partition_rack(5_000.0, 12_000.0, "rack-0");
+        assert!(liveness_views_disagree(&overlap));
+        let cfg = clean_cfg();
+        let scheduler = RStormScheduler::new();
+        let t = split_topology();
+        let run = run_closed_loop(
+            &cluster,
+            &t,
+            &overlap,
+            &cfg.sim,
+            &cfg.recovery,
+            &scheduler,
+            None,
+        )
+        .unwrap()
+        .outcome;
+        let replay = oracle::replay_control_plane(
+            &cluster,
+            &t,
+            &overlap,
+            &cfg.recovery,
+            &scheduler,
+            cfg.sim.sim_time_ms,
+        )
+        .unwrap();
+        assert_ne!(run.events, replay.events);
+
+        let apart = FaultPlan::new()
+            .partition_rack(2_000.0, 8_000.0, "rack-0")
+            .partition_rack(9_000.0, 12_000.0, "rack-0")
+            .partition_rack(5_000.0, 12_000.0, "rack-1");
+        assert!(!liveness_views_disagree(&apart));
+        assert_loop_matches_oracle(&cluster, &t, &apart, &cfg.sim, &cfg.recovery);
     }
 }

@@ -28,8 +28,9 @@
 //! * [`FaultPlan::partition_rack`] isolates a whole rack for a window —
 //!   every **inter-rack** transfer to or from the rack is dropped at send
 //!   time, as if the far endpoint had crashed (intra-rack and local
-//!   traffic keeps flowing). Control-plane harnesses model the matching
-//!   heartbeat silence (see `crate::chaos::run_fault_plan_with`).
+//!   traffic keeps flowing). The recovery loop of `crate::chaos` reads
+//!   the partition as heartbeat silence (see
+//!   `crate::chaos::run_fault_plan_with`).
 //! * [`FaultPlan::flap_storm`] expands into an alternating crash/recover
 //!   train on one node — the scenario the recovery plane's trust
 //!   hysteresis and churn limiter exist for.
@@ -38,11 +39,11 @@
 //!   top-of-rack switch dying).
 //! * [`FaultPlan::nimbus_crash`] and
 //!   [`FaultPlan::lose_control_channel`] are **control-plane** atoms:
-//!   the data-plane engine ignores them, while the control-plane
-//!   harnesses in `crate::chaos` silence detection/rescheduling for the
-//!   outage (Nimbus down, failing over to a successor on return) or
-//!   drop heartbeat observations (channel loss, provoking false
-//!   declarations).
+//!   the workers run on through them, while the recovery loop that
+//!   `crate::chaos` runs inside the engine stops detecting and
+//!   rescheduling for the outage (Nimbus down, failing over to a
+//!   successor on return) or misses every heartbeat (channel loss,
+//!   provoking false declarations).
 //!
 //! Plans round-trip through a line-oriented text form
 //! ([`FaultPlan::to_text`] / [`FaultPlan::from_text`]) so the fuzz
@@ -104,7 +105,7 @@ pub enum FaultEvent {
     /// window a successor reassumes, replaying the write-ahead journal
     /// when `RecoveryConfig::journal` is enabled and starting cold
     /// otherwise (see `rstorm_core::RecoveryManager::reassume`). A pure
-    /// control-plane event: the data-plane engine ignores it.
+    /// control-plane event: workers run on, only the recovery loop reacts.
     NimbusCrash {
         /// Start of the control outage in milliseconds.
         at_ms: f64,
@@ -116,7 +117,7 @@ pub enum FaultEvent {
     /// beat reaches it, so nodes *look* silent — a window longer than
     /// the detection window provokes false dead declarations the trust
     /// hysteresis must walk back once the channel heals. A pure
-    /// control-plane event: the data-plane engine ignores it.
+    /// control-plane event: workers run on, only the recovery loop reacts.
     ControlLoss {
         /// Start of the loss window in milliseconds.
         at_ms: f64,

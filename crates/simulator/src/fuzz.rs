@@ -5,7 +5,7 @@
 //! crash bursts, rack partitions, link degradations, background-traffic
 //! burst trains, Nimbus outages and control-channel loss windows — runs
 //! each plan
-//! through both planes of [`crate::chaos::run_fault_plan_with`], and
+//! through the closed loop of [`crate::chaos::run_fault_plan_with`], and
 //! checks an **oracle set** per run (see [`OracleKind`]):
 //!
 //! * the replay-plane **drain invariant** and its sibling accounting
@@ -25,6 +25,8 @@
 //!   tasks as a from-scratch reschedule on the survivors, and no task
 //!   may end up double-placed or orphaned (see
 //!   [`crate::chaos::ReconcileAudit`]);
+//! * **placement agreement** — once the control plane quiesced, every
+//!   task its final plan places runs on that node in the simulation;
 //! * **determinism** — an identical re-run must reproduce the report and
 //!   the control-plane event log bit for bit.
 //!
@@ -39,22 +41,21 @@
 //!
 //! Everything is deterministic: iteration `k` of a campaign draws from
 //! `StdRng` seeded by a pure function of `(seed, k)`, plans are generated
-//! on a 500 ms time grid, the worker pool assigns iterations to slots by
-//! index (the [`crate::sweep`] pool idiom), and shrinking is a serial
-//! post-pass — so the same seed always yields byte-identical campaign
-//! logs, whatever the worker count.
+//! on a 500 ms time grid, the worker pool (the one [`crate::sweep`] runs
+//! its jobs on) assigns iterations to slots by index, and shrinking is a
+//! serial post-pass — so the same seed always yields byte-identical
+//! campaign logs, whatever the worker count.
 
-use crate::chaos::run_fault_plan_with;
+use crate::chaos::{run_closed_loop, run_fault_plan_with, ClosedLoopRun};
 use crate::config::SimConfig;
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::sweep::run_indexed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rstorm_cluster::Cluster;
 use rstorm_core::{RecoveryConfig, RecoveryEvent, Scheduler};
 use rstorm_topology::Topology;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// The time grid plans are generated on: every sampled instant and
@@ -93,13 +94,17 @@ pub enum OracleKind {
     /// or orphaned (see
     /// [`crate::chaos::ReconcileAudit::double_placed_or_orphaned`]).
     ReconcilePlacement,
+    /// Once the control plane quiesced, some task the final plan places
+    /// ran on a different node in the simulation: a control decision
+    /// never reached the workers.
+    PlacementAgreement,
 }
 
 impl OracleKind {
     /// Stable machine-readable label, used in campaign logs and corpus
     /// headers (`invariant:<kind>`, `zero_loss`, `detect_liveness`,
     /// `determinism`, `reconcile_convergence`,
-    /// `reconcile_placement`).
+    /// `reconcile_placement`, `placement_agreement`).
     pub fn label(&self) -> String {
         match self {
             Self::Invariant(kind) => format!("invariant:{kind}"),
@@ -108,6 +113,7 @@ impl OracleKind {
             Self::Determinism => "determinism".to_owned(),
             Self::ReconcileConvergence => "reconcile_convergence".to_owned(),
             Self::ReconcilePlacement => "reconcile_placement".to_owned(),
+            Self::PlacementAgreement => "placement_agreement".to_owned(),
         }
     }
 
@@ -125,6 +131,7 @@ impl OracleKind {
             "determinism" => Some(Self::Determinism),
             "reconcile_convergence" => Some(Self::ReconcileConvergence),
             "reconcile_placement" => Some(Self::ReconcilePlacement),
+            "placement_agreement" => Some(Self::PlacementAgreement),
             _ => None,
         }
     }
@@ -343,13 +350,13 @@ impl FuzzOutcome {
 
 // ---- oracle evaluation --------------------------------------------------
 
-/// Runs `plan` through both planes and returns the first oracle it
-/// trips, `None` for a clean (or inapplicable — e.g. unplaceable) run.
-/// Evaluation order: accounting invariants, zero loss (only when
-/// [`FuzzConfig::survivable_by_construction`]), detection liveness,
-/// reconciliation, determinism. The first run short-circuits invariant
-/// violations, so shrinking an invariant reproducer costs one simulation
-/// per candidate.
+/// Runs `plan` with the recovery loop inside the engine and returns the
+/// first oracle it trips, `None` for a clean (or inapplicable — e.g.
+/// unplaceable) run. Evaluation order: accounting invariants, zero loss
+/// (only when [`FuzzConfig::survivable_by_construction`]), detection
+/// liveness, reconciliation, placement agreement, determinism. The
+/// first run short-circuits invariant violations, so shrinking an
+/// invariant reproducer costs one simulation per candidate.
 pub fn check_fault_plan(
     cluster: &Arc<Cluster>,
     topology: &Topology,
@@ -358,8 +365,20 @@ pub fn check_fault_plan(
     plan: &FaultPlan,
 ) -> Option<OracleKind> {
     let sim = cfg.sim.clone().with_check_invariants(true);
-    let out = match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
-        Ok(out) => out,
+    let run = run_closed_loop(
+        cluster,
+        topology,
+        plan,
+        &sim,
+        &cfg.recovery,
+        scheduler,
+        None,
+    );
+    let ClosedLoopRun {
+        outcome: out,
+        placement_agrees,
+    } = match run {
+        Ok(run) => run,
         // A plan the harness rejects (unknown name, unplaceable
         // topology) is not a violation — the campaign records it clean.
         Err(_) => return None,
@@ -380,6 +399,9 @@ pub fn check_fault_plan(
         if audit.double_placed_or_orphaned {
             return Some(OracleKind::ReconcilePlacement);
         }
+    }
+    if !placement_agrees {
+        return Some(OracleKind::PlacementAgreement);
     }
     match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
         Ok(again) => {
@@ -467,7 +489,7 @@ fn nimbus_free_span(nimbus: &[(f64, f64)], at: f64, until: f64, slack: f64) -> O
 /// network plane), a Nimbus outage or a control-channel loss window,
 /// with every instant and duration on the [`QUANTUM_MS`] grid inside
 /// the first ~80% of the horizon. Pure in `(rng state, cluster, cfg)`.
-fn generate_plan(rng: &mut StdRng, cluster: &Cluster, cfg: &FuzzConfig) -> FaultPlan {
+pub(crate) fn generate_plan(rng: &mut StdRng, cluster: &Cluster, cfg: &FuzzConfig) -> FaultPlan {
     let nodes: Vec<&str> = cluster.nodes().iter().map(|n| n.id().as_str()).collect();
     let racks: Vec<&str> = cluster.racks().iter().map(|r| r.as_str()).collect();
     let horizon = cfg.sim.sim_time_ms;
@@ -703,38 +725,16 @@ pub fn run_fuzz_campaign(
     let total = cfg.iterations as usize;
     let workers = workers.clamp(1, total);
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, (FaultPlan, Option<OracleKind>))>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= total {
-                    break;
-                }
-                let mut rng = StdRng::seed_from_u64(iteration_seed(cfg.seed, k as u32));
-                let plan = generate_plan(&mut rng, cluster, cfg);
-                let oracle = check_fault_plan(cluster, topology, scheduler, cfg, &plan);
-                if tx.send((k, (plan, oracle))).is_err() {
-                    break;
-                }
-            });
-        }
+    let results = run_indexed(total, workers, |k| {
+        let mut rng = StdRng::seed_from_u64(iteration_seed(cfg.seed, k as u32));
+        let plan = generate_plan(&mut rng, cluster, cfg);
+        let oracle = check_fault_plan(cluster, topology, scheduler, cfg, &plan);
+        (plan, oracle)
     });
-    drop(tx);
-
-    let mut slots: Vec<Option<(FaultPlan, Option<OracleKind>)>> = vec![None; total];
-    for (k, result) in rx {
-        debug_assert!(slots[k].is_none(), "iteration {k} reported twice");
-        slots[k] = Some(result);
-    }
 
     let mut verdicts = Vec::with_capacity(total);
     let mut reproducers = Vec::new();
-    for (k, slot) in slots.into_iter().enumerate() {
-        let (plan, oracle) = slot.expect("every iteration completes exactly once");
+    for (k, (plan, oracle)) in results.into_iter().enumerate() {
         verdicts.push(FuzzVerdict {
             iteration: k as u32,
             plan_events: plan.events().len(),
@@ -840,6 +840,7 @@ mod tests {
             OracleKind::Determinism,
             OracleKind::ReconcileConvergence,
             OracleKind::ReconcilePlacement,
+            OracleKind::PlacementAgreement,
         ];
         for k in kinds {
             assert_eq!(OracleKind::parse(&k.label()), Some(k.clone()), "{k}");

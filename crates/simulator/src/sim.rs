@@ -23,6 +23,7 @@
 //! float arithmetic).
 
 use crate::build::{ClusterIndex, LinkKind, SimBuild, NO_SINK};
+use crate::chaos::ControlLoop;
 use crate::config::{NetworkModel, SimConfig};
 use crate::event::EventQueue;
 use crate::faults::{FaultEvent, FaultPlan};
@@ -74,11 +75,15 @@ const TAG_FAULT: u32 = 3 << TAG_SHIFT;
 /// stale wake-ups are discarded.
 const NET_WAKE_TASK: u32 = TASK_MASK;
 
+/// Why a control-loop action can rely on a loop: it is scheduled only
+/// when one is attached.
+const ATTACHED: &str = "control-loop actions are scheduled only with a loop attached";
+
 /// A control event resolved to dense engine indices at build time (the
-/// heap payload only carries an index into [`Engine::fault_actions`]).
+/// heap payload only carries an index into [`Engine::faults`]).
 /// The heap's two tag bits are exhausted, so every control-plane event —
-/// faults, stats-export ticks and live migrations — rides the
-/// [`TAG_FAULT`] lane and dispatches through this side table.
+/// faults, stats-export ticks, live migrations and recovery-loop ticks —
+/// rides the [`TAG_FAULT`] lane and dispatches through this side table.
 #[derive(Debug, Clone, Copy)]
 enum FaultAction {
     Crash(u32),
@@ -94,6 +99,15 @@ enum FaultAction {
     StatsTick,
     /// Apply the migration at this index of [`Engine::migrations`].
     Migrate(u32),
+    /// Run one heartbeat tick of the attached [`ControlLoop`] and
+    /// reschedule the next.
+    ControlTick,
+    /// A Nimbus-outage window opens (`+1`) or closes (`-1`). Only
+    /// scheduled when a control loop is attached.
+    NimbusWindow(i32),
+    /// A control-channel loss window opens (`+1`) or closes (`-1`).
+    /// Only scheduled when a control loop is attached.
+    LossWindow(i32),
 }
 
 impl FastEv {
@@ -156,6 +170,10 @@ pub(crate) struct TaskRt {
     pub processed_acc: u64,
     /// Tuples this task has emitted downstream, for stats export.
     pub emitted_acc: u64,
+    /// Set when the task moved off a down node while its dead worker's
+    /// `WorkDone` was still pending: once that batch is dropped, the
+    /// task resumes idle on its new node (see [`Engine::apply_moves`]).
+    pub resume_after_drop: bool,
     /// The spout's replay buffer (replay mode only — always empty when
     /// `max_replays == 0`): failed logical roots awaiting re-emission as
     /// `(attempt, lost_tuples)` where `attempt` is the upcoming attempt
@@ -409,12 +427,22 @@ impl Simulation {
     ///
     /// Panics if no topology was added.
     pub fn run_checked(self) -> CheckedReport {
+        self.run_with_control(None).0
+    }
+
+    /// Runs with `control`, if any, ticking on the fault lane, so its
+    /// reschedules move tasks in this run (see [`crate::chaos`]). The
+    /// loop comes back with its `placement` filled in.
+    pub(crate) fn run_with_control<'c>(
+        self,
+        control: Option<ControlLoop<'c>>,
+    ) -> (CheckedReport, Option<ControlLoop<'c>>) {
         assert!(
             !self.build.specs.is_empty(),
             "add at least one topology before running"
         );
-        let (report, violations) = Engine::new(self).run();
-        CheckedReport { report, violations }
+        let (report, violations, control) = Engine::new(self, control).run();
+        (CheckedReport { report, violations }, control)
     }
 }
 
@@ -432,7 +460,7 @@ pub struct CheckedReport {
 
 /// Mutable engine state, split from `Simulation` so the borrow checker
 /// lets us index tasks and servers independently.
-struct Engine {
+struct Engine<'c> {
     config: SimConfig,
     build: SimBuild,
     /// Rack names for the report's per-link telemetry.
@@ -490,17 +518,19 @@ struct Engine {
     /// legacy run bit-identical to the pre-plane engine: all fair-plane
     /// branches are `is_some()` checks that never fire.
     network: Option<FairNetwork>,
-    /// Fault actions resolved to dense ids, referenced by heap events.
-    fault_actions: Vec<FaultAction>,
-    /// `(at_ms, action index)` pairs scheduled into the queue by `run`.
-    fault_schedule: Vec<(f64, usize)>,
+    /// `(at_ms, action)` pairs resolved to dense ids, scheduled into the
+    /// queue by `run`; heap events carry an index into this table.
+    faults: Vec<(f64, FaultAction)>,
     /// Stats-export hook, `None` unless a server was attached.
     stats: Option<StatsState>,
     /// Scheduled migrations resolved to dense ids.
     migrations: Vec<ResolvedMigration>,
+    /// The recovery control loop, `None` unless the chaos core attached
+    /// one.
+    control: Option<ControlLoop<'c>>,
 }
 
-impl std::fmt::Debug for Engine {
+impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("tasks", &self.tasks.len())
@@ -509,14 +539,50 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-impl Engine {
-    fn new(sim: Simulation) -> Self {
+/// Resolves `(task index within topology, destination slot)` moves to
+/// `(global task, dense destination node, slot)`. Task indices resolve
+/// within the named topology's own tasks, so a move can never land on
+/// another topology's task.
+///
+/// # Panics
+///
+/// Panics on an unknown topology, task or node.
+fn resolve_moves<'s>(
+    build: &SimBuild,
+    index: &ClusterIndex,
+    topology: &str,
+    moves: impl IntoIterator<Item = (u32, &'s WorkerSlot)>,
+) -> Vec<(usize, usize, WorkerSlot)> {
+    let tasks: Vec<usize> = (0..build.specs.len())
+        .filter(|&i| build.specs[i].topology == topology)
+        .collect();
+    assert!(
+        !tasks.is_empty(),
+        "migration references unknown topology `{topology}`"
+    );
+    moves
+        .into_iter()
+        .map(|(task, slot)| {
+            let global = *tasks.get(task as usize).unwrap_or_else(|| {
+                panic!("migration references unknown task {task} of topology `{topology}`")
+            });
+            let node = *index
+                .node_of
+                .get(slot.node.as_str())
+                .unwrap_or_else(|| panic!("migration references unknown node `{}`", slot.node));
+            (global, node, slot.clone())
+        })
+        .collect()
+}
+
+impl<'c> Engine<'c> {
+    fn new(sim: Simulation, control: Option<ControlLoop<'c>>) -> Self {
         let Simulation {
             cluster,
             config,
             index,
             mut build,
-            faults,
+            faults: plan,
             stats: sim_stats,
             migrations: sim_migrations,
         } = sim;
@@ -552,27 +618,22 @@ impl Engine {
                 .unwrap_or_else(|| panic!("fault plan references unknown node `{node}`"))
                 as u32
         };
-        let mut fault_actions = Vec::new();
-        let mut fault_schedule = Vec::new();
-        for ev in faults.events() {
+        let mut faults = Vec::new();
+        for ev in plan.events() {
             match ev {
                 FaultEvent::NodeCrash { at_ms, node } => {
-                    fault_schedule.push((*at_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::Crash(resolve(node)));
+                    faults.push((*at_ms, FaultAction::Crash(resolve(node))));
                 }
                 FaultEvent::NodeRecover { at_ms, node } => {
-                    fault_schedule.push((*at_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::Recover(resolve(node)));
+                    faults.push((*at_ms, FaultAction::Recover(resolve(node))));
                 }
                 FaultEvent::LinkDegrade {
                     at_ms,
                     until_ms,
                     extra_latency_ms,
                 } => {
-                    fault_schedule.push((*at_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::SetLinkExtra(*extra_latency_ms));
-                    fault_schedule.push((*until_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::SetLinkExtra(0.0));
+                    faults.push((*at_ms, FaultAction::SetLinkExtra(*extra_latency_ms)));
+                    faults.push((*until_ms, FaultAction::SetLinkExtra(0.0)));
                 }
                 FaultEvent::RackPartition {
                     at_ms,
@@ -587,14 +648,19 @@ impl Engine {
                         .position(|id| id.as_str() == rack)
                         .unwrap_or_else(|| panic!("fault plan references unknown rack `{rack}`"))
                         as u32;
-                    fault_schedule.push((*at_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::PartitionRack(r));
-                    fault_schedule.push((*until_ms, fault_actions.len()));
-                    fault_actions.push(FaultAction::HealRack(r));
+                    faults.push((*at_ms, FaultAction::PartitionRack(r)));
+                    faults.push((*until_ms, FaultAction::HealRack(r)));
                 }
-                // Control-plane events have no data-plane effect: the
-                // engine keeps running; only the chaos harnesses'
-                // RecoveryManager loop reacts to them.
+                // Control-plane events have no data-plane effect: they
+                // only gate an attached control loop's ticks.
+                FaultEvent::NimbusCrash { at_ms, down_ms } if control.is_some() => {
+                    faults.push((*at_ms, FaultAction::NimbusWindow(1)));
+                    faults.push((*at_ms + *down_ms, FaultAction::NimbusWindow(-1)));
+                }
+                FaultEvent::ControlLoss { at_ms, until_ms } if control.is_some() => {
+                    faults.push((*at_ms, FaultAction::LossWindow(1)));
+                    faults.push((*until_ms, FaultAction::LossWindow(-1)));
+                }
                 FaultEvent::NimbusCrash { .. } | FaultEvent::ControlLoss { .. } => {}
             }
         }
@@ -603,9 +669,8 @@ impl Engine {
         // `FaultAction`). The first stats tick fires one interval in;
         // later ticks self-reschedule.
         let stats = sim_stats.map(|(server, interval_ms)| {
-            let action = fault_actions.len();
-            fault_actions.push(FaultAction::StatsTick);
-            fault_schedule.push((interval_ms, action));
+            let action = faults.len();
+            faults.push((interval_ms, FaultAction::StatsTick));
             StatsState {
                 server,
                 interval_ms,
@@ -617,38 +682,17 @@ impl Engine {
         });
         let mut migrations = Vec::new();
         for m in sim_migrations {
-            // Task indices resolve within the named topology's own tasks,
-            // so a move can never land on another topology's task.
-            let tasks: Vec<usize> = (0..build.specs.len())
-                .filter(|&i| build.specs[i].topology == m.topology)
-                .collect();
-            assert!(
-                !tasks.is_empty(),
-                "migration references unknown topology `{}`",
-                m.topology
-            );
-            let moves = m
-                .moves
-                .iter()
-                .map(|(task, slot)| {
-                    let global = *tasks.get(*task as usize).unwrap_or_else(|| {
-                        panic!(
-                            "migration references unknown task {task} of topology `{}`",
-                            m.topology
-                        )
-                    });
-                    let node = *index.node_of.get(slot.node.as_str()).unwrap_or_else(|| {
-                        panic!("migration references unknown node `{}`", slot.node)
-                    });
-                    (global, node, slot.clone())
-                })
-                .collect();
-            fault_schedule.push((m.at_ms, fault_actions.len()));
-            fault_actions.push(FaultAction::Migrate(migrations.len() as u32));
+            let moves = m.moves.iter().map(|(task, slot)| (*task, slot));
+            faults.push((m.at_ms, FaultAction::Migrate(migrations.len() as u32)));
             migrations.push(ResolvedMigration {
                 pause_ms: m.pause_ms,
-                moves,
+                moves: resolve_moves(&build, &index, &m.topology, moves),
             });
+        }
+        // The control loop ticks from t = 0; queued after every plan
+        // event, each tick sees the faults that fire at its instant.
+        if control.is_some() {
+            faults.push((0.0, FaultAction::ControlTick));
         }
         let (egress, ingress, uplink) = legacy_link_fabric(
             index.cores.len(),
@@ -730,21 +774,20 @@ impl Engine {
             node_tasks,
             link_extra_ms: 0.0,
             network,
-            fault_actions,
-            fault_schedule,
+            faults,
             stats,
             migrations,
+            control,
         }
     }
 
-    fn run(mut self) -> (SimReport, Vec<InvariantViolation>) {
+    fn run(mut self) -> (SimReport, Vec<InvariantViolation>, Option<ControlLoop<'c>>) {
         for i in 0..self.statics.len() {
             if self.statics[i].is_spout {
                 self.queue.schedule(0.0, FastEv::try_spout(i));
             }
         }
-        let fault_schedule = std::mem::take(&mut self.fault_schedule);
-        for (at_ms, action) in fault_schedule {
+        for (action, &(at_ms, _)) in self.faults.iter().enumerate() {
             self.queue.schedule(at_ms, FastEv::fault(action));
         }
 
@@ -787,7 +830,19 @@ impl Engine {
             }
         }
 
-        self.report()
+        let control = self.control.take().map(|mut control| {
+            let topology: &Topology = control.topology;
+            control.placement = self
+                .build
+                .specs
+                .iter()
+                .filter(|s| s.topology == topology.id().as_str())
+                .map(|s| self.index.node_names[s.node_idx].clone())
+                .collect();
+            control
+        });
+        let (report, violations) = self.report();
+        (report, violations, control)
     }
 
     // ---- spout production --------------------------------------------
@@ -888,6 +943,9 @@ impl Engine {
             self.tasks[i].drop_next_work_done = false;
             self.tasks[i].busy = false;
             self.lose_batch(batch);
+            if std::mem::take(&mut self.tasks[i].resume_after_drop) {
+                self.resume_idle(i);
+            }
             return;
         }
         let now = self.queue.now();
@@ -928,6 +986,17 @@ impl Engine {
 
         self.tasks[i].busy = false;
         if spec.is_spout {
+            let now = self.queue.now();
+            self.queue.schedule(now, FastEv::try_spout(i));
+        } else if let Some(next) = self.tasks[i].queue.pop_front() {
+            self.start_processing(i, next);
+        }
+    }
+
+    /// Restarts an idle task whose worker moved: a spout tries to emit,
+    /// a bolt serves its next queued batch.
+    fn resume_idle(&mut self, i: usize) {
+        if self.statics[i].is_spout {
             let now = self.queue.now();
             self.queue.schedule(now, FastEv::try_spout(i));
         } else if let Some(next) = self.tasks[i].queue.pop_front() {
@@ -1226,7 +1295,7 @@ impl Engine {
     // ---- fault injection ------------------------------------------------
 
     fn apply_fault(&mut self, action: usize) {
-        match self.fault_actions[action] {
+        match self.faults[action].1 {
             FaultAction::Crash(node) => self.crash_node(node as usize),
             FaultAction::Recover(node) => self.recover_node(node as usize),
             FaultAction::SetLinkExtra(extra_ms) => {
@@ -1246,8 +1315,43 @@ impl Engine {
             FaultAction::PartitionRack(rack) => self.partition_rack(rack as usize),
             FaultAction::HealRack(rack) => self.heal_rack(rack as usize),
             FaultAction::StatsTick => self.stats_tick(),
-            FaultAction::Migrate(m) => self.apply_migration(m as usize),
+            FaultAction::Migrate(m) => {
+                let migration = std::mem::take(&mut self.migrations[m as usize]);
+                self.apply_moves(&migration.moves, migration.pause_ms);
+            }
+            FaultAction::ControlTick => self.control_tick(action),
+            FaultAction::NimbusWindow(delta) => {
+                self.control.as_mut().expect(ATTACHED).nimbus_open += delta;
+            }
+            FaultAction::LossWindow(delta) => {
+                self.control.as_mut().expect(ATTACHED).loss_open += delta;
+            }
         }
+    }
+
+    /// One heartbeat tick of the attached control loop. A node is silent
+    /// while it is down or its rack is partitioned (heartbeats cross
+    /// racks to reach Nimbus). A reschedule moves every task whose node
+    /// changed at once (pause 0); tasks it leaves unplaced stay put.
+    fn control_tick(&mut self, action: usize) {
+        let mut control = self.control.take().expect(ATTACHED);
+        let now = self.queue.now();
+        let topology: &Topology = control.topology;
+        let (down, racks, rack_of) = (&self.node_down, &self.rack_down, &self.index.rack_of_node);
+        let placed = control
+            .tick(now, |k| down[k] || racks[rack_of[k]])
+            .map(|a| {
+                let moves = a.iter().map(|(task, slot)| (task.index() as u32, slot));
+                resolve_moves(&self.build, &self.index, topology.id().as_str(), moves)
+            });
+        if let Some(moves) = placed {
+            self.apply_moves(&moves, 0.0);
+        }
+        let next = now + control.recovery.heartbeat_interval_ms;
+        if next <= self.config.sim_time_ms {
+            self.queue.schedule(next, FastEv::fault(action));
+        }
+        self.control = Some(control);
     }
 
     /// Flushes the write-only per-task accumulators into the statistic
@@ -1303,7 +1407,7 @@ impl Engine {
         self.stats = Some(stats);
     }
 
-    /// Executes a migration plan: each moved task's CPU slot deactivates
+    /// Executes migration moves: each moved task's CPU slot deactivates
     /// on its old node (in-flight work completes there — `work_done`
     /// never consults the node), its queued batches carry over, and the
     /// task cold-starts on the destination once its pause window ends
@@ -1311,18 +1415,20 @@ impl Engine {
     /// thrash follow the task. Routing needs only the new placement,
     /// since each transfer derives its link from it, plus refreshed
     /// local-or-shuffle pools. A move within a node is a no-op.
-    fn apply_migration(&mut self, m: usize) {
-        let migration = std::mem::take(&mut self.migrations[m]);
+    ///
+    /// Moves may touch down nodes (the control loop re-places before
+    /// every crash is declared). A task landing on a down node is killed
+    /// as [`Self::crash_node`] kills its tasks. A task leaving a down
+    /// node starts idle on its destination: a spout is re-kicked, and a
+    /// task whose dead worker still owes a dropped `WorkDone` resumes
+    /// once that batch is lost.
+    fn apply_moves(&mut self, moves: &[(usize, usize, WorkerSlot)], pause_ms: f64) {
         let now = self.queue.now();
-        for &(task, dest, ref slot) in &migration.moves {
+        for &(task, dest, ref slot) in moves {
             let old = self.statics[task].node as usize;
             if old == dest {
                 continue;
             }
-            debug_assert!(
-                !self.node_down[dest],
-                "migration targets a dead node (the adaptive plane must exclude them)"
-            );
             self.cpus[old].deactivate(self.statics[task].cpu_slot as usize);
             let new_local = self.cpus[dest].add_task(task);
             let pos = self.node_tasks[old]
@@ -1346,9 +1452,18 @@ impl Engine {
             self.statics[task].node = dest as u32;
             self.statics[task].port = slot.port;
             self.statics[task].cpu_slot = new_local;
-            self.tasks[task].resume_at_ms = now + migration.pause_ms;
+            self.tasks[task].resume_at_ms = now + pause_ms;
             self.refresh_thrash(old);
             self.refresh_thrash(dest);
+            if self.node_down[dest] {
+                self.kill_task(task);
+            } else if self.node_down[old] {
+                if self.tasks[task].busy {
+                    self.tasks[task].resume_after_drop = true;
+                } else {
+                    self.resume_idle(task);
+                }
+            }
         }
         self.build.refresh_los_pools();
     }
@@ -1378,13 +1493,18 @@ impl Engine {
         // inserts in order), so iterating it directly drains in a
         // migration-independent order — no clone-and-sort on the hot path.
         for k in 0..self.node_tasks[node].len() {
-            let i = self.node_tasks[node][k];
-            while let Some(batch) = self.tasks[i].queue.pop_front() {
-                self.lose_batch(batch);
-            }
-            if self.tasks[i].busy {
-                self.tasks[i].drop_next_work_done = true;
-            }
+            self.kill_task(self.node_tasks[node][k]);
+        }
+    }
+
+    /// Kills task `i`'s worker: its queued batches are lost, and a batch
+    /// in service is dropped when its `WorkDone` fires.
+    fn kill_task(&mut self, i: usize) {
+        while let Some(batch) = self.tasks[i].queue.pop_front() {
+            self.lose_batch(batch);
+        }
+        if self.tasks[i].busy {
+            self.tasks[i].drop_next_work_done = true;
         }
     }
 
@@ -2438,6 +2558,119 @@ mod tests {
             "destination accrued busy time: {:?}",
             r1.node_utilization
         );
+    }
+
+    /// A plan moving every task of `a` to `to`.
+    fn move_everything(t: &Topology, a: &Assignment, to: &str) -> MigrationPlan {
+        MigrationPlan {
+            topology: t.id().clone(),
+            moves: a
+                .iter()
+                .map(|(task, slot)| rstorm_core::MigrationMove {
+                    task,
+                    component: "c".to_owned(),
+                    from: slot.node.clone(),
+                    to: rstorm_cluster::NodeId::new(to),
+                })
+                .collect(),
+            updated: Assignment::new(
+                t.id().clone(),
+                a.iter()
+                    .map(|(task, _)| (task, WorkerSlot::new(to, 6700)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// The first node of `cluster` that `a` leaves idle.
+    fn idle_node(cluster: &Cluster, a: &Assignment) -> String {
+        let used = a.used_nodes();
+        cluster
+            .nodes()
+            .iter()
+            .map(|n| n.id().as_str().to_owned())
+            .find(|n| !used.contains(&rstorm_cluster::NodeId::new(n.as_str())))
+            .expect("an idle node exists")
+    }
+
+    /// Sink throughput per 10 s window of `report` for topology `t`.
+    fn windows(report: &SimReport, t: &Topology) -> Vec<f64> {
+        report.throughput[t.id().as_str()].windows.clone()
+    }
+
+    #[test]
+    fn migration_onto_a_down_node_kills_the_moved_tasks_until_it_recovers() {
+        // An idle node crashes at 10 s; at 20 s every task moves onto it
+        // while it is still down, which is legal; it recovers at 40 s.
+        let cluster = emulab(2, 3);
+        let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
+        let a = assigned(&t, &cluster);
+        let dest = idle_node(&cluster, &a);
+        let mut sim = Simulation::new(cluster.clone(), SimConfig::quick());
+        sim.add_topology(&t, &a);
+        sim.schedule_migration(&move_everything(&t, &a, &dest), 20_000.0, 0.0);
+        sim.set_fault_plan(
+            FaultPlan::new()
+                .crash_node(10_000.0, &dest)
+                .recover_node(40_000.0, &dest),
+        );
+        let report = sim.run();
+        let w = windows(&report, &t);
+        assert_eq!(report.window_ms, 10_000.0);
+        assert!(w[1] > 0.0, "work flows before the move: {w:?}");
+        // The moved tasks run on a down node: nothing completes, and the
+        // work queued or in service at the move is lost.
+        assert_eq!((w[2], w[3]), (0.0, 0.0), "{w:?}");
+        assert!(report.totals.tuples_lost > 0);
+        // The node's recovery re-kicks the moved spouts.
+        assert!(w[4] > 0.0 && w[5] > 0.0, "flow resumes on recovery: {w:?}");
+    }
+
+    #[test]
+    fn spout_moved_off_a_dead_node_resumes_emitting() {
+        // Every node the topology uses dies at 10 s for good. Left
+        // alone, its spouts stay dormant. Moved onto a live node, they
+        // are re-kicked: at once when the move finds them idle (20 s),
+        // and once the dead worker's batch is dropped when the move comes
+        // 1 ms after the crash, while a 500 ms spout batch is in service.
+        let cluster = emulab(2, 3);
+        let mut b = TopologyBuilder::new("t");
+        b.set_spout("src", 2)
+            .set_profile(ExecutionProfile::new(50.0, 1.0, 100))
+            .set_cpu_load(20.0)
+            .set_memory_load(128.0);
+        b.set_bolt("sink", 2)
+            .shuffle_grouping("src")
+            .set_profile(ExecutionProfile::new(0.1, 1.0, 100).into_sink())
+            .set_cpu_load(20.0)
+            .set_memory_load(128.0);
+        let t = b.build().unwrap();
+        let a = assigned(&t, &cluster);
+        let dest = idle_node(&cluster, &a);
+        let used: Vec<String> = a
+            .used_nodes()
+            .iter()
+            .map(|n| n.as_str().to_owned())
+            .collect();
+        let run = |migrate_at: Option<f64>| {
+            let mut sim = Simulation::new(cluster.clone(), SimConfig::quick());
+            sim.add_topology(&t, &a);
+            if let Some(at) = migrate_at {
+                sim.schedule_migration(&move_everything(&t, &a, &dest), at, 0.0);
+            }
+            sim.set_fault_plan(FaultPlan::new().crash_burst(10_000.0, &used, 1e9));
+            sim.run()
+        };
+        let stranded = windows(&run(None), &t);
+        assert!(stranded[2..].iter().all(|&w| w == 0.0), "{stranded:?}");
+        for at in [20_000.0, 10_001.0] {
+            let moved = windows(&run(Some(at)), &t);
+            assert_eq!(moved[..1], stranded[..1], "identical before the move");
+            assert!(
+                moved[2..].iter().all(|&w| w > 0.0),
+                "moved at {at} ms, the spouts emit again: {moved:?}"
+            );
+        }
     }
 
     #[test]

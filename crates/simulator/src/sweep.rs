@@ -34,7 +34,7 @@
 //! guarantee: if a future change smuggles non-`Send` state into
 //! [`Simulation`], this module stops compiling.
 
-use crate::chaos::{run_crash_recover, run_fault_plan_with, ChaosConfig};
+use crate::chaos::run_fault_plan_with;
 use crate::config::SimConfig;
 use crate::faults::FaultPlan;
 use crate::report::SimReport;
@@ -400,6 +400,8 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
             })
     };
 
+    // Default recovery knobs, matching [`crate::ChaosConfig::new`].
+    let recovery = RecoveryConfig::default();
     let (report, detect, recover) = match job.fault {
         FaultSpec::Healthy => {
             let mut sim = Simulation::new(Arc::clone(&case.cluster), sim_cfg);
@@ -409,18 +411,16 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
         FaultSpec::CrashRecover {
             crash_at_ms,
             heal_at_ms,
-        } => run_fault_job(
-            case,
-            &*scheduler,
-            &assignment,
-            sim_cfg,
-            crash_at_ms,
-            heal_at_ms,
-        ),
+        } => {
+            let host = host_node(&assignment);
+            let plan = FaultPlan::new()
+                .crash_node(crash_at_ms, &host)
+                .recover_node(heal_at_ms, &host);
+            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
+        }
         FaultSpec::CrashLasting { crash_at_ms } => {
-            // A heal time past the horizon never fires.
-            let never = grid.sim.sim_time_ms * 10.0;
-            run_fault_job(case, &*scheduler, &assignment, sim_cfg, crash_at_ms, never)
+            let plan = FaultPlan::new().crash_node(crash_at_ms, host_node(&assignment));
+            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
         }
         FaultSpec::Partition { at_ms, until_ms } => {
             let rack = case
@@ -430,7 +430,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
                 .as_str()
                 .to_owned();
             let plan = FaultPlan::new().partition_rack(at_ms, until_ms, rack);
-            run_plan_job(case, &*scheduler, &plan, sim_cfg)
+            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
         }
         FaultSpec::Congestion {
             at_ms,
@@ -443,7 +443,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
             // background traffic on every link.
             let fair_cfg = sim_cfg.with_network_model(crate::config::NetworkModel::Fair);
             let plan = FaultPlan::new().degrade_links(at_ms, until_ms, extra_ms);
-            run_plan_job(case, &*scheduler, &plan, fair_cfg)
+            run_plan_job(case, &*scheduler, &plan, fair_cfg, &recovery)
         }
         FaultSpec::Flap {
             first_at_ms,
@@ -458,7 +458,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
                 down_ms,
                 up_ms,
             );
-            run_plan_job(case, &*scheduler, &plan, sim_cfg)
+            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
         }
         FaultSpec::NimbusOutage {
             crash_at_ms,
@@ -475,7 +475,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
                 journal: true,
                 ..RecoveryConfig::default()
             };
-            run_plan_job_with(case, &*scheduler, &plan, sim_cfg, &journaled)
+            run_plan_job(case, &*scheduler, &plan, sim_cfg, &journaled)
         }
     };
 
@@ -490,42 +490,10 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
     }
 }
 
-/// The crash half of [`run_job`]: victim selection mirrors the
-/// crash-then-recover pin (the host of the first assigned task —
-/// crashing an idle machine demonstrates nothing), then the two-plane
-/// chaos harness runs under the job's scheduler.
-fn run_fault_job(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    assignment: &rstorm_core::Assignment,
-    sim_cfg: SimConfig,
-    crash_at_ms: f64,
-    heal_at_ms: f64,
-) -> (SimReport, f64, f64) {
-    let mut cfg = ChaosConfig::new(host_node(assignment), crash_at_ms, heal_at_ms);
-    cfg.sim = sim_cfg;
-    let out = run_crash_recover(&case.cluster, &case.topology, &cfg, scheduler)
-        .unwrap_or_else(|e| panic!("crash job failed on sweep case {}: {e}", case.name));
-    let obs = out.observations;
-    (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
-}
-
-/// The fault-plan half of [`run_job`] — the partition and flap specs run
-/// through [`run_fault_plan_with`], the same two-plane harness the chaos
-/// fuzzer drives, under default recovery knobs (matching
-/// [`ChaosConfig::new`]).
+/// The faulted half of [`run_job`]: the spec's plan runs through
+/// [`run_fault_plan_with`], the closed loop the chaos scenarios and the
+/// fuzzer share.
 fn run_plan_job(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    plan: &FaultPlan,
-    sim_cfg: SimConfig,
-) -> (SimReport, f64, f64) {
-    run_plan_job_with(case, scheduler, plan, sim_cfg, &RecoveryConfig::default())
-}
-
-/// [`run_plan_job`] with explicit recovery knobs — the Nimbus-outage
-/// spec needs the control journal on.
-fn run_plan_job_with(
     case: &SweepCase,
     scheduler: &dyn Scheduler,
     plan: &FaultPlan,
@@ -593,34 +561,7 @@ pub fn run_sweep(grid: &SweepGrid, workers: usize) -> SweepOutcome {
     let workers = workers.clamp(1, jobs.len());
     let started = Instant::now();
 
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, SweepRow)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let jobs = &jobs;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(i) else { break };
-                let row = run_job(grid, job);
-                if tx.send((i, row)).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(tx);
-
-    let mut slots: Vec<Option<SweepRow>> = jobs.iter().map(|_| None).collect();
-    for (i, row) in rx {
-        debug_assert!(slots[i].is_none(), "job {i} reported twice");
-        slots[i] = Some(row);
-    }
-    let rows: Vec<SweepRow> = slots
-        .into_iter()
-        .map(|r| r.expect("every job completes exactly once"))
-        .collect();
+    let rows = run_indexed(jobs.len(), workers, |i| run_job(grid, &jobs[i]));
     let summary = aggregate(grid, &rows);
     SweepOutcome {
         rows,
@@ -628,6 +569,43 @@ pub fn run_sweep(grid: &SweepGrid, workers: usize) -> SweepOutcome {
         workers,
         wall: started.elapsed(),
     }
+}
+
+/// The no-stealing worker pool behind [`run_sweep`] and
+/// [`crate::fuzz::run_fuzz_campaign`]: `workers` threads pull indices
+/// `0..total` from a shared atomic counter, and each result lands in its
+/// index's slot. The returned vector is in index order, so its contents
+/// do not depend on the worker count.
+pub(crate) fn run_indexed<T: Send>(
+    total: usize,
+    workers: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let (next, job) = (&next, &job);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= total || tx.send((i, job(i))).is_err() {
+                    break;
+                }
+            });
+        }
+    });
+    drop(tx);
+
+    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
+    for (i, result) in rx {
+        debug_assert!(slots[i].is_none(), "index {i} reported twice");
+        slots[i] = Some(result);
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index completes exactly once"))
+        .collect()
 }
 
 // ---- aggregation --------------------------------------------------------
