@@ -517,7 +517,7 @@ mod tests {
         b.append_topology(&idx, &topology, &assignment);
         // The engine's sorted-membership invariant starts here: appending
         // walks tasks in increasing global id, so every per-node list is
-        // born sorted and `apply_migration` keeps it that way.
+        // born sorted and `Engine::apply_moves` keeps it that way.
         for tasks in &b.node_tasks {
             assert!(tasks.windows(2).all(|w| w[0] < w[1]), "{tasks:?}");
         }
@@ -675,7 +675,7 @@ mod tests {
             .collect()
     }
 
-    /// Moves `task` to `port` on `node`, the way `apply_migration`
+    /// Moves `task` to `port` on `node`, the way `Engine::apply_moves`
     /// rewrites a moved task's placement.
     fn relocate(b: &mut SimBuild, idx: &ClusterIndex, task: usize, node: usize, port: u16) {
         b.specs[task].node_idx = node;

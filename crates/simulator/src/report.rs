@@ -180,6 +180,12 @@ pub struct SimDebugStats {
     /// preference pool. Link kinds and latencies are derived per
     /// emission and stored nowhere.
     pub route_entries: u64,
+    /// Batch starts served by the node CPU servers, summed over nodes.
+    pub cpu_serves: u64,
+    /// Those of [`Self::cpu_serves`] whose node the exp-free demand bound
+    /// could not prove under-committed, so the max-min fair-share scan
+    /// ran. Each node's CPU server counts its own calls.
+    pub cpu_fair_scans: u64,
 }
 
 /// Recovery observability derived from a crash-then-recover scenario by

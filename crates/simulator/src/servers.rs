@@ -230,6 +230,16 @@ impl CpuServer {
 /// regardless of how the candidates were gathered. Tasks that have never
 /// submitted work are excluded from the scan, mirroring the reference
 /// server's lazily created map entries.
+///
+/// Most calls skip that scan. `serve` first sums the exp-free bound
+/// `B = Σ min(demand_acc / τ, 1)` over the active slots, which is at
+/// least the sum of the decayed demands the scan would build (the decay
+/// factor is at most 1). When `B` fits the node's capacity
+/// (`cores * thrash`), water-filling serves every task in full, up to
+/// `O(n·ulp(capacity))` rounding far below the scan's `1e-9` slack, so
+/// the scan's stretch is exactly 1. Only an over-committed node pays
+/// for the scan; the skip is exact, not an approximation. Debug builds
+/// run the scan anyway and assert that it agrees.
 #[derive(Debug, Clone)]
 pub struct DenseCpuServer {
     cores: f64,
@@ -244,6 +254,9 @@ pub struct DenseCpuServer {
     /// Reused demand buffer for the max-min scan.
     scratch: Vec<(usize, f64)>,
     busy_core_ms: f64,
+    /// `serve` calls, and those of them that ran the max-min scan.
+    serves: u64,
+    fair_scans: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -287,6 +300,8 @@ impl DenseCpuServer {
             active: Vec::with_capacity(n),
             scratch: Vec::with_capacity(n),
             busy_core_ms: 0.0,
+            serves: 0,
+            fair_scans: 0,
         }
     }
 
@@ -305,6 +320,45 @@ impl DenseCpuServer {
             entry.last_update = at;
         }
 
+        self.serves += 1;
+        let capacity = self.cores * self.thrash;
+        // Under-commit certificate: `exp` of a non-positive argument is
+        // at most 1.0 and float rounding is monotone, so each decayed
+        // demand the scan computes is at most its undecayed term here
+        // (demands are sums of non-negative work). With the bound within
+        // capacity, the water-fill serves the submitter in full up to
+        // rounding far below the scan's 1e-9 slack, so the scan would
+        // return exactly 1.0. It writes only `scratch`, so skipping it
+        // changes no state.
+        let bound: f64 = self
+            .active
+            .iter()
+            .map(|&slot| (self.tasks[slot as usize].demand_acc / DEMAND_TAU_MS).min(1.0))
+            .sum();
+        let fair_stretch = if bound <= capacity {
+            debug_assert_eq!(
+                self.scan_fair_stretch(at, local, capacity),
+                1.0,
+                "under-commit certificate disagrees with the max-min scan"
+            );
+            1.0
+        } else {
+            self.fair_scans += 1;
+            self.scan_fair_stretch(at, local, capacity)
+        };
+        let multiplier = fair_stretch / self.thrash;
+
+        let entry = &mut self.tasks[local];
+        let start = entry.busy_until.max(at);
+        let done = start + work_core_ms * multiplier;
+        entry.busy_until = done;
+        self.busy_core_ms += work_core_ms;
+        done
+    }
+
+    /// The max-min scan: rebuilds every active task's decayed demand,
+    /// water-fills the capacity and returns the submitter's stretch.
+    fn scan_fair_stretch(&mut self, at: f64, local: usize, capacity: f64) -> f64 {
         // Demands in cores, capped at 1.0 (a task is single-threaded).
         self.scratch.clear();
         for &slot in &self.active {
@@ -315,7 +369,6 @@ impl DenseCpuServer {
                 .push((self.global_ids[slot as usize], d.min(1.0)));
         }
 
-        let capacity = self.cores * self.thrash;
         let task_gid = self.global_ids[local];
         let alloc = max_min_alloc(&mut self.scratch, capacity, task_gid);
         let demand = self
@@ -323,19 +376,11 @@ impl DenseCpuServer {
             .iter()
             .find(|(id, _)| *id == task_gid)
             .map_or(0.0, |&(_, d)| d);
-        let fair_stretch = if demand > alloc + 1e-9 {
+        if demand > alloc + 1e-9 {
             (1.0 / alloc.max(1e-6)).max(1.0)
         } else {
             1.0
-        };
-        let multiplier = fair_stretch / self.thrash;
-
-        let entry = &mut self.tasks[local];
-        let start = entry.busy_until.max(at);
-        let done = start + work_core_ms * multiplier;
-        entry.busy_until = done;
-        self.busy_core_ms += work_core_ms;
-        done
+        }
     }
 
     /// Total core-milliseconds of work served.
@@ -351,6 +396,17 @@ impl DenseCpuServer {
     /// The thrash multiplier.
     pub fn thrash(&self) -> f64 {
         self.thrash
+    }
+
+    /// `serve` calls so far.
+    pub fn serves(&self) -> u64 {
+        self.serves
+    }
+
+    /// `serve` calls whose under-commit bound did not fit the capacity,
+    /// so the max-min scan ran.
+    pub fn fair_scans(&self) -> u64 {
+        self.fair_scans
     }
 
     /// Grows the server by one slot for a task migrating onto this node;
@@ -564,28 +620,118 @@ mod tests {
 
     #[test]
     fn dense_server_matches_reference_bit_for_bit() {
-        // Same pseudo-random serve sequence through both servers: every
-        // completion time and the busy accounting must be identical down
-        // to the bit pattern.
-        let global_ids = vec![17, 3, 99, 42];
-        let mut reference = CpuServer::new(2.0, 0.8);
-        let mut dense = DenseCpuServer::new(2.0, 0.8, global_ids.clone());
-        let mut t = 0.0;
-        let mut x: u64 = 0x2545F491;
-        for _ in 0..500 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let local = (x >> 33) as usize % 4;
-            let work = 1.0 + ((x >> 7) % 20) as f64;
-            let a = reference.serve(t, global_ids[local], work);
-            let b = dense.serve(t, local, work);
-            assert_eq!(a.to_bits(), b.to_bits(), "diverged at t={t}");
-            t += ((x >> 13) % 8) as f64;
+        // Each regime drives a pseudo-random serve sequence through both
+        // servers: every completion time and the busy accounting must be
+        // identical down to the bit pattern, whichever branch `serve`
+        // takes (the under-commit certificate or the max-min scan).
+        struct Regime {
+            name: &'static str,
+            cores: f64,
+            thrash: f64,
+            tasks: usize,
+            calls: usize,
+            /// Work of call `k` and the gap after it, from a random word.
+            step: fn(usize, u64) -> (f64, f64),
+            /// Minimum (fits → scan, scan → fits) branch switches.
+            switches: (u64, u64),
         }
-        assert_eq!(
-            reference.busy_core_ms().to_bits(),
-            dense.busy_core_ms().to_bits()
+        let regimes = [
+            Regime {
+                name: "light tasks on 1 core",
+                cores: 1.0,
+                thrash: 1.0,
+                tasks: 4,
+                calls: 500,
+                step: |_, x| {
+                    let work = 0.1 + ((x >> 7) % 10) as f64 * 0.1;
+                    (work, 20.0 + ((x >> 13) % 30) as f64)
+                },
+                switches: (0, 0),
+            },
+            Regime {
+                name: "heavy tasks on 2 cores, thrash 0.8",
+                cores: 2.0,
+                thrash: 0.8,
+                tasks: 4,
+                calls: 1_500,
+                step: |_, x| (1.0 + ((x >> 7) % 20) as f64, ((x >> 13) % 8) as f64),
+                switches: (1, 0),
+            },
+            Regime {
+                // Alternating bursts and lulls, each far longer than the
+                // demand time constant, cross the capacity both ways.
+                name: "bursts across the capacity boundary",
+                cores: 2.0,
+                thrash: 1.0,
+                tasks: 6,
+                calls: 4_000,
+                step: |k, x| {
+                    if (k / 1_000) % 2 == 0 {
+                        (5.0 + ((x >> 7) % 10) as f64, ((x >> 13) % 4) as f64)
+                    } else {
+                        let work = 0.1 + ((x >> 7) % 10) as f64 * 0.1;
+                        (work, 50.0 + ((x >> 13) % 50) as f64)
+                    }
+                },
+                switches: (2, 2),
+            },
+            Regime {
+                name: "100 tasks on 64 cores",
+                cores: 64.0,
+                thrash: 1.0,
+                tasks: 100,
+                calls: 8_000,
+                step: |_, x| (30.0 + ((x >> 7) % 40) as f64, ((x >> 13) % 2) as f64),
+                switches: (1, 0),
+            },
+        ];
+        let (mut certified, mut scanned) = (0, 0);
+        for r in &regimes {
+            // Distinct ids out of slot order, so tie-breaks by id differ
+            // from tie-breaks by slot.
+            let global_ids: Vec<usize> = (0..r.tasks).map(|k| (k * 37 + 11) % 101).collect();
+            let mut reference = CpuServer::new(r.cores, r.thrash);
+            let mut dense = DenseCpuServer::new(r.cores, r.thrash, global_ids.clone());
+            let mut t = 0.0;
+            let mut x: u64 = 0x2545F491;
+            let (mut up, mut down, mut was_scan) = (0, 0, false);
+            for k in 0..r.calls {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let local = (x >> 33) as usize % r.tasks;
+                let (work, gap) = (r.step)(k, x);
+                let scans_before = dense.fair_scans();
+                let a = reference.serve(t, global_ids[local], work);
+                let b = dense.serve(t, local, work);
+                assert_eq!(a.to_bits(), b.to_bits(), "{}: diverged at t={t}", r.name);
+                let is_scan = dense.fair_scans() > scans_before;
+                up += u64::from(is_scan && !was_scan);
+                down += u64::from(!is_scan && was_scan);
+                was_scan = is_scan;
+                t += gap;
+            }
+            assert_eq!(
+                reference.busy_core_ms().to_bits(),
+                dense.busy_core_ms().to_bits(),
+                "{}",
+                r.name
+            );
+            assert_eq!(dense.serves(), r.calls as u64, "{}", r.name);
+            assert!(
+                up >= r.switches.0 && down >= r.switches.1,
+                "{}: {up} switches to the scan and {down} back",
+                r.name
+            );
+            if r.switches.0 == 0 {
+                assert_eq!(dense.fair_scans(), 0, "{}: the bound always fits", r.name);
+            }
+            certified += dense.serves() - dense.fair_scans();
+            scanned += dense.fair_scans();
+        }
+        assert!(
+            certified > 0 && scanned > 0,
+            "the table takes both branches: {certified} certified, {scanned} scanned"
         );
     }
 

@@ -11,7 +11,10 @@
 //! * in-flight tuple trees live in a generational slab with a free-list
 //!   pool ([`crate::slab`]), not a `HashMap`;
 //! * per-node CPU contention state is a dense `Vec` indexed by
-//!   build-time slots ([`crate::servers::DenseCpuServer`]);
+//!   build-time slots ([`crate::servers::DenseCpuServer`]); a batch
+//!   start runs the max-min fair-share scan only when an exp-free demand
+//!   bound (undecayed demands, each at least its decayed value) exceeds
+//!   the node's capacity, since under it the scan's stretch is exactly 1;
 //! * throughput counters are a dense `Vec` indexed by interned sink ids —
 //!   no `String` is hashed, cloned or compared between the first and the
 //!   last event.
@@ -1489,7 +1492,7 @@ impl<'c> Engine<'c> {
             return;
         }
         self.node_down[node] = true;
-        // `node_tasks` is kept sorted by global task id (`apply_migration`
+        // `node_tasks` is kept sorted by global task id (`apply_moves`
         // inserts in order), so iterating it directly drains in a
         // migration-independent order — no clone-and-sort on the hot path.
         for k in 0..self.node_tasks[node].len() {
@@ -1765,6 +1768,8 @@ impl<'c> Engine<'c> {
                 root_pool_misses: self.roots.pool_misses,
                 max_live_roots: self.roots.max_live,
                 route_entries: self.build.route_entries() as u64,
+                cpu_serves: self.cpus.iter().map(DenseCpuServer::serves).sum(),
+                cpu_fair_scans: self.cpus.iter().map(DenseCpuServer::fair_scans).sum(),
             },
         };
         if self.config.check_invariants {
@@ -1890,6 +1895,30 @@ mod tests {
             d,
             report.totals.spout_batches
         );
+        // Every batch start is one CPU serve. These spouts run flat out,
+        // so on the nodes hosting them the exp-free demand bound exceeds
+        // the cores and most serves fall through to the max-min scan.
+        assert_eq!((d.cpu_serves, d.cpu_fair_scans), (99_127, 59_712));
+        // Paced at 1,000 tuples/s per spout, every node stays well under
+        // its cores and the bound certifies every serve: no scan runs.
+        let paced = linear_topology(
+            "t",
+            2,
+            ExecutionProfile::new(0.1, 1.0, 100).with_max_rate(1_000.0),
+            20.0,
+            128.0,
+        );
+        let paced = run_with(
+            &RStormScheduler::new(),
+            &paced,
+            &cluster,
+            SimConfig::quick(),
+        );
+        assert_eq!(paced.totals.roots_completed, 12_000);
+        assert_eq!(
+            (paced.debug.cpu_serves, paced.debug.cpu_fair_scans),
+            (48_002, 0)
+        );
     }
 
     #[test]
@@ -1949,6 +1978,12 @@ mod tests {
             report.totals.roots_timed_out > 0,
             "expected timeouts under overload: {:?}",
             report.totals
+        );
+        // Eight tasks on one over-committed node: nearly every batch
+        // start falls through the under-commit bound to the max-min scan.
+        assert_eq!(
+            (report.debug.cpu_serves, report.debug.cpu_fair_scans),
+            (3_797, 3_782)
         );
     }
 
@@ -2724,7 +2759,7 @@ mod tests {
 
     #[test]
     fn migration_bookkeeping_is_move_order_insensitive() {
-        // `apply_migration` keeps the membership lists sorted by global
+        // `apply_moves` keeps the membership lists sorted by global
         // task id, so a later crash/recover of a migration-touched node
         // must still produce identical results whatever order the moves
         // were listed in — the drain order never depends on move order.
