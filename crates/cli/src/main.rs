@@ -14,17 +14,19 @@
 
 use rstorm_cluster::Cluster;
 use rstorm_core::schedulers::EvenScheduler;
-use rstorm_core::{schedulers, verify_plan, GlobalState, RStormScheduler, Scheduler};
+use rstorm_core::{
+    schedulers, verify_plan, GlobalState, RStormScheduler, RecoveryConfig, Scheduler,
+};
 use rstorm_metrics::text_table;
 use rstorm_sim::{
-    run_adaptive_rebalance, run_control_outage, run_crash_recover, run_fuzz_campaign, run_sweep,
-    AdaptiveConfig, ChaosConfig, ControlOutageConfig, FuzzConfig, NetworkModel, SeedRange,
-    SimConfig, SimReport, Simulation,
+    run_adaptive_rebalance, run_fault_plan_with, run_fuzz_campaign, run_sweep, AdaptiveConfig,
+    FaultPlan, FuzzConfig, NetworkModel, SeedRange, SimConfig, SimReport, Simulation,
 };
 use rstorm_spec::{parse_cluster, parse_topology};
 use rstorm_topology::Topology;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 const USAGE: &str = "\
@@ -127,6 +129,36 @@ fn load_inputs(flags: &BTreeMap<String, String>) -> Result<(Topology, Cluster), 
     Ok((topology, cluster))
 }
 
+/// Parses the optional flag `--{name}`; `default` applies when it is
+/// absent. Range checks are the caller's.
+fn flag<T: FromStr>(flags: &BTreeMap<String, String>, name: &str, default: T) -> Result<T, String> {
+    match flags.get(name) {
+        Some(raw) => raw.parse().map_err(|_| format!("invalid --{name} `{raw}`")),
+        None => Ok(default),
+    }
+}
+
+/// The worker count: `--workers N` (at least 1), or every core.
+fn workers_flag(flags: &BTreeMap<String, String>) -> Result<usize, String> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match flag(flags, "workers", cores)? {
+        0 => Err("--workers must be at least 1".into()),
+        n => Ok(n),
+    }
+}
+
+/// Applies `--duration-s N` to `config`; absent, the horizon is kept.
+fn duration_flag(flags: &BTreeMap<String, String>, config: SimConfig) -> Result<SimConfig, String> {
+    let ms = flag(flags, "duration-s", config.sim_time_ms / 1000.0)? * 1000.0;
+    if !(ms.is_finite() && ms > 0.0) {
+        return Err(format!(
+            "--duration-s must be a positive number of seconds, got {}",
+            ms / 1000.0
+        ));
+    }
+    Ok(config.with_sim_time_ms(ms))
+}
+
 /// Parses `--journal on|off`; `default` applies when the flag is absent.
 fn journal_flag(flags: &BTreeMap<String, String>, default: bool) -> Result<bool, String> {
     match flags.get("journal").map(String::as_str) {
@@ -150,20 +182,9 @@ fn make_scheduler(flags: &BTreeMap<String, String>) -> Result<Box<dyn Scheduler>
 }
 
 fn sim_config(flags: &BTreeMap<String, String>) -> Result<SimConfig, String> {
-    let mut config = SimConfig::default();
-    if let Some(seconds) = flags.get("duration-s") {
-        let seconds: f64 = seconds
-            .parse()
-            .map_err(|_| format!("invalid --duration-s `{seconds}`"))?;
-        config = config.with_sim_time_ms(seconds * 1000.0);
-    }
-    if let Some(seed) = flags.get("seed") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| format!("invalid --seed `{seed}`"))?;
-        config = config.with_seed(seed);
-    }
-    Ok(config)
+    let config = duration_flag(flags, SimConfig::default())?;
+    let seed = flag(flags, "seed", config.seed)?;
+    Ok(config.with_seed(seed))
 }
 
 /// Applies `--network fair|legacy` to `config`. Absent, the config is
@@ -289,26 +310,22 @@ fn compare_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 }
 
 /// Runs a crash-then-recover chaos scenario: schedules with R-Storm,
-/// crashes the victim node mid-run, and reports detection/recovery
-/// latency plus the data-plane damage. With `--nimbus-down-ms N` the
-/// control plane itself goes dark 2 s before the crash for N ms, and a
-/// successor reassumes afterwards — journaled by default, cold with
-/// `--journal off` — reporting time-to-reassume and the journal
-/// decisions replayed alongside the usual recovery metrics.
+/// crashes the victim node mid-run, heals it, and reports
+/// detection/recovery latency plus the data-plane damage. With
+/// `--nimbus-down-ms N` the control plane itself goes dark 2 s before the
+/// crash for N ms, and a successor reassumes afterwards — journaled by
+/// default, cold with `--journal off` — reporting time-to-reassume and
+/// the journal decisions replayed as well. A final plan that violates a
+/// constraint is an error.
 fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (topology, cluster) = load_inputs(flags)?;
     let config = apply_network_flag(flags, sim_config(flags)?)?;
     let duration_s = config.sim_time_ms / 1000.0;
 
-    let parse_s = |name: &str, default: f64| -> Result<f64, String> {
-        match flags.get(name) {
-            Some(raw) => raw.parse().map_err(|_| format!("invalid --{name} `{raw}`")),
-            None => Ok(default),
-        }
-    };
-    let crash_at_s = parse_s("crash-at-s", duration_s / 3.0)?;
-    let heal_at_s = parse_s("heal-at-s", crash_at_s + duration_s / 4.0)?;
-    if !(crash_at_s >= 0.0 && crash_at_s < heal_at_s) {
+    let crash_at_s = flag(flags, "crash-at-s", duration_s / 3.0)?;
+    let heal_at_s = flag(flags, "heal-at-s", crash_at_s + duration_s / 4.0)?;
+    let (crash_at_ms, heal_at_ms) = (crash_at_s * 1000.0, heal_at_s * 1000.0);
+    if !(crash_at_ms >= 0.0 && crash_at_ms < heal_at_ms && heal_at_ms.is_finite()) {
         return Err(format!(
             "need 0 <= --crash-at-s ({crash_at_s}) < --heal-at-s ({heal_at_s})"
         ));
@@ -334,114 +351,50 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 
     // `--replay` turns on guaranteed processing with a default budget of
     // 3 re-emissions per root; `--max-replays` sets the budget exactly.
-    let max_replays: u32 = match flags.get("max-replays") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid --max-replays `{raw}`"))?,
-        None if flags.contains_key("replay") => 3,
-        None => 0,
-    };
+    let default_replays = if flags.contains_key("replay") { 3 } else { 0 };
+    let max_replays: u32 = flag(flags, "max-replays", default_replays)?;
 
-    let mut chaos = ChaosConfig::new(victim.clone(), crash_at_s * 1000.0, heal_at_s * 1000.0);
-    chaos.sim = config.with_max_replays(max_replays);
-
-    // `--nimbus-down-ms` switches to the control-plane outage scenario:
-    // Nimbus goes dark 2 s before the crash, so the victim's silence
-    // starts while nobody is watching.
-    if let Some(raw) = flags.get("nimbus-down-ms") {
-        let nimbus_down_ms: f64 = raw
-            .parse()
-            .ok()
-            .filter(|ms: &f64| ms.is_finite() && *ms > 0.0)
-            .ok_or_else(|| {
-                format!("invalid --nimbus-down-ms `{raw}` (need a positive duration)")
-            })?;
-        let journal = journal_flag(flags, true)?;
-        chaos.recovery.journal = journal;
-        let outage = ControlOutageConfig::new(
-            chaos,
-            (crash_at_s * 1000.0 - 2_000.0).max(0.0),
-            nimbus_down_ms,
+    let mut plan = FaultPlan::new()
+        .crash_node(crash_at_ms, &victim)
+        .recover_node(heal_at_ms, &victim);
+    let mut recovery = RecoveryConfig::default();
+    // `--nimbus-down-ms` adds a control-plane outage: Nimbus goes dark
+    // 2 s before the crash, so the victim's silence starts while nobody
+    // is watching.
+    let mut outage = String::new();
+    if flags.contains_key("nimbus-down-ms") {
+        let down_ms: f64 = flag(flags, "nimbus-down-ms", 0.0)?;
+        if !(down_ms.is_finite() && down_ms > 0.0) {
+            return Err(format!(
+                "--nimbus-down-ms must be a positive duration, got {down_ms}"
+            ));
+        }
+        let down_at_ms = (crash_at_ms - 2_000.0).max(0.0);
+        plan = plan.nimbus_crash(down_at_ms, down_ms);
+        recovery.journal = journal_flag(flags, true)?;
+        outage = format!(
+            ", Nimbus down {:.0}..{:.0} s, journal {}",
+            down_at_ms / 1000.0,
+            (down_at_ms + down_ms) / 1000.0,
+            if recovery.journal { "on" } else { "off" }
         );
-        let out = run_control_outage(&cluster, &topology, &outage, &RStormScheduler::new())
-            .map_err(|e| e.to_string())?;
-        let audit = out
-            .reconciliation
-            .expect("a Nimbus outage carries an audit");
-
-        println!(
-            "control outage on `{}`: crash {victim} at {crash_at_s:.0} s, Nimbus down \
-             {:.0}..{:.0} s, journal {} (sim {duration_s:.0} s{})\n",
-            topology.id(),
-            outage.nimbus_down_at_ms / 1000.0,
-            (outage.nimbus_down_at_ms + nimbus_down_ms) / 1000.0,
-            if journal { "on" } else { "off" },
-            if max_replays > 0 {
-                format!(", replay budget {max_replays}")
-            } else {
-                String::new()
-            }
-        );
-        for event in &out.events {
-            println!("  {event:?}");
-        }
-        println!();
-        if audit.time_to_reassume_ms >= 0.0 {
-            println!(
-                "time to reassume: {:.0} ms after Nimbus went down",
-                audit.time_to_reassume_ms
-            );
-        } else {
-            println!("time to reassume: never (the outage outlived the run)");
-        }
-        println!("journal decisions replayed: {}", audit.decisions_replayed);
-        let obs = out.observations;
-        if obs.time_to_detect_ms >= 0.0 {
-            println!(
-                "time to detect: {:.0} ms after the crash",
-                obs.time_to_detect_ms
-            );
-        } else {
-            println!("time to detect: never (within the run)");
-        }
-        if obs.time_to_recover_ms >= 0.0 {
-            println!(
-                "time to full re-placement: {:.0} ms after the crash",
-                obs.time_to_recover_ms
-            );
-        } else {
-            println!("time to full re-placement: never (within the run)");
-        }
-        if max_replays > 0 {
-            println!(
-                "replay: {} roots re-emitted; {} tuples quarantined; zero-loss ratio {:.3}",
-                obs.roots_replayed,
-                obs.tuples_quarantined,
-                out.report.zero_loss_ratio()
-            );
-        }
-        println!();
-        print_report(&topology, &out.report);
-
-        let violations = verify_plan(&out.plan, &[&topology], &cluster);
-        if violations.is_empty() {
-            println!("final plan verified: no constraint violations");
-            return Ok(());
-        }
-        let mut lines = vec![format!("final plan has {} violation(s):", violations.len())];
-        lines.extend(violations.iter().map(|v| format!("  - {v}")));
-        return Err(lines.join("\n"));
-    }
-    if flags.contains_key("journal") {
+    } else if flags.contains_key("journal") {
         return Err("--journal requires --nimbus-down-ms".into());
     }
 
-    let out = run_crash_recover(&cluster, &topology, &chaos, &RStormScheduler::new())
-        .map_err(|e| e.to_string())?;
+    let out = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &plan,
+        &config.with_max_replays(max_replays),
+        &recovery,
+        &RStormScheduler::new(),
+    )
+    .map_err(|e| e.to_string())?;
 
     println!(
-        "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s \
-         (sim {duration_s:.0} s{})\n",
+        "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s\
+         {outage} (sim {duration_s:.0} s{})\n",
         topology.id(),
         if max_replays > 0 {
             format!(", replay budget {max_replays}")
@@ -452,8 +405,19 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     for event in &out.events {
         println!("  {event:?}");
     }
-    let obs = out.observations;
     println!();
+    if let Some(audit) = out.reconciliation {
+        if audit.time_to_reassume_ms >= 0.0 {
+            println!(
+                "time to reassume: {:.0} ms after Nimbus went down",
+                audit.time_to_reassume_ms
+            );
+        } else {
+            println!("time to reassume: never (the outage outlived the run)");
+        }
+        println!("journal decisions replayed: {}", audit.decisions_replayed);
+    }
+    let obs = out.observations;
     if obs.time_to_detect_ms >= 0.0 {
         println!(
             "time to detect: {:.0} ms after the crash",
@@ -490,15 +454,22 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     print_report(&topology, &out.report);
 
     let violations = verify_plan(&out.plan, &[&topology], &cluster);
+    let mut lines = Vec::new();
     if violations.is_empty() {
         println!("final plan verified: no constraint violations");
     } else {
-        println!("final plan has {} violation(s):", violations.len());
-        for v in &violations {
-            println!("  - {v}");
-        }
+        lines.push(format!("final plan has {} violation(s):", violations.len()));
+        lines.extend(violations.iter().map(|v| format!("  - {v}")));
     }
-    Ok(())
+    if !out.violations.is_empty() {
+        lines.push(format!("run broke {} invariant(s):", out.violations.len()));
+        lines.extend(out.violations.iter().map(|v| format!("  - {v}")));
+    }
+    if lines.is_empty() {
+        Ok(())
+    } else {
+        Err(lines.join("\n"))
+    }
 }
 
 /// Runs the adaptive rebalance plane end to end: profiles the R-Storm
@@ -509,20 +480,14 @@ fn rebalance_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let config = sim_config(flags)?;
     let duration_s = config.sim_time_ms / 1000.0;
 
-    let parse_f = |name: &str, default: f64| -> Result<f64, String> {
-        match flags.get(name) {
-            Some(raw) => raw.parse().map_err(|_| format!("invalid --{name} `{raw}`")),
-            None => Ok(default),
-        }
-    };
     let mut adaptive = AdaptiveConfig::default();
     // Defaults scale with the horizon so short runs still observe,
     // rebalance and then measure the effect.
-    adaptive.observe_ms = parse_f("observe-s", duration_s / 3.0)? * 1000.0;
+    adaptive.observe_ms = flag(flags, "observe-s", duration_s / 3.0)? * 1000.0;
     adaptive.stats_interval_ms = (adaptive.observe_ms / 10.0).max(1.0);
-    adaptive.rebalance_at_ms = parse_f("rebalance-at-s", duration_s / 3.0)? * 1000.0;
-    adaptive.pause_ms = parse_f("pause-ms", adaptive.pause_ms)?;
-    adaptive.alpha = parse_f("alpha", adaptive.alpha)?;
+    adaptive.rebalance_at_ms = flag(flags, "rebalance-at-s", duration_s / 3.0)? * 1000.0;
+    adaptive.pause_ms = flag(flags, "pause-ms", adaptive.pause_ms)?;
+    adaptive.alpha = flag(flags, "alpha", adaptive.alpha)?;
     if !(adaptive.observe_ms > 0.0 && adaptive.observe_ms.is_finite()) {
         return Err(format!(
             "--observe-s must be positive, got {}",
@@ -634,20 +599,7 @@ fn sweep_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     // (congestion specs use it regardless; this flag extends it to every
     // job). `--network legacy` is the explicit default spelling.
     grid.sim = apply_network_flag(flags, grid.sim)?;
-    let workers: usize = match flags.get("workers") {
-        Some(raw) => {
-            let n = raw
-                .parse()
-                .map_err(|_| format!("invalid --workers `{raw}`"))?;
-            if n == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            n
-        }
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
+    let workers = workers_flag(flags)?;
 
     println!(
         "sweeping {} jobs ({} cases x {} schedulers x {} faults x {} seeds) on {} worker(s)...",
@@ -703,42 +655,20 @@ fn fuzz_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         schedulers::by_name(name).ok_or_else(|| format!("unknown scheduler `{name}`"))?;
 
     let mut cfg = FuzzConfig::default();
-    if let Some(raw) = flags.get("iterations") {
-        cfg.iterations = raw
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("invalid --iterations `{raw}` (need a positive integer)"))?;
+    cfg.iterations = flag(flags, "iterations", cfg.iterations)?;
+    if cfg.iterations == 0 {
+        return Err("--iterations must be at least 1".into());
     }
-    if let Some(raw) = flags.get("seed") {
-        cfg.seed = raw.parse().map_err(|_| format!("invalid --seed `{raw}`"))?;
+    cfg.seed = flag(flags, "seed", cfg.seed)?;
+    cfg.max_atoms = flag(flags, "max-atoms", cfg.max_atoms)?;
+    if cfg.max_atoms == 0 {
+        return Err("--max-atoms must be at least 1".into());
     }
-    if let Some(raw) = flags.get("max-atoms") {
-        cfg.max_atoms = raw
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("invalid --max-atoms `{raw}` (need a positive integer)"))?;
-    }
-    if let Some(raw) = flags.get("duration-s") {
-        let seconds: f64 = raw
-            .parse()
-            .map_err(|_| format!("invalid --duration-s `{raw}`"))?;
-        cfg.sim = cfg.sim.with_sim_time_ms(seconds * 1000.0);
-    }
+    cfg.sim = duration_flag(flags, cfg.sim)?;
     // Journaled failover is the fuzz default (Nimbus-outage atoms are in
     // the grammar); `--journal off` fuzzes the cold-successor plane.
     cfg.recovery.journal = journal_flag(flags, cfg.recovery.journal)?;
-    let workers: usize = match flags.get("workers") {
-        Some(raw) => raw
-            .parse()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("invalid --workers `{raw}` (need a positive integer)"))?,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    };
+    let workers = workers_flag(flags)?;
 
     println!(
         "fuzzing `{}` under the {} scheduler: {} iterations, seed {}, horizon {:.0} s, \
@@ -785,36 +715,22 @@ fn fuzz_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn scale_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     use rstorm_workloads::scale;
 
-    let parse_u32 = |name: &str, default: u32| -> Result<u32, String> {
-        match flags.get(name) {
-            Some(raw) => raw.parse().map_err(|_| format!("invalid --{name} `{raw}`")),
-            None => Ok(default),
-        }
-    };
-    let tasks = parse_u32("tasks", scale::SCALE_TASKS)?;
+    let tasks = flag(flags, "tasks", scale::SCALE_TASKS)?;
     if tasks < 2 {
         return Err(format!("--tasks must be at least 2, got {tasks}"));
     }
-    let nodes = parse_u32("nodes", scale::SCALE_NODES)?;
+    let nodes = flag(flags, "nodes", scale::SCALE_NODES)?;
     if nodes == 0 {
         return Err("--nodes must be at least 1".into());
     }
-    let horizon_ms: f64 = match flags.get("horizon-ms") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid --horizon-ms `{raw}`"))?,
-        None => scale::SCALE_HORIZON_MS,
-    };
+    let horizon_ms = flag(flags, "horizon-ms", scale::SCALE_HORIZON_MS)?;
     if !(horizon_ms > 0.0 && horizon_ms.is_finite()) {
         return Err(format!("--horizon-ms must be positive, got {horizon_ms}"));
     }
-    let mut config = SimConfig::default().with_sim_time_ms(horizon_ms);
-    if let Some(seed) = flags.get("seed") {
-        let seed: u64 = seed
-            .parse()
-            .map_err(|_| format!("invalid --seed `{seed}`"))?;
-        config = config.with_seed(seed);
-    }
+    let seed = flag(flags, "seed", SimConfig::default().seed)?;
+    let config = SimConfig::default()
+        .with_sim_time_ms(horizon_ms)
+        .with_seed(seed);
     let churn = flags.contains_key("churn");
 
     let topology = scale::scale_topology(tasks);
@@ -1129,6 +1045,49 @@ mod tests {
         stray_journal.extend(["--journal".to_owned(), "on".to_owned()]);
         let err = chaos_cmd(&parse_flags(&stray_journal).unwrap()).unwrap_err();
         assert!(err.contains("--nimbus-down-ms"), "{err}");
+    }
+
+    /// Flags naming a two-node cluster and a topology given as spec text.
+    fn spec_flags(test: &str, topology: &str) -> BTreeMap<String, String> {
+        let dir = std::env::temp_dir().join(test);
+        std::fs::create_dir_all(&dir).unwrap();
+        let topo = dir.join("t.spec");
+        let clus = dir.join("c.spec");
+        std::fs::write(&topo, topology).unwrap();
+        std::fs::write(
+            &clus,
+            "cluster\nrack r0\n  node n0 cpu=100 mem=2048 slots=4\n  node n1 cpu=100 mem=2048 slots=4\n",
+        )
+        .unwrap();
+        let mut flags = BTreeMap::new();
+        flags.insert("topology".into(), topo.to_string_lossy().into_owned());
+        flags.insert("cluster".into(), clus.to_string_lossy().into_owned());
+        flags
+    }
+
+    #[test]
+    fn non_positive_duration_is_a_typed_error_in_every_command() {
+        let base = spec_flags(
+            "rstorm-cli-duration-test",
+            "topology t\nspout s parallelism=1 cpu=20 mem=128\n\
+             bolt k parallelism=1 cpu=20 mem=128 emit=0\n  subscribe s shuffle\n",
+        );
+        type Command = fn(&BTreeMap<String, String>) -> Result<(), String>;
+        let commands: [(&str, Command); 5] = [
+            ("simulate", simulate_cmd),
+            ("compare", compare_cmd),
+            ("chaos", chaos_cmd),
+            ("rebalance", rebalance_cmd),
+            ("fuzz", fuzz_cmd),
+        ];
+        for (name, command) in commands {
+            for bad in ["0", "-5", "NaN", "inf"] {
+                let mut flags = base.clone();
+                flags.insert("duration-s".into(), bad.into());
+                let err = command(&flags).unwrap_err();
+                assert!(err.contains("--duration-s"), "{name} {bad}: {err}");
+            }
+        }
     }
 
     #[test]

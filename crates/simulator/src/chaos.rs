@@ -1,10 +1,8 @@
 //! The chaos harness: one closed-loop runner behind every fault scenario.
 //!
-//! Each scenario is a [`FaultPlan`] handed to the same private core:
-//! [`run_crash_recover`] crashes one victim and heals it,
-//! [`run_control_outage`] does the same through a Nimbus outage, and
-//! [`run_fault_plan_with`] runs an arbitrary plan (the chaos fuzzer's
-//! input). The core
+//! A scenario is a [`FaultPlan`] and nothing else: a crash-then-heal, a
+//! crash under a Nimbus outage, a partition or the chaos fuzzer's
+//! generated plans all run through [`run_fault_plan_with`], which
 //!
 //! 1. resolves every node and rack name the plan references;
 //! 2. places the topology on the healthy cluster;
@@ -23,12 +21,9 @@
 //!    changed at that instant, so the data plane runs what the control
 //!    plane decided;
 //! 4. folds the recovery events and the report into one
-//!    [`RecoveryObservations`];
+//!    [`RecoveryObservations`], measured from the plan's anchor (see
+//!    [`RecoveryObservations::crash_at_ms`]);
 //! 5. attaches a [`ReconcileAudit`] when the plan carries control faults.
-//!
-//! The victim scenarios run their crash-and-heal plan through the same
-//! core. The one difference is the anchor: their observations measure
-//! from the crash, where a plain plan's measure from its earliest fault.
 //!
 //! The run is deterministic, so the whole [`ChaosOutcome`] — report bits
 //! included — is a pure function of the scenario's inputs.
@@ -47,17 +42,12 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// Why a chaos scenario or fault-plan run could not start. Fuzzed
-/// clusters and plans routinely hit these (an unschedulable topology, a
-/// generated name that resolves nowhere); surfacing them as values lets
-/// a campaign record the outcome and move on instead of aborting.
+/// Why a fault-plan run could not start. Fuzzed clusters and plans
+/// routinely hit these (an unschedulable topology, a generated name that
+/// resolves nowhere); surfacing them as values lets a campaign record the
+/// outcome and move on instead of aborting.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChaosError {
-    /// The scenario's victim names no node of the cluster.
-    UnknownVictim {
-        /// The configured victim.
-        victim: String,
-    },
     /// A fault-plan event names no node of the cluster.
     UnknownNode {
         /// The unresolvable node name.
@@ -91,9 +81,6 @@ pub enum ChaosError {
 impl fmt::Display for ChaosError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::UnknownVictim { victim } => {
-                write!(f, "chaos victim `{victim}` is not a node of the cluster")
-            }
             Self::UnknownNode { node } => {
                 write!(f, "fault plan references unknown node `{node}`")
             }
@@ -113,138 +100,15 @@ impl fmt::Display for ChaosError {
 
 impl std::error::Error for ChaosError {}
 
-/// One crash-then-recover scenario: which node dies, when, and for how
-/// long, plus the simulation and recovery-loop knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosConfig {
-    /// The node to crash. Must exist in the cluster.
-    pub victim: String,
-    /// Simulation time of the crash, in milliseconds.
-    pub crash_at_ms: f64,
-    /// Simulation time the victim starts heartbeating again. Use a value
-    /// past `sim.sim_time_ms` for a crash that never heals.
-    pub heal_at_ms: f64,
-    /// Data-plane simulation parameters.
-    pub sim: SimConfig,
-    /// Control-plane recovery-loop parameters.
-    pub recovery: RecoveryConfig,
-}
-
-impl ChaosConfig {
-    /// A scenario with default simulation and recovery knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= crash_at_ms < heal_at_ms` and both are finite.
-    pub fn new(victim: impl Into<String>, crash_at_ms: f64, heal_at_ms: f64) -> Self {
-        assert!(
-            crash_at_ms.is_finite() && heal_at_ms.is_finite() && crash_at_ms >= 0.0,
-            "chaos times must be finite and non-negative, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        assert!(
-            crash_at_ms < heal_at_ms,
-            "the victim must heal after it crashes, got crash={crash_at_ms} heal={heal_at_ms}"
-        );
-        Self {
-            victim: victim.into(),
-            crash_at_ms,
-            heal_at_ms,
-            sim: SimConfig::default(),
-            recovery: RecoveryConfig::default(),
-        }
-    }
-
-    /// The scenario as a plan: the victim is down over
-    /// `[crash_at_ms, heal_at_ms)`, for good when the heal time is not
-    /// finite.
-    fn fault_plan(&self) -> FaultPlan {
-        let plan = FaultPlan::new().crash_node(self.crash_at_ms, &self.victim);
-        if self.heal_at_ms.is_finite() {
-            plan.recover_node(self.heal_at_ms, &self.victim)
-        } else {
-            plan
-        }
-    }
-
-    /// Runs `plan` (this scenario's crash and heal plus any extra
-    /// faults) with crash-anchored observations.
-    fn run_plan(
-        &self,
-        cluster: &Arc<Cluster>,
-        topology: &Topology,
-        plan: &FaultPlan,
-        scheduler: &(dyn Scheduler + '_),
-    ) -> Result<ChaosOutcome, ChaosError> {
-        if !cluster
-            .nodes()
-            .iter()
-            .any(|n| n.id().as_str() == self.victim)
-        {
-            return Err(ChaosError::UnknownVictim {
-                victim: self.victim.clone(),
-            });
-        }
-        run_closed_loop(
-            cluster,
-            topology,
-            plan,
-            &self.sim,
-            &self.recovery,
-            scheduler,
-            Some(self.crash_at_ms),
-        )
-        .map(|run| run.outcome)
-    }
-}
-
-/// One control-plane outage scenario: a [`ChaosConfig`] crash plus a
-/// Nimbus outage over `[nimbus_down_at_ms, nimbus_down_at_ms +
-/// nimbus_down_ms)`. Whether the failover is journaled is governed by
-/// `chaos.recovery.journal` (see [`rstorm_core::RecoveryConfig`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ControlOutageConfig {
-    /// The data-plane crash, the simulation and the recovery loop.
-    pub chaos: ChaosConfig,
-    /// Simulation time Nimbus goes down.
-    pub nimbus_down_at_ms: f64,
-    /// Length of the Nimbus outage in milliseconds.
-    pub nimbus_down_ms: f64,
-}
-
-impl ControlOutageConfig {
-    /// `chaos` with a Nimbus outage added (note the default journal is
-    /// **off** — a cold failover).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the Nimbus window start is finite and non-negative
-    /// and its duration is finite and positive.
-    pub fn new(chaos: ChaosConfig, nimbus_down_at_ms: f64, nimbus_down_ms: f64) -> Self {
-        assert!(
-            nimbus_down_at_ms.is_finite() && nimbus_down_at_ms >= 0.0,
-            "the Nimbus outage needs a finite non-negative start"
-        );
-        assert!(
-            nimbus_down_ms.is_finite() && nimbus_down_ms > 0.0,
-            "the Nimbus outage must last a positive duration"
-        );
-        Self {
-            chaos,
-            nimbus_down_at_ms,
-            nimbus_down_ms,
-        }
-    }
-}
-
-/// Everything a chaos scenario or fault-plan run produced.
+/// Everything a fault-plan run produced.
 #[derive(Debug, Clone)]
 pub struct ChaosOutcome {
     /// The fault-injected simulation report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
-    /// Invariant violations the checked engine observed — always empty
-    /// unless `check_invariants` was on in the simulation config (the
-    /// fuzzer's oracle input).
+    /// Invariant violations the checked engine observed — empty unless
+    /// the engine broke an accounting identity or reported an insane
+    /// metric (the fuzzer's oracle input).
     pub violations: Vec<InvariantViolation>,
     /// The control-plane recovery events, in occurrence order.
     pub events: Vec<RecoveryEvent>,
@@ -255,9 +119,8 @@ pub struct ChaosOutcome {
     /// The derived recovery metrics (also embedded in `report`).
     pub observations: RecoveryObservations,
     /// Post-failover reconciliation audit — `Some` exactly when the plan
-    /// carried control-plane events ([`FaultPlan::has_control_faults`]):
-    /// every [`run_control_outage`], and the fuzz plane's
-    /// reconciliation-oracle input.
+    /// carried control-plane events ([`FaultPlan::has_control_faults`]);
+    /// the fuzz plane's reconciliation-oracle input.
     pub reconciliation: Option<ReconcileAudit>,
 }
 
@@ -289,59 +152,25 @@ pub struct ReconcileAudit {
     pub double_placed_or_orphaned: bool,
 }
 
-/// Runs the crash-then-recover scenario described by `cfg` for one
-/// topology. `scheduler` computes both the initial placement and every
+/// Runs a [`FaultPlan`] — crashes, recovers, flap storms, crash bursts,
+/// link degradations, rack partitions, Nimbus outages and
+/// control-channel losses — with the recovery loop inside the run.
+/// `scheduler` computes both the initial placement and every
 /// control-plane re-placement, so a scenario grid can compare recovery
-/// behavior across schedulers. See the module docs for the run.
-///
-/// # Errors
-///
-/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn run_crash_recover(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ChaosConfig,
-    scheduler: &(dyn Scheduler + '_),
-) -> Result<ChaosOutcome, ChaosError> {
-    cfg.run_plan(cluster, topology, &cfg.fault_plan(), scheduler)
-}
-
-/// Runs a crash-then-recover scenario through a Nimbus outage: the
-/// victim goes silent as in [`run_crash_recover`], but during the
-/// outage the control plane observes nothing and decides nothing. At
-/// the first tick after the window a successor reassumes — replaying
-/// the journal when `cfg.chaos.recovery.journal` is on, starting cold
-/// (and blind to any node that fell silent before the failover)
-/// otherwise. The outcome's [`ChaosOutcome::reconciliation`] carries
-/// the time to reassume and the decisions replayed.
-///
-/// # Errors
-///
-/// [`ChaosError::UnknownVictim`] and [`ChaosError::InitialPlacement`].
-pub fn run_control_outage(
-    cluster: &Arc<Cluster>,
-    topology: &Topology,
-    cfg: &ControlOutageConfig,
-    scheduler: &(dyn Scheduler + '_),
-) -> Result<ChaosOutcome, ChaosError> {
-    let plan = cfg
-        .chaos
-        .fault_plan()
-        .nimbus_crash(cfg.nimbus_down_at_ms, cfg.nimbus_down_ms);
-    cfg.chaos.run_plan(cluster, topology, &plan, scheduler)
-}
-
-/// Runs an arbitrary [`FaultPlan`] — crashes, recovers, flap storms,
-/// crash bursts, link degradations, rack partitions, Nimbus outages and
-/// control-channel losses — with the recovery loop inside the run. The
-/// observations anchor on the plan's earliest fault (or `0` for an
-/// empty plan).
+/// behavior across schedulers. See the module docs for the run and
+/// [`RecoveryObservations::crash_at_ms`] for the anchor the
+/// observations measure from.
 ///
 /// # Errors
 ///
 /// [`ChaosError::UnknownNode`] / [`ChaosError::UnknownRack`] when the
 /// plan references names the cluster does not have, and
 /// [`ChaosError::InitialPlacement`] when the topology cannot place.
+///
+/// # Panics
+///
+/// In a debug build, if the run reports an [`InvariantViolation`] (the
+/// fuzzer reads them through [`ChaosOutcome::violations`] instead).
 pub fn run_fault_plan_with(
     cluster: &Arc<Cluster>,
     topology: &Topology,
@@ -350,8 +179,13 @@ pub fn run_fault_plan_with(
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
 ) -> Result<ChaosOutcome, ChaosError> {
-    run_closed_loop(cluster, topology, plan, sim_cfg, recovery, scheduler, None)
-        .map(|run| run.outcome)
+    let out = run_closed_loop(cluster, topology, plan, sim_cfg, recovery, scheduler)?.outcome;
+    debug_assert!(
+        out.violations.is_empty(),
+        "invariant violations: {:?}",
+        out.violations
+    );
+    Ok(out)
 }
 
 /// What the core hands back: the public outcome plus the
@@ -364,10 +198,7 @@ pub(crate) struct ClosedLoopRun {
     pub(crate) placement_agrees: bool,
 }
 
-/// The one core (see the module docs): runs `plan` with the recovery
-/// loop inside the engine and measures the observations from
-/// `anchor_ms`, by default the plan's earliest fault (`0` for an empty
-/// plan).
+/// The one core behind [`run_fault_plan_with`] (see the module docs).
 pub(crate) fn run_closed_loop(
     cluster: &Arc<Cluster>,
     topology: &Topology,
@@ -375,7 +206,6 @@ pub(crate) fn run_closed_loop(
     sim_cfg: &SimConfig,
     recovery: &RecoveryConfig,
     scheduler: &(dyn Scheduler + '_),
-    anchor_ms: Option<f64>,
 ) -> Result<ClosedLoopRun, ChaosError> {
     // Resolve every name the plan references up front so fuzzed plans
     // surface as typed errors here instead of engine panics mid-run.
@@ -399,7 +229,7 @@ pub(crate) fn run_closed_loop(
         }
     }
 
-    let anchor_ms = anchor_ms.unwrap_or_else(|| plan.first_event_ms().unwrap_or(0.0));
+    let anchor_ms = anchor_ms(plan);
     let control = (**cluster).clone();
     let mut state = GlobalState::new(&control);
     let initial = scheduler
@@ -612,6 +442,26 @@ impl ControlLoop<'_> {
     }
 }
 
+/// The instant a run's observations measure from: the plan's earliest
+/// data-plane fault (a node crash, rack partition or link degradation);
+/// with none, its earliest event; `0` for an empty plan.
+fn anchor_ms(plan: &FaultPlan) -> f64 {
+    plan.events()
+        .iter()
+        .filter(|ev| {
+            matches!(
+                ev,
+                FaultEvent::NodeCrash { .. }
+                    | FaultEvent::RackPartition { .. }
+                    | FaultEvent::LinkDegrade { .. }
+            )
+        })
+        .map(FaultEvent::at_ms)
+        .reduce(f64::min)
+        .or_else(|| plan.first_event_ms())
+        .unwrap_or(0.0)
+}
+
 /// First detection, first reschedule, and first *full* reschedule times
 /// in an event stream.
 fn fold_recovery_events(events: &[RecoveryEvent]) -> (Option<f64>, Option<f64>, Option<f64>) {
@@ -667,12 +517,6 @@ fn dip_depth(windows: &[f64], window_ms: f64, crash_at_ms: f64, outage_end_ms: f
     ((steady_mean - outage_min) / steady_mean).clamp(0.0, 1.0)
 }
 
-/// The open-loop control-plane replay the in-engine loop replaced, kept
-/// as a differential oracle: it steps a [`RecoveryManager`] over
-/// heartbeat windows precomputed from the plan instead of reading the
-/// engine's liveness. Wherever the two views of liveness agree, the
-/// recovery events, the final plan and the [`ReconcileAudit`] must match
-/// the in-engine loop's.
 /// The open-loop control-plane replay the in-engine loop replaced, kept
 /// as a differential oracle: it steps a [`RecoveryManager`] over
 /// heartbeat windows precomputed from the plan instead of reading the
@@ -824,27 +668,63 @@ mod tests {
         host
     }
 
-    fn scenario(victim: String) -> ChaosConfig {
-        let mut cfg = ChaosConfig::new(victim, 20_000.0, 35_000.0);
-        cfg.sim = SimConfig::quick();
-        cfg
+    /// Crashes `victim` at `crash_at_ms` and heals it at `heal_at_ms`.
+    fn crash_heal(victim: &str, crash_at_ms: f64, heal_at_ms: f64) -> FaultPlan {
+        FaultPlan::new()
+            .crash_node(crash_at_ms, victim)
+            .recover_node(heal_at_ms, victim)
+    }
+
+    /// Runs `plan` for a quick horizon under R-Storm.
+    fn run_quick(
+        cluster: &Arc<Cluster>,
+        t: &Topology,
+        plan: &FaultPlan,
+        recovery: &RecoveryConfig,
+    ) -> Result<ChaosOutcome, ChaosError> {
+        run_fault_plan_with(
+            cluster,
+            t,
+            plan,
+            &SimConfig::quick(),
+            recovery,
+            &RStormScheduler::new(),
+        )
+    }
+
+    fn journaled() -> RecoveryConfig {
+        RecoveryConfig {
+            journal: true,
+            ..RecoveryConfig::default()
+        }
     }
 
     #[test]
     fn crash_is_detected_and_topology_fully_recovers() {
         let cluster = cluster();
         let t = topology();
-        let cfg = scenario(host_node(&cluster, &t));
-        let out = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let victim = host_node(&cluster, &t);
+        let recovery = RecoveryConfig::default();
+        let run = run_closed_loop(
+            &cluster,
+            &t,
+            &crash_heal(&victim, 20_000.0, 35_000.0),
+            &SimConfig::quick(),
+            &recovery,
+            &RStormScheduler::new(),
+        )
+        .unwrap();
+        let out = run.outcome;
 
         let obs = out.observations;
+        assert_eq!(obs.crash_at_ms, 20_000.0, "anchored on the crash");
         // Detection takes at least the miss window measured from the
         // victim's last heartbeat — which precedes the crash by at most
         // one interval.
-        let window = cfg.recovery.heartbeat_interval_ms * f64::from(cfg.recovery.miss_threshold);
+        let window = recovery.heartbeat_interval_ms * f64::from(recovery.miss_threshold);
         assert!(
-            obs.time_to_detect_ms >= window - cfg.recovery.heartbeat_interval_ms
-                && obs.time_to_detect_ms <= window + cfg.recovery.heartbeat_interval_ms,
+            obs.time_to_detect_ms >= window - recovery.heartbeat_interval_ms
+                && obs.time_to_detect_ms <= window + recovery.heartbeat_interval_ms,
             "detected after {} ms, window is {} ms",
             obs.time_to_detect_ms,
             window
@@ -872,33 +752,20 @@ mod tests {
         assert_eq!(out.report.recovery, Some(obs));
         // The re-placement really ran: every task sits where the final
         // plan put it, off the victim.
-        let run = run_closed_loop(
-            &cluster,
-            &t,
-            &cfg.fault_plan(),
-            &cfg.sim,
-            &cfg.recovery,
-            &RStormScheduler::new(),
-            Some(cfg.crash_at_ms),
-        )
-        .unwrap();
         assert!(run.placement_agrees);
-        assert!(!run
-            .outcome
-            .plan
-            .assignment(t.id().as_str())
-            .unwrap()
+        assert!(!assignment
             .used_nodes()
-            .contains(&rstorm_cluster::NodeId::new(cfg.victim.as_str())));
+            .contains(&rstorm_cluster::NodeId::new(victim.as_str())));
     }
 
     #[test]
     fn chaos_runs_are_deterministic() {
         let cluster = cluster();
         let t = topology();
-        let cfg = scenario(host_node(&cluster, &t));
-        let a = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
-        let b = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let plan = crash_heal(&host_node(&cluster, &t), 20_000.0, 35_000.0);
+        let recovery = RecoveryConfig::default();
+        let a = run_quick(&cluster, &t, &plan, &recovery).unwrap();
+        let b = run_quick(&cluster, &t, &plan, &recovery).unwrap();
         assert_eq!(a.report, b.report, "same scenario, same bits");
         assert_eq!(a.events, b.events);
         assert_eq!(a.report.to_json(), b.report.to_json());
@@ -927,9 +794,8 @@ mod tests {
         let t = b.build().unwrap();
 
         let victim = cluster.nodes()[0].id().as_str().to_owned();
-        let mut cfg = ChaosConfig::new(victim, 10_000.0, 120_000.0); // never heals in a quick run
-        cfg.sim = SimConfig::quick();
-        let out = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let plan = crash_heal(&victim, 10_000.0, 120_000.0); // never heals in a quick run
+        let out = run_quick(&cluster, &t, &plan, &RecoveryConfig::default()).unwrap();
 
         assert!(out.observations.time_to_detect_ms > 0.0, "crash detected");
         assert!(
@@ -944,24 +810,6 @@ mod tests {
         assert!(!verify_plan(&out.plan, &[&t], &cluster)
             .iter()
             .any(|v| matches!(v, rstorm_core::Violation::MemoryOvercommit { .. })));
-    }
-
-    #[test]
-    fn unknown_victim_is_rejected() {
-        let err = run_crash_recover(
-            &cluster(),
-            &topology(),
-            &ChaosConfig::new("ghost", 1.0, 2.0),
-            &RStormScheduler::new(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            ChaosError::UnknownVictim {
-                victim: "ghost".into()
-            }
-        );
-        assert!(err.to_string().contains("ghost"));
     }
 
     #[test]
@@ -981,64 +829,42 @@ mod tests {
             .set_memory_load(1e9);
         let t = b.build().unwrap();
         let victim = cluster.nodes()[0].id().as_str().to_owned();
-        let cfg = ChaosConfig::new(victim, 1_000.0, 2_000.0);
-        let err = run_crash_recover(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap_err();
-        assert!(
-            matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
-            "got {err:?}"
-        );
-        // The outage scenario surfaces the same failure the same way.
-        let outage = ControlOutageConfig::new(cfg, 500.0, 1_000.0);
-        let err = run_control_outage(&cluster, &t, &outage, &RStormScheduler::new()).unwrap_err();
-        assert!(
-            matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
-            "got {err:?}"
-        );
-    }
-
-    /// Asserts two outcomes equal field by field, report bits included.
-    fn assert_same_outcome(a: &ChaosOutcome, b: &ChaosOutcome) {
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.report.to_json(), b.report.to_json());
-        assert_eq!(a.violations, b.violations);
-        assert_eq!(a.events, b.events);
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.observations, b.observations);
-        assert_eq!(a.reconciliation, b.reconciliation);
+        let plan = crash_heal(&victim, 1_000.0, 2_000.0);
+        // With and without a Nimbus outage, the failure surfaces the
+        // same way.
+        for plan in [plan.clone(), plan.nimbus_crash(500.0, 1_000.0)] {
+            let err = run_quick(&cluster, &t, &plan, &RecoveryConfig::default()).unwrap_err();
+            assert!(
+                matches!(err, ChaosError::InitialPlacement { ref topology, .. } if topology == "huge"),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]
-    fn victim_scenarios_share_the_plan_runners_control_plane() {
-        // Given the same crash and heal, the crash scenario and the plan
-        // runner run the same plan through the same closed loop, and
-        // both anchor on the crash: the outcomes are equal, report
-        // included.
+    fn observations_anchor_on_the_first_data_plane_fault() {
+        // Nimbus goes down at 3 s, before the crash at 4 s: the anchor is
+        // the crash, and detection and recovery are measured from it.
         let cluster = cluster();
         let t = topology();
-        let scheduler = RStormScheduler::new();
-        let mut cfg = scenario(host_node(&cluster, &t));
-        cfg.recovery.journal = true;
-        let plan = FaultPlan::new()
-            .crash_node(cfg.crash_at_ms, &cfg.victim)
-            .recover_node(cfg.heal_at_ms, &cfg.victim);
-        let victim = run_crash_recover(&cluster, &t, &cfg, &scheduler).unwrap();
-        let planned =
-            run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
-        assert!(!victim.events.is_empty(), "the crash must be handled");
-        assert_same_outcome(&victim, &planned);
-        assert!(victim.reconciliation.is_none());
+        let victim = host_node(&cluster, &t);
+        let plan = crash_heal(&victim, 4_000.0, 12_000.0).nimbus_crash(3_000.0, 4_000.0);
+        let out = run_quick(&cluster, &t, &plan, &journaled()).unwrap();
+        let obs = out.observations;
+        assert_eq!(obs.crash_at_ms, 4_000.0);
+        let (detect_at, _, recovered_at) = fold_recovery_events(&out.events);
+        let detect_at = detect_at.expect("the journaled successor detects the crash");
+        let recovered_at = recovered_at.expect("the topology is fully re-placed");
+        assert_eq!(obs.time_to_detect_ms, detect_at - 4_000.0);
+        assert_eq!(obs.time_to_recover_ms, recovered_at - 4_000.0);
 
-        // A Nimbus window after the detection: the outage scenario and
-        // the plan runner also agree on the failover.
-        let (down_at, down_ms) = (28_000.0, 4_000.0);
-        let outage = ControlOutageConfig::new(cfg.clone(), down_at, down_ms);
-        let victim = run_control_outage(&cluster, &t, &outage, &scheduler).unwrap();
-        let plan = plan.nimbus_crash(down_at, down_ms);
-        let planned =
-            run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
-        assert_same_outcome(&victim, &planned);
-        let audit = victim.reconciliation.expect("outage audit");
-        assert!(audit.time_to_reassume_ms >= down_ms && audit.decisions_replayed > 0);
+        // A plan with no data-plane fault anchors on its earliest event,
+        // an empty plan on 0.
+        assert_eq!(
+            anchor_ms(&FaultPlan::new().nimbus_crash(3_000.0, 4_000.0)),
+            3_000.0
+        );
+        assert_eq!(anchor_ms(&FaultPlan::new()), 0.0);
     }
 
     #[test]
@@ -1046,32 +872,17 @@ mod tests {
         let cluster = cluster();
         let t = topology();
         let bad_node = FaultPlan::new().crash_node(1_000.0, "ghost");
-        let err = run_fault_plan_with(
-            &cluster,
-            &t,
-            &bad_node,
-            &SimConfig::quick(),
-            &RecoveryConfig::default(),
-            &RStormScheduler::new(),
-        )
-        .unwrap_err();
+        let err = run_quick(&cluster, &t, &bad_node, &RecoveryConfig::default()).unwrap_err();
         assert_eq!(
             err,
             ChaosError::UnknownNode {
                 node: "ghost".into()
             }
         );
+        assert!(err.to_string().contains("ghost"));
 
         let bad_rack = FaultPlan::new().partition_rack(1_000.0, 2_000.0, "ghost-rack");
-        let err = run_fault_plan_with(
-            &cluster,
-            &t,
-            &bad_rack,
-            &SimConfig::quick(),
-            &RecoveryConfig::default(),
-            &RStormScheduler::new(),
-        )
-        .unwrap_err();
+        let err = run_quick(&cluster, &t, &bad_rack, &RecoveryConfig::default()).unwrap_err();
         assert_eq!(
             err,
             ChaosError::UnknownRack {
@@ -1091,17 +902,8 @@ mod tests {
         let host = host_node(&cluster, &t);
         let rack = cluster.rack_of(&host).unwrap().as_str().to_owned();
         let plan = FaultPlan::new().partition_rack(20_000.0, 45_000.0, &rack);
-        let sim_cfg = SimConfig::quick();
         let recovery = RecoveryConfig::default();
-        let out = run_fault_plan_with(
-            &cluster,
-            &t,
-            &plan,
-            &sim_cfg,
-            &recovery,
-            &RStormScheduler::new(),
-        )
-        .unwrap();
+        let out = run_quick(&cluster, &t, &plan, &recovery).unwrap();
         assert!(
             out.events.iter().any(
                 |e| matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == host)
@@ -1115,15 +917,7 @@ mod tests {
             "intra-rack traffic is unaffected by the partition"
         );
         // Deterministic end to end.
-        let again = run_fault_plan_with(
-            &cluster,
-            &t,
-            &plan,
-            &sim_cfg,
-            &recovery,
-            &RStormScheduler::new(),
-        )
-        .unwrap();
+        let again = run_quick(&cluster, &t, &plan, &recovery).unwrap();
         assert_eq!(out.report, again.report);
         assert_eq!(out.report.to_json(), again.report.to_json());
         assert_eq!(out.events, again.events);
@@ -1136,21 +930,20 @@ mod tests {
         // roster's heartbeats on reassumption and still detects it.
         let cluster = cluster();
         let t = topology();
-        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 20_000.0, 50_000.0);
-        chaos.sim = SimConfig::quick();
-        let mut cfg = ControlOutageConfig::new(chaos, 18_000.0, 12_000.0);
-        cfg.chaos.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let victim = host_node(&cluster, &t);
+        let (down_at, down_ms) = (18_000.0, 12_000.0);
+        let plan = crash_heal(&victim, 20_000.0, 50_000.0).nimbus_crash(down_at, down_ms);
+        let recovery = journaled();
+        let out = run_quick(&cluster, &t, &plan, &recovery).unwrap();
         let audit = out.reconciliation.expect("an outage carries an audit");
 
         // Reassumption happens at the first tick past the 12 s window.
         assert!(
-            audit.time_to_reassume_ms >= cfg.nimbus_down_ms
-                && audit.time_to_reassume_ms
-                    <= cfg.nimbus_down_ms + 2.0 * cfg.chaos.recovery.heartbeat_interval_ms,
+            audit.time_to_reassume_ms >= down_ms
+                && audit.time_to_reassume_ms <= down_ms + 2.0 * recovery.heartbeat_interval_ms,
             "reassumed after {} ms of a {} ms outage",
             audit.time_to_reassume_ms,
-            cfg.nimbus_down_ms
+            down_ms
         );
         // Nothing was journaled pre-outage, so nothing replays — the
         // win here is the seeded roster, not the record replay.
@@ -1159,22 +952,20 @@ mod tests {
             .events
             .iter()
             .find_map(|e| match e {
-                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. }
-                    if *node == cfg.chaos.victim =>
-                {
+                RecoveryEvent::NodeDeclaredDead { node, at_ms, .. } if *node == victim => {
                     Some(*at_ms)
                 }
                 _ => None,
             })
             .expect("the successor must declare the masked crash");
         assert!(
-            declared >= cfg.nimbus_down_at_ms + cfg.nimbus_down_ms,
+            declared >= down_at + down_ms,
             "declared at {declared} ms, inside the outage"
         );
         assert!(out.observations.time_to_recover_ms >= out.observations.time_to_detect_ms);
 
         // Deterministic end to end.
-        let again = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let again = run_quick(&cluster, &t, &plan, &recovery).unwrap();
         assert_eq!(out.report, again.report);
         assert_eq!(out.events, again.events);
         assert_eq!(out.reconciliation, again.reconciliation);
@@ -1186,11 +977,11 @@ mod tests {
         // a heartbeat from the victim, so it can never count the misses.
         let cluster = cluster();
         let t = topology();
-        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 20_000.0, 50_000.0);
-        chaos.sim = SimConfig::quick();
-        let cfg = ControlOutageConfig::new(chaos, 18_000.0, 12_000.0);
-        assert!(!cfg.chaos.recovery.journal, "cold failover is the default");
-        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let plan = crash_heal(&host_node(&cluster, &t), 20_000.0, 50_000.0)
+            .nimbus_crash(18_000.0, 12_000.0);
+        let recovery = RecoveryConfig::default();
+        assert!(!recovery.journal, "cold failover is the default");
+        let out = run_quick(&cluster, &t, &plan, &recovery).unwrap();
 
         assert_eq!(out.reconciliation.unwrap().decisions_replayed, 0);
         assert!(
@@ -1210,11 +1001,9 @@ mod tests {
         // the successor replays those records and must not act twice.
         let cluster = cluster();
         let t = topology();
-        let mut chaos = ChaosConfig::new(host_node(&cluster, &t), 5_000.0, 50_000.0);
-        chaos.sim = SimConfig::quick();
-        let mut cfg = ControlOutageConfig::new(chaos, 14_000.0, 8_000.0);
-        cfg.chaos.recovery.journal = true;
-        let out = run_control_outage(&cluster, &t, &cfg, &RStormScheduler::new()).unwrap();
+        let victim = host_node(&cluster, &t);
+        let plan = crash_heal(&victim, 5_000.0, 50_000.0).nimbus_crash(14_000.0, 8_000.0);
+        let out = run_quick(&cluster, &t, &plan, &journaled()).unwrap();
 
         // At least the dead declaration and one reschedule were in the
         // journal when the outage hit.
@@ -1226,32 +1015,15 @@ mod tests {
         let declarations = out
             .events
             .iter()
-            .filter(|e| {
-                matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == cfg.chaos.victim)
-            })
+            .filter(
+                |e| matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == victim),
+            )
             .count();
         assert_eq!(
             declarations, 1,
             "the replayed dead set must suppress a duplicate declaration"
         );
         assert!(out.observations.time_to_detect_ms > 0.0);
-    }
-
-    #[test]
-    fn control_outage_rejects_unknown_victims_as_typed_error() {
-        let err = run_control_outage(
-            &cluster(),
-            &topology(),
-            &ControlOutageConfig::new(ChaosConfig::new("ghost", 1_000.0, 2_000.0), 500.0, 1_000.0),
-            &RStormScheduler::new(),
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            ChaosError::UnknownVictim {
-                victim: "ghost".into()
-            }
-        );
     }
 
     /// The fuzz corpus's cluster (two racks of two nodes) and workload
@@ -1315,7 +1087,7 @@ mod tests {
         recovery: &RecoveryConfig,
     ) {
         let scheduler = RStormScheduler::new();
-        let run = run_closed_loop(cluster, t, plan, sim, recovery, &scheduler, None)
+        let run = run_closed_loop(cluster, t, plan, sim, recovery, &scheduler)
             .unwrap()
             .outcome;
         let replay =
@@ -1409,17 +1181,9 @@ mod tests {
         let cfg = clean_cfg();
         let scheduler = RStormScheduler::new();
         let t = split_topology();
-        let run = run_closed_loop(
-            &cluster,
-            &t,
-            &overlap,
-            &cfg.sim,
-            &cfg.recovery,
-            &scheduler,
-            None,
-        )
-        .unwrap()
-        .outcome;
+        let run = run_closed_loop(&cluster, &t, &overlap, &cfg.sim, &cfg.recovery, &scheduler)
+            .unwrap()
+            .outcome;
         let replay = oracle::replay_control_plane(
             &cluster,
             &t,

@@ -73,18 +73,6 @@ pub struct SimConfig {
     /// the budget are quarantined as poison tuples. `0` disables replay
     /// entirely and preserves bit-identical legacy (at-most-once) behavior.
     pub max_replays: u32,
-    /// When true, the engine evaluates its accounting invariants — the
-    /// replay-plane drain invariant
-    /// `emitted == acked + quarantined + in_flight`, the live-root
-    /// ledger, and report counter sanity — **in every build profile**
-    /// and surfaces failures as typed
-    /// [`crate::InvariantViolation`]s through
-    /// [`crate::sim::Simulation::run_checked`] instead of
-    /// `debug_assert!`ing. Off by default: a default run is bit-identical
-    /// to the legacy engine and keeps the debug-only assertions. The
-    /// chaos fuzzer forces this on so release-build campaigns actually
-    /// check.
-    pub check_invariants: bool,
     /// **Fuzzer self-test hook — never set this outside the planted-bug
     /// gate.** When true, quarantine accounting deliberately skips the
     /// `roots_quarantined` increment, breaking the drain invariant the
@@ -135,15 +123,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns the configuration with release-build invariant checking
-    /// enabled or disabled (see [`SimConfig::check_invariants`]). The
-    /// report bits of a run are identical either way — only whether
-    /// violations are *collected* changes.
-    pub fn with_check_invariants(mut self, check_invariants: bool) -> Self {
-        self.check_invariants = check_invariants;
-        self
-    }
-
     /// Fuzzer self-test hook (see
     /// [`SimConfig::planted_quarantine_bug`]).
     #[doc(hidden)]
@@ -171,7 +150,6 @@ impl Default for SimConfig {
             seed: 42,
             oom_thrash_factor: 0.05,
             max_replays: 0,
-            check_invariants: false,
             planted_quarantine_bug: false,
             network_model: NetworkModel::Legacy,
         }
@@ -213,12 +191,9 @@ mod tests {
     }
 
     #[test]
-    fn invariant_checking_is_off_by_default() {
-        assert!(!SimConfig::default().check_invariants);
-        assert!(!SimConfig::quick().check_invariants);
+    fn planted_bug_is_off_by_default() {
         assert!(!SimConfig::default().planted_quarantine_bug);
-        let c = SimConfig::default().with_check_invariants(true);
-        assert!(c.check_invariants);
+        assert!(!SimConfig::quick().planted_quarantine_bug);
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! checks an **oracle set** per run (see [`OracleKind`]):
 //!
 //! * the replay-plane **drain invariant** and its sibling accounting
-//!   checks, promoted from `debug_assert!` to release-build
-//!   [`crate::InvariantViolation`]s via
-//!   [`crate::SimConfig::check_invariants`];
+//!   checks, which every run evaluates in every build profile and
+//!   returns as [`crate::InvariantViolation`]s;
 //! * **zero loss** for plans that are survivable *by construction* — when
 //!   `(max_replays + 1) * tuple_timeout_ms` exceeds the horizon no root
 //!   can exhaust its budget, so every settled root must have completed;
@@ -144,8 +143,7 @@ impl fmt::Display for OracleKind {
 }
 
 /// Campaign parameters. `sim` is the configuration every generated plan
-/// runs under — the campaign forces `check_invariants` on for its own
-/// runs, so release-build campaigns actually check.
+/// runs under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
     /// How many plans to generate and check.
@@ -364,16 +362,7 @@ pub fn check_fault_plan(
     cfg: &FuzzConfig,
     plan: &FaultPlan,
 ) -> Option<OracleKind> {
-    let sim = cfg.sim.clone().with_check_invariants(true);
-    let run = run_closed_loop(
-        cluster,
-        topology,
-        plan,
-        &sim,
-        &cfg.recovery,
-        scheduler,
-        None,
-    );
+    let run = run_closed_loop(cluster, topology, plan, &cfg.sim, &cfg.recovery, scheduler);
     let ClosedLoopRun {
         outcome: out,
         placement_agrees,
@@ -389,7 +378,13 @@ pub fn check_fault_plan(
     if cfg.survivable_by_construction() && out.report.zero_loss_ratio() != 1.0 {
         return Some(OracleKind::ZeroLoss);
     }
-    if has_undetected_outage(cluster, plan, &cfg.recovery, sim.sim_time_ms, &out.events) {
+    if has_undetected_outage(
+        cluster,
+        plan,
+        &cfg.recovery,
+        cfg.sim.sim_time_ms,
+        &out.events,
+    ) {
         return Some(OracleKind::DetectLiveness);
     }
     if let Some(audit) = &out.reconciliation {
@@ -403,7 +398,7 @@ pub fn check_fault_plan(
     if !placement_agrees {
         return Some(OracleKind::PlacementAgreement);
     }
-    match run_fault_plan_with(cluster, topology, plan, &sim, &cfg.recovery, scheduler) {
+    match run_fault_plan_with(cluster, topology, plan, &cfg.sim, &cfg.recovery, scheduler) {
         Ok(again) => {
             if again.report.to_json() != out.report.to_json() || again.events != out.events {
                 return Some(OracleKind::Determinism);
@@ -1136,9 +1131,8 @@ mod tests {
             None,
             "a journaled failover over a survivable plan must be clean"
         );
-        let sim = cfg.sim.clone().with_check_invariants(true);
         let out =
-            run_fault_plan_with(&cluster, &t, &plan, &sim, &cfg.recovery, &scheduler).unwrap();
+            run_fault_plan_with(&cluster, &t, &plan, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
         let audit = out.reconciliation.expect("control faults produce an audit");
         assert!(
             audit.time_to_reassume_ms >= 5_000.0,
@@ -1152,7 +1146,7 @@ mod tests {
             .crash_node(8_000.0, &host)
             .recover_node(20_000.0, &host);
         let out =
-            run_fault_plan_with(&cluster, &t, &plain, &sim, &cfg.recovery, &scheduler).unwrap();
+            run_fault_plan_with(&cluster, &t, &plain, &cfg.sim, &cfg.recovery, &scheduler).unwrap();
         assert!(out.reconciliation.is_none());
     }
 }

@@ -74,10 +74,7 @@ mod sim;
 mod slab;
 pub mod sweep;
 
-pub use chaos::{
-    run_control_outage, run_crash_recover, run_fault_plan_with, ChaosConfig, ChaosError,
-    ChaosOutcome, ControlOutageConfig, ReconcileAudit,
-};
+pub use chaos::{run_fault_plan_with, ChaosError, ChaosOutcome, ReconcileAudit};
 pub use config::{NetworkModel, SimConfig};
 pub use faults::{FaultEvent, FaultPlan, ParsePlanError};
 pub use fuzz::{

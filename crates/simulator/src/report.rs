@@ -7,9 +7,8 @@ use std::fmt::Write as _;
 
 /// A broken engine invariant, surfaced as data instead of a
 /// `debug_assert!` so release-build fuzz campaigns can check every run
-/// (see [`crate::SimConfig::check_invariants`] and
-/// [`crate::sim::Simulation::run_checked`]). An empty violation list is
-/// the oracle the chaos fuzzer hunts against.
+/// (see [`crate::sim::Simulation::run_checked`]). An empty violation
+/// list is the oracle the chaos fuzzer hunts against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvariantViolation {
     /// The replay-plane drain invariant
@@ -188,12 +187,16 @@ pub struct SimDebugStats {
     pub cpu_fair_scans: u64,
 }
 
-/// Recovery observability derived from a crash-then-recover scenario by
-/// the chaos harness (`crate::chaos`). Attached to [`SimReport::recovery`]
-/// only for such runs; plain simulations leave it `None`.
+/// Recovery observability derived from a fault-plan run by the chaos
+/// harness (`crate::chaos`). Attached to [`SimReport::recovery`] only for
+/// such runs; plain simulations leave it `None`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RecoveryObservations {
-    /// When the injected crash happened, in simulation milliseconds.
+    /// The anchor every latency below is measured from, in simulation
+    /// milliseconds: the plan's earliest data-plane fault (a node crash,
+    /// rack partition or link degradation). A plan with no data-plane
+    /// fault anchors on its earliest event, an empty plan on `0`. So a
+    /// crash under an earlier Nimbus outage is measured from the crash.
     pub crash_at_ms: f64,
     /// Crash until the control loop declared the node dead (includes the
     /// configured heartbeat-miss window). Negative if never detected
@@ -358,18 +361,24 @@ impl SimReport {
     /// finite, the non-negative ones non-negative, and every monotone
     /// counter far from the wrap-around canary. A pure function of the
     /// report, so harnesses can check any run after the fact; the engine
-    /// folds these into [`crate::sim::Simulation::run_checked`] when
-    /// [`crate::SimConfig::check_invariants`] is on.
+    /// folds these into every [`crate::sim::Simulation::run_checked`].
+    /// A clean report allocates nothing: a metric's name is built only
+    /// when its value fails.
     pub fn sanity_violations(&self) -> Vec<InvariantViolation> {
-        fn float(out: &mut Vec<InvariantViolation>, metric: &str, value: f64, non_negative: bool) {
+        fn float(
+            out: &mut Vec<InvariantViolation>,
+            metric: impl fmt::Display,
+            value: f64,
+            non_negative: bool,
+        ) {
             if !value.is_finite() {
                 out.push(InvariantViolation::NonFiniteMetric {
-                    metric: metric.to_owned(),
+                    metric: metric.to_string(),
                     value,
                 });
             } else if non_negative && value < 0.0 {
                 out.push(InvariantViolation::NegativeMetric {
-                    metric: metric.to_owned(),
+                    metric: metric.to_string(),
                     value,
                 });
             }
@@ -380,11 +389,11 @@ impl SimReport {
         float(&mut out, "inter_rack_mb", self.inter_rack_mb, true);
         for (topo, t) in &self.throughput {
             for (i, &w) in t.windows.iter().enumerate() {
-                float(&mut out, &format!("throughput.{topo}[{i}]"), w, true);
+                float(&mut out, format_args!("throughput.{topo}[{i}]"), w, true);
             }
         }
         for (node, u) in &self.node_utilization {
-            float(&mut out, &format!("node_utilization.{node}"), *u, true);
+            float(&mut out, format_args!("node_utilization.{node}"), *u, true);
         }
         float(&mut out, "latency_ms.mean", self.latency_ms.mean, true);
         float(&mut out, "latency_ms.stddev", self.latency_ms.stddev, true);
@@ -425,23 +434,28 @@ impl SimReport {
         }
         if let Some(n) = &self.network {
             for l in &n.links {
-                let path = format!("network.{}", l.link);
+                let link = &l.link;
                 float(
                     &mut out,
-                    &format!("{path}.capacity_mbps"),
+                    format_args!("network.{link}.capacity_mbps"),
                     l.capacity_mbps,
                     true,
                 );
                 float(
                     &mut out,
-                    &format!("{path}.mean_utilization"),
+                    format_args!("network.{link}.mean_utilization"),
                     l.mean_utilization,
                     true,
                 );
-                float(&mut out, &format!("{path}.mb_carried"), l.mb_carried, true);
+                float(
+                    &mut out,
+                    format_args!("network.{link}.mb_carried"),
+                    l.mb_carried,
+                    true,
+                );
                 if l.saturated_windows > OVERFLOW_CANARY {
                     out.push(InvariantViolation::CounterOverflow {
-                        counter: format!("{path}.saturated_windows"),
+                        counter: format!("network.{link}.saturated_windows"),
                         value: l.saturated_windows,
                     });
                 }

@@ -410,21 +410,28 @@ impl Simulation {
             .append_topology(&self.index, topology, assignment);
     }
 
-    /// Runs the simulation to completion and reports.
+    /// Runs the simulation to completion and reports. Debug builds
+    /// assert that the run broke no invariant (see [`Self::run_checked`]).
     ///
     /// # Panics
     ///
-    /// Panics if no topology was added.
+    /// Panics if no topology was added, and in a debug build if the run
+    /// reports an [`InvariantViolation`].
     pub fn run(self) -> SimReport {
-        self.run_checked().report
+        let CheckedReport { report, violations } = self.run_checked();
+        debug_assert!(
+            violations.is_empty(),
+            "invariant violations: {violations:?}"
+        );
+        report
     }
 
-    /// Runs the simulation to completion and reports, together with any
-    /// [`InvariantViolation`]s detected when
-    /// [`SimConfig::check_invariants`] is on. With checking off (the
-    /// default) the violation list is always empty and the report is
-    /// bit-identical to [`Self::run`] — checking never perturbs the run,
-    /// it only *collects* what the debug build would have asserted.
+    /// Runs the simulation to completion and reports, together with every
+    /// [`InvariantViolation`] the run produced. Every run is checked, in
+    /// every build profile: the replay plane's drain invariant
+    /// `emitted == acked + quarantined + in_flight`, the live-root ledger
+    /// and [`SimReport::sanity_violations`]. Checking only observes: the
+    /// report is the one [`Self::run`] returns.
     ///
     /// # Panics
     ///
@@ -450,9 +457,8 @@ impl Simulation {
 }
 
 /// The outcome of [`Simulation::run_checked`]: the ordinary report plus
-/// every invariant violation the checked engine observed (empty unless
-/// [`SimConfig::check_invariants`] was on and something is actually
-/// broken — the chaos fuzzer's oracle input).
+/// every invariant violation the engine observed (empty unless something
+/// is actually broken — the chaos fuzzer's oracle input).
 #[derive(Debug, Clone)]
 pub struct CheckedReport {
     /// The report, bit-identical to what [`Simulation::run`] returns.
@@ -1606,50 +1612,29 @@ impl<'c> Engine<'c> {
         let mut violations = Vec::new();
         if self.replay_enabled {
             self.totals.roots_in_flight = self.live_logical;
-            if self.config.check_invariants {
-                // Checked mode: the same accounting identities the debug
-                // build asserts, evaluated in every profile and surfaced
-                // as typed violations instead of aborts.
-                let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
-                let slab_live = self.roots.unfailed_live();
-                if self.live_logical != slab_live + queued {
-                    violations.push(InvariantViolation::LedgerMismatch {
-                        live_logical: self.live_logical,
-                        slab_live,
-                        replay_queued: queued,
-                    });
-                }
-                let settled = self
-                    .totals
-                    .roots_completed
-                    .checked_add(self.totals.roots_quarantined)
-                    .and_then(|s| s.checked_add(self.live_logical));
-                if settled != Some(self.totals.roots_emitted) {
-                    violations.push(InvariantViolation::DrainImbalance {
-                        emitted: self.totals.roots_emitted,
-                        completed: self.totals.roots_completed,
-                        quarantined: self.totals.roots_quarantined,
-                        in_flight: self.live_logical,
-                    });
-                }
-            } else if !self.config.planted_quarantine_bug {
-                #[cfg(debug_assertions)]
-                {
-                    let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
-                    debug_assert_eq!(
-                        self.live_logical,
-                        self.roots.unfailed_live() + queued,
-                        "every un-settled logical root is exactly one live \
-                         attempt or one replay-buffer entry"
-                    );
-                    debug_assert_eq!(
-                        self.totals.roots_emitted,
-                        self.totals.roots_completed
-                            + self.totals.roots_quarantined
-                            + self.live_logical,
-                        "drain invariant: emitted == acked + quarantined + in_flight"
-                    );
-                }
+            // The accounting identities, evaluated on every run and
+            // surfaced as typed violations.
+            let queued: u64 = self.tasks.iter().map(|t| t.replay_queue.len() as u64).sum();
+            let slab_live = self.roots.unfailed_live();
+            if self.live_logical != slab_live + queued {
+                violations.push(InvariantViolation::LedgerMismatch {
+                    live_logical: self.live_logical,
+                    slab_live,
+                    replay_queued: queued,
+                });
+            }
+            let settled = self
+                .totals
+                .roots_completed
+                .checked_add(self.totals.roots_quarantined)
+                .and_then(|s| s.checked_add(self.live_logical));
+            if settled != Some(self.totals.roots_emitted) {
+                violations.push(InvariantViolation::DrainImbalance {
+                    emitted: self.totals.roots_emitted,
+                    completed: self.totals.roots_completed,
+                    quarantined: self.totals.roots_quarantined,
+                    in_flight: self.live_logical,
+                });
             }
         }
         let elapsed = self.config.sim_time_ms;
@@ -1772,9 +1757,7 @@ impl<'c> Engine<'c> {
                 cpu_fair_scans: self.cpus.iter().map(DenseCpuServer::fair_scans).sum(),
             },
         };
-        if self.config.check_invariants {
-            violations.extend(report.sanity_violations());
-        }
+        violations.extend(report.sanity_violations());
         (report, violations)
     }
 }
@@ -3005,42 +2988,33 @@ mod tests {
     // ---- checked invariants (the fuzzer's oracle mode) -----------------
 
     /// The quarantine scenario of
-    /// `replay_budget_exhaustion_quarantines_poison_roots`, runnable with
-    /// invariant checking and/or the planted accounting bug.
-    fn quarantine_run(check: bool, planted: bool) -> CheckedReport {
+    /// `replay_budget_exhaustion_quarantines_poison_roots`, optionally
+    /// with the planted accounting bug.
+    fn quarantine_sim(planted: bool) -> Simulation {
         let cluster = emulab(1, 2);
         let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
         let a = split_assignment(&t, &cluster, "c0");
         let victim = cluster.nodes()[1].id().as_str().to_owned();
         let mut config = SimConfig::quick()
             .with_max_replays(1)
-            .with_check_invariants(check)
             .with_planted_quarantine_bug(planted);
         config.tuple_timeout_ms = 5_000.0;
         let mut sim = Simulation::new(cluster.clone(), config);
         sim.add_topology(&t, &a);
         sim.set_fault_plan(FaultPlan::new().crash_node(10_000.0, &victim));
-        sim.run_checked()
+        sim
     }
 
     #[test]
     fn checked_run_is_clean_and_bit_identical() {
-        let unchecked = quarantine_run(false, false);
-        let checked = quarantine_run(true, false);
-        assert!(
-            unchecked.violations.is_empty(),
-            "checking off never collects"
-        );
+        let plain = quarantine_sim(false).run();
+        let checked = quarantine_sim(false).run_checked();
         assert!(
             checked.violations.is_empty(),
             "a correct engine has nothing to report: {:?}",
             checked.violations
         );
-        assert_eq!(
-            unchecked.report, checked.report,
-            "checking only observes, never perturbs"
-        );
-        assert_eq!(unchecked.report.to_json(), checked.report.to_json());
+        assert_eq!(plain.to_json(), checked.report.to_json());
         assert!(
             checked.report.totals.roots_quarantined > 0,
             "the scenario really exercises the quarantine path"
@@ -3049,7 +3023,7 @@ mod tests {
 
     #[test]
     fn planted_quarantine_bug_trips_the_drain_invariant() {
-        let broken = quarantine_run(true, true);
+        let broken = quarantine_sim(true).run_checked();
         assert!(
             broken
                 .violations

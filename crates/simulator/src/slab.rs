@@ -120,10 +120,9 @@ impl RootSlab {
     }
 
     /// Number of live roots whose tuple timeout has not fired — the
-    /// attempts that can still ack. Used by the replay plane's drain
-    /// invariant: debug builds assert it, checked mode
-    /// (`SimConfig::check_invariants`) evaluates it in every profile.
-    /// O(slots), so it only runs on those paths.
+    /// attempts that can still ack. Used by the replay plane's live-root
+    /// ledger, which every replay-enabled run checks once, at its end.
+    /// O(slots).
     pub fn unfailed_live(&self) -> u64 {
         self.slots
             .iter()

@@ -370,7 +370,10 @@ pub struct SweepRow {
     /// [`SimReport::zero_loss_ratio`] of the run.
     pub zero_loss_ratio: f64,
     /// Crash-to-detection latency in ms; `-1.0` when nothing was (or
-    /// could be) detected — healthy runs always carry the sentinel.
+    /// could be) detected — healthy runs always carry the sentinel. Like
+    /// every recovery latency it is measured from the plan's first
+    /// data-plane fault (see [`crate::RecoveryObservations::crash_at_ms`]),
+    /// so a Nimbus outage that starts before the crash does not move it.
     pub time_to_detect_ms: f64,
     /// Crash-to-full-re-placement latency in ms; `-1.0` if never.
     pub time_to_recover_ms: f64,
@@ -400,7 +403,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
             })
     };
 
-    // Default recovery knobs, matching [`crate::ChaosConfig::new`].
+    // Default recovery knobs; only the Nimbus outage turns the journal on.
     let recovery = RecoveryConfig::default();
     let (report, detect, recover) = match job.fault {
         FaultSpec::Healthy => {
@@ -491,8 +494,8 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
 }
 
 /// The faulted half of [`run_job`]: the spec's plan runs through
-/// [`run_fault_plan_with`], the closed loop the chaos scenarios and the
-/// fuzzer share.
+/// [`run_fault_plan_with`], the closed loop the CLI and the fuzzer
+/// share.
 fn run_plan_job(
     case: &SweepCase,
     scheduler: &dyn Scheduler,

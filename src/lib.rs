@@ -118,9 +118,9 @@ pub mod prelude {
     };
     pub use rstorm_metrics::{StatisticServer, Summary, ThroughputReport};
     pub use rstorm_sim::{
-        run_adaptive_rebalance, run_crash_recover, AdaptiveConfig, AdaptiveOutcome, ChaosConfig,
-        ChaosOutcome, FaultEvent, FaultPlan, NetworkModel, RecoveryObservations,
-        ReferenceSimulation, SimConfig, SimDebugStats, SimReport, SimTotals, Simulation,
+        run_adaptive_rebalance, run_fault_plan_with, AdaptiveConfig, AdaptiveOutcome, ChaosOutcome,
+        FaultEvent, FaultPlan, NetworkModel, RecoveryObservations, ReferenceSimulation, SimConfig,
+        SimDebugStats, SimReport, SimTotals, Simulation,
     };
     pub use rstorm_topology::{
         ExecutionProfile, StreamGrouping, Topology, TopologyBuilder, TraversalOrder,

@@ -21,21 +21,36 @@ fn host_node(cluster: &Cluster, topology: &Topology) -> String {
     host
 }
 
-fn quick_scenario(victim: String, crash_at_ms: f64, heal_at_ms: f64) -> ChaosConfig {
-    let mut cfg = ChaosConfig::new(victim, crash_at_ms, heal_at_ms);
-    cfg.sim = SimConfig::quick();
-    cfg
+/// Crashes `victim` at `crash_at_ms`, heals it at `heal_at_ms`, and runs
+/// that plan for a quick horizon under R-Storm and default recovery.
+fn crash_recover(
+    cluster: &Arc<Cluster>,
+    topology: &Topology,
+    victim: &str,
+    crash_at_ms: f64,
+    heal_at_ms: f64,
+) -> ChaosOutcome {
+    let plan = FaultPlan::new()
+        .crash_node(crash_at_ms, victim)
+        .recover_node(heal_at_ms, victim);
+    run_fault_plan_with(
+        cluster,
+        topology,
+        &plan,
+        &SimConfig::quick(),
+        &RecoveryConfig::default(),
+        &RStormScheduler::new(),
+    )
+    .unwrap()
 }
 
 #[test]
 fn same_fault_plan_and_seed_are_bit_identical() {
     let cluster = Arc::new(clusters::emulab_micro());
     let topology = micro::linear_network_bound();
-    let cfg = quick_scenario(host_node(&cluster, &topology), 20_000.0, 35_000.0);
-    let a =
-        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
-    let b =
-        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
+    let victim = host_node(&cluster, &topology);
+    let a = crash_recover(&cluster, &topology, &victim, 20_000.0, 35_000.0);
+    let b = crash_recover(&cluster, &topology, &victim, 20_000.0, 35_000.0);
     assert_eq!(a.report, b.report);
     assert_eq!(a.report.to_json(), b.report.to_json());
     assert_eq!(a.events, b.events);
@@ -218,9 +233,8 @@ fn adaptive_rebalance_never_targets_a_dead_node() {
 fn yahoo_page_load_crash_then_recover_replaces_everything() {
     let cluster = Arc::new(clusters::emulab_multi());
     let topology = yahoo::page_load();
-    let cfg = quick_scenario(host_node(&cluster, &topology), 15_000.0, 30_000.0);
-    let out =
-        rstorm::sim::run_crash_recover(&cluster, &topology, &cfg, &RStormScheduler::new()).unwrap();
+    let victim = host_node(&cluster, &topology);
+    let out = crash_recover(&cluster, &topology, &victim, 15_000.0, 30_000.0);
 
     // The outage was seen and fully recovered from.
     let obs = out.observations;

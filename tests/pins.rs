@@ -26,10 +26,7 @@
 use rstorm::prelude::*;
 use rstorm::scheduler::schedulers;
 use rstorm::sim::sweep::run_sweep;
-use rstorm::sim::{
-    check_fault_plan, run_control_outage, run_fault_plan_with, run_fuzz_campaign,
-    ControlOutageConfig, FuzzConfig, OracleKind, SeedRange,
-};
+use rstorm::sim::{check_fault_plan, run_fuzz_campaign, FuzzConfig, OracleKind, SeedRange};
 use rstorm::topology::TaskSet;
 use rstorm::workloads::cases::{drifted_cases, fig8_cases, yahoo_cases, WorkloadCase};
 use rstorm::workloads::scale::{scale_cluster, scale_topology, SCALE_NODES, SCALE_TASKS};
@@ -184,11 +181,18 @@ fn crash_then_recover_is_detected_and_fully_replaced() {
         );
 
         let victim = assignment.iter().next().unwrap().1.node.as_str().to_owned();
-        let mut cfg = ChaosConfig::new(victim, CRASH_AT_MS, HEAL_AT_MS);
-        cfg.sim = config;
-        cfg.recovery = RecoveryConfig::default();
-        let out = run_crash_recover(&cluster, &case.topology, &cfg, &RStormScheduler::new())
-            .expect("chaos scenario runs");
+        let plan = FaultPlan::new()
+            .crash_node(CRASH_AT_MS, &victim)
+            .recover_node(HEAL_AT_MS, &victim);
+        let out = run_fault_plan_with(
+            &cluster,
+            &case.topology,
+            &plan,
+            &config,
+            &RecoveryConfig::default(),
+            &RStormScheduler::new(),
+        )
+        .expect("chaos scenario runs");
         let obs = out.observations;
         assert!(
             obs.time_to_detect_ms > 0.0,
@@ -550,13 +554,25 @@ fn journaled_failover_is_lossless_and_reconciles() {
     let victim = sink_node(&cluster, &topology);
     let scheduler = schedulers::by_name("rstorm").expect("rstorm scheduler exists");
 
-    let mut chaos = ChaosConfig::new(&victim, 15_000.0, 55_000.0);
-    chaos.sim = SimConfig::quick().with_max_replays(3);
-    chaos.sim.tuple_timeout_ms = 5_000.0;
-    chaos.recovery.journal = true;
-    let cfg = ControlOutageConfig::new(chaos, 13_000.0, 10_000.0);
-    let journaled =
-        run_control_outage(&cluster, &topology, &cfg, &*scheduler).expect("failover case runs");
+    let journal_on = RecoveryConfig {
+        journal: true,
+        ..RecoveryConfig::default()
+    };
+    let failover = FaultPlan::new()
+        .crash_node(15_000.0, &victim)
+        .recover_node(55_000.0, &victim)
+        .nimbus_crash(13_000.0, 10_000.0);
+    let mut failover_sim = SimConfig::quick().with_max_replays(3);
+    failover_sim.tuple_timeout_ms = 5_000.0;
+    let journaled = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &failover,
+        &failover_sim,
+        &journal_on,
+        &*scheduler,
+    )
+    .expect("failover case runs");
     let failover_zero_loss = journaled.report.zero_loss_ratio();
     assert!(
         failover_zero_loss == 1.0,
@@ -575,10 +591,15 @@ fn journaled_failover_is_lossless_and_reconciles() {
         "the journaled successor must detect the masked crash"
     );
 
-    let mut cold_cfg = cfg;
-    cold_cfg.chaos.recovery.journal = false;
-    let cold =
-        run_control_outage(&cluster, &topology, &cold_cfg, &*scheduler).expect("cold twin runs");
+    let cold = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &failover,
+        &failover_sim,
+        &RecoveryConfig::default(),
+        &*scheduler,
+    )
+    .expect("cold twin runs");
     assert_eq!(
         cold.observations.time_to_detect_ms, -1.0,
         "a cold successor cannot detect a pre-failover silence"
@@ -590,12 +611,19 @@ fn journaled_failover_is_lossless_and_reconciles() {
          (ratio {cold_zero_loss})"
     );
 
-    let mut chaos = ChaosConfig::new(&victim, 5_000.0, 12_000.0);
-    chaos.sim = SimConfig::quick().with_max_replays(8);
-    chaos.recovery.journal = true;
-    let cfg = ControlOutageConfig::new(chaos, 14_000.0, 8_000.0);
-    let replayed =
-        run_control_outage(&cluster, &topology, &cfg, &*scheduler).expect("replay case runs");
+    let replay = FaultPlan::new()
+        .crash_node(5_000.0, &victim)
+        .recover_node(12_000.0, &victim)
+        .nimbus_crash(14_000.0, 8_000.0);
+    let replayed = run_fault_plan_with(
+        &cluster,
+        &topology,
+        &replay,
+        &SimConfig::quick().with_max_replays(8),
+        &journal_on,
+        &*scheduler,
+    )
+    .expect("replay case runs");
     let decisions_replayed = replayed
         .reconciliation
         .expect("an outage carries an audit")
@@ -610,10 +638,6 @@ fn journaled_failover_is_lossless_and_reconciles() {
         "the pre-outage reschedule keeps the replay case lossless"
     );
 
-    let journal_on = RecoveryConfig {
-        journal: true,
-        ..RecoveryConfig::default()
-    };
     let plans = [
         FaultPlan::new()
             .crash_node(15_000.0, &victim)
