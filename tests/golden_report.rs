@@ -188,3 +188,20 @@ fn page_load_los_migration_report_is_stable() {
     assert!(report.totals.tuples_completed > 0, "the pipeline flows");
     check_golden("page_load_los_migration", &report.to_json());
 }
+
+/// The quick sweep grid's aggregated payload (seeds 0..8), pinned byte
+/// for byte: every job's placement, fault plan, closed-loop recovery and
+/// report feed the per-group distributions, so any drift in how a sweep
+/// job runs shows up here. The grid costs more than a minute in a debug
+/// build, so it only runs with optimisations.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: CI runs it in the release test step"
+)]
+fn quick_sweep_payload_is_stable() {
+    use rstorm::sim::{run_sweep, SeedRange};
+    use rstorm::workloads::sweep::quick_grid;
+    let grid = quick_grid(SeedRange::new(0, 8).expect("0..8 is a valid range"));
+    check_golden("sweep_quick", &run_sweep(&grid, 1).summary.to_json());
+}
