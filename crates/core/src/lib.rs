@@ -54,7 +54,6 @@ mod assignment;
 pub mod control;
 mod error;
 mod global_state;
-pub mod ndim;
 pub mod recovery;
 mod resource;
 pub mod rstorm;

@@ -90,6 +90,6 @@ pub use report::{
 };
 pub use sim::{CheckedReport, Simulation};
 pub use sweep::{
-    run_sweep, FaultSpec, ParseRangeError, SeedRange, SweepCase, SweepGrid, SweepJob, SweepOutcome,
-    SweepRow, SweepSummary,
+    run_sweep, ParseRangeError, SeedRange, SweepCase, SweepFault, SweepGrid, SweepJob,
+    SweepOutcome, SweepRow, SweepSummary,
 };

@@ -4,11 +4,16 @@
 //! Every plane of this workspace (chaos, replay, adaptive) is
 //! deterministic and seedable, but a single scenario run is a point
 //! estimate, not a distribution. A [`SweepGrid`] crosses *cases ×
-//! schedulers × fault specs × seeds* into an indexed job list;
+//! schedulers × faults × seeds* into an indexed job list;
 //! [`run_sweep`] executes the jobs on a fixed-size pool of `std::thread`
 //! workers and aggregates the per-run rows into per-group distributions
 //! (p50/p90/p99 time-to-detect/recover, zero-loss ratio, net-throughput
 //! mean ± stdev, tuples-lost histogram).
+//!
+//! A fault is plain data: a [`SweepFault`] is a [`FaultPlan::to_text`]
+//! template that each job fills with its placement's host, and every
+//! job, the healthy one (the empty template) included, runs through
+//! [`run_fault_plan_with`].
 //!
 //! ## Determinism under parallelism
 //!
@@ -35,12 +40,12 @@
 //! [`Simulation`], this module stops compiling.
 
 use crate::chaos::run_fault_plan_with;
-use crate::config::SimConfig;
-use crate::faults::FaultPlan;
+use crate::config::{NetworkModel, SimConfig};
+use crate::faults::{FaultPlan, ParsePlanError};
 use crate::report::SimReport;
 use crate::sim::Simulation;
 use rstorm_cluster::Cluster;
-use rstorm_core::{schedulers, GlobalState, RecoveryConfig, Scheduler};
+use rstorm_core::{schedulers, GlobalState, RecoveryConfig};
 use rstorm_metrics::Summary;
 use rstorm_topology::Topology;
 use std::fmt;
@@ -183,110 +188,58 @@ pub struct SweepCase {
     pub cluster: Arc<Cluster>,
 }
 
-/// The fault dimension of the grid.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultSpec {
-    /// No injected faults: a plain (replay-enabled) run.
-    Healthy,
-    /// Crash the placement's host node at `crash_at_ms`, heal it at
-    /// `heal_at_ms` — the survivable outage of the crash/replay pins.
-    CrashRecover {
-        /// Simulation time of the crash in milliseconds.
-        crash_at_ms: f64,
-        /// Simulation time the victim heals in milliseconds.
-        heal_at_ms: f64,
-    },
-    /// Crash the host node at `crash_at_ms` and never heal it: recovery
-    /// depends entirely on re-placement onto survivors, and long runs may
-    /// legitimately quarantine roots (not survivable, so sweep-level
-    /// zero-loss gates skip these groups).
-    CrashLasting {
-        /// Simulation time of the crash in milliseconds.
-        crash_at_ms: f64,
-    },
-    /// Partition the host node's rack over `[at_ms, until_ms)`: every
-    /// inter-rack transfer to or from the rack is dropped and the rack's
-    /// heartbeats go silent, then the window heals (see
-    /// [`crate::faults::FaultEvent::RackPartition`]). Survivable — the
-    /// partition ends, so replay can settle every root.
-    Partition {
-        /// Start of the partition window in milliseconds.
-        at_ms: f64,
-        /// End of the partition window in milliseconds.
-        until_ms: f64,
-    },
-    /// A background-traffic congestion window over `[at_ms, until_ms)`:
-    /// the job runs on the fair network plane
-    /// ([`crate::config::NetworkModel::Fair`]) and every link loses
-    /// capacity for the window's duration (`link_extra_ms` degrades
-    /// bandwidth under the fair plane — see
-    /// [`crate::network::DEGRADE_REF_MS`]), emulating a bulk transfer
-    /// competing for the same trunks. Survivable — the window ends and
-    /// no tuples are destroyed, only delayed.
-    Congestion {
-        /// Start of the congestion window in milliseconds.
-        at_ms: f64,
-        /// End of the congestion window in milliseconds.
-        until_ms: f64,
-        /// Degradation knob: capacity shrinks by
-        /// `DEGRADE_REF_MS / (DEGRADE_REF_MS + extra_ms)`.
-        extra_ms: f64,
-    },
-    /// A flap storm on the host node: `flaps` crash/recover cycles
-    /// starting at `first_at_ms` (see [`crate::faults::FaultPlan::flap_storm`]),
-    /// stressing the control plane's trust hysteresis and churn limiter.
-    /// Survivable — every outage heals.
-    Flap {
-        /// Simulation time of the first crash in milliseconds.
-        first_at_ms: f64,
-        /// Number of crash/recover cycles.
-        flaps: u32,
-        /// Length of each outage in milliseconds.
-        down_ms: f64,
-        /// Up time between cycles in milliseconds.
-        up_ms: f64,
-    },
-    /// A control-plane outage composed with a data-plane crash: the host
-    /// node crashes at `crash_at_ms` (healing at `heal_at_ms`) while
-    /// Nimbus itself is down over
-    /// `[nimbus_at_ms, nimbus_at_ms + nimbus_down_ms)`. The job runs
-    /// with the control journal **enabled**, so the successor that
-    /// reassumes after the window replays the journal and reconciles
-    /// (see [`rstorm_core::RecoveryManager::reassume`]). Survivable —
-    /// the journaled failover preserves detection liveness, so replay
-    /// settles every root.
-    NimbusOutage {
-        /// Simulation time of the host crash in milliseconds.
-        crash_at_ms: f64,
-        /// Simulation time the victim heals in milliseconds.
-        heal_at_ms: f64,
-        /// Simulation time Nimbus goes down.
-        nimbus_at_ms: f64,
-        /// Length of the Nimbus outage in milliseconds.
-        nimbus_down_ms: f64,
-    },
+/// One fault scenario of the grid: plain data, run by every job the same
+/// way (see [`run_sweep`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepFault {
+    /// Stable label, the last segment of each group name.
+    pub label: String,
+    /// The scenario as a [`FaultPlan::to_text`] template: `{host}` stands
+    /// for the node of the placement's first task and `{host_rack}` for
+    /// that node's rack. The empty template is the healthy run.
+    pub plan: String,
+    /// Run the job on the fair network plane
+    /// ([`NetworkModel::Fair`]), where a `degrade` window shrinks link
+    /// capacity (see [`crate::network::DEGRADE_REF_MS`]) instead of
+    /// padding latency — background traffic competing for the trunks.
+    pub fair_network: bool,
 }
 
-impl FaultSpec {
-    /// Stable label, the last segment of each group name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Self::Healthy => "healthy",
-            Self::CrashRecover { .. } => "crash_recover",
-            Self::CrashLasting { .. } => "crash_lasting",
-            Self::Partition { .. } => "partition",
-            Self::Congestion { .. } => "congestion",
-            Self::Flap { .. } => "flap",
-            Self::NimbusOutage { .. } => "nimbus_outage",
+impl SweepFault {
+    /// A scenario on the grid's own network plane.
+    pub fn new(label: impl Into<String>, plan: impl Into<String>) -> Self {
+        Self {
+            label: label.into(),
+            plan: plan.into(),
+            fair_network: false,
         }
     }
 
-    /// True when the scenario is survivable — every settled root can ack
-    /// given a sufficient replay budget, so `zero_loss_ratio == 1.0` is a
-    /// correctness requirement rather than a hope.
-    pub fn survivable(&self) -> bool {
-        !matches!(self, Self::CrashLasting { .. })
+    /// Fills the template for a placement whose first task runs on
+    /// `host` in `host_rack`, and parses the result.
+    ///
+    /// # Errors
+    ///
+    /// [`ParsePlanError`] when the filled template is not a valid plan.
+    pub fn plan_for(&self, host: &str, host_rack: &str) -> Result<FaultPlan, ParsePlanError> {
+        FaultPlan::from_text(
+            &self
+                .plan
+                .replace("{host}", host)
+                .replace("{host_rack}", host_rack),
+        )
     }
+}
+
+/// True when every crash in `plan` heals (every
+/// [`FaultPlan::node_down_windows`] window ends), so a sufficient replay
+/// budget settles every root and `zero_loss_ratio == 1.0` is a
+/// correctness requirement rather than a hope.
+pub fn survivable(plan: &FaultPlan) -> bool {
+    plan.node_down_windows()
+        .values()
+        .flatten()
+        .all(|&(_, end)| end.is_finite())
 }
 
 /// The scenario grid: the cross product of its four axes, plus the base
@@ -298,7 +251,7 @@ pub struct SweepGrid {
     /// The scheduler axis, as [`rstorm_core::schedulers::by_name`] names.
     pub schedulers: Vec<String>,
     /// The fault axis.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<SweepFault>,
     /// The seed axis.
     pub seeds: SeedRange,
     /// Base simulation parameters (`seed` is replaced per job).
@@ -351,7 +304,7 @@ pub struct SweepJob {
     /// Scheduler name.
     pub scheduler: String,
     /// The fault scenario.
-    pub fault: FaultSpec,
+    pub fault: SweepFault,
     /// The simulation seed.
     pub seed: u64,
 }
@@ -361,6 +314,8 @@ pub struct SweepJob {
 pub struct SweepRow {
     /// The job that produced this row.
     pub job: SweepJob,
+    /// Whether the job's filled plan is [`survivable`].
+    pub survivable: bool,
     /// Steady-state sink throughput (tuples per window, warm-up skipped).
     pub net_throughput: f64,
     /// Tuples of live roots completed at sinks.
@@ -381,153 +336,74 @@ pub struct SweepRow {
 
 // ---- execution ----------------------------------------------------------
 
-/// Runs one job. Scheduling failures panic: grids are built from
-/// feasible workloads, and a scheduler that cannot place a grid case is a
+/// Runs one job: fills the fault template for the placement's host and
+/// runs the plan through [`run_fault_plan_with`], the closed loop the CLI
+/// and the fuzzer share. The healthy run is the empty plan. As in the
+/// CLI, the control journal is on exactly when the plan has control
+/// faults. Scheduling failures panic: grids are built from feasible
+/// workloads, and a scheduler that cannot place a grid case is a
 /// configuration error, not a data point.
 fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
     let case = &grid.cases[job.case];
     let scheduler = schedulers::by_name(&job.scheduler)
         .unwrap_or_else(|| panic!("unknown scheduler `{}` in the sweep grid", job.scheduler));
-    let sim_cfg = grid.sim.clone().with_seed(job.seed);
-    let topo = case.topology.id().as_str().to_owned();
-
-    let assignment = {
-        let mut state = GlobalState::new(&case.cluster);
-        scheduler
-            .schedule(&case.topology, &case.cluster, &mut state)
-            .unwrap_or_else(|e| {
-                panic!(
-                    "{} cannot place sweep case {}: {e}",
-                    job.scheduler, case.name
-                )
-            })
-    };
-
-    // Default recovery knobs; only the Nimbus outage turns the journal on.
-    let recovery = RecoveryConfig::default();
-    let (report, detect, recover) = match job.fault {
-        FaultSpec::Healthy => {
-            let mut sim = Simulation::new(Arc::clone(&case.cluster), sim_cfg);
-            sim.add_topology(&case.topology, &assignment);
-            (sim.run(), -1.0, -1.0)
-        }
-        FaultSpec::CrashRecover {
-            crash_at_ms,
-            heal_at_ms,
-        } => {
-            let host = host_node(&assignment);
-            let plan = FaultPlan::new()
-                .crash_node(crash_at_ms, &host)
-                .recover_node(heal_at_ms, &host);
-            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
-        }
-        FaultSpec::CrashLasting { crash_at_ms } => {
-            let plan = FaultPlan::new().crash_node(crash_at_ms, host_node(&assignment));
-            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
-        }
-        FaultSpec::Partition { at_ms, until_ms } => {
-            let rack = case
-                .cluster
-                .rack_of(&host_node(&assignment))
-                .expect("assigned node belongs to a rack")
-                .as_str()
-                .to_owned();
-            let plan = FaultPlan::new().partition_rack(at_ms, until_ms, rack);
-            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
-        }
-        FaultSpec::Congestion {
-            at_ms,
-            until_ms,
-            extra_ms,
-        } => {
-            // Congestion is only meaningful on the fair network plane:
-            // under it `link_extra_ms` shrinks capacity instead of
-            // padding latency, so the window behaves like competing
-            // background traffic on every link.
-            let fair_cfg = sim_cfg.with_network_model(crate::config::NetworkModel::Fair);
-            let plan = FaultPlan::new().degrade_links(at_ms, until_ms, extra_ms);
-            run_plan_job(case, &*scheduler, &plan, fair_cfg, &recovery)
-        }
-        FaultSpec::Flap {
-            first_at_ms,
-            flaps,
-            down_ms,
-            up_ms,
-        } => {
-            let plan = FaultPlan::new().flap_storm(
-                first_at_ms,
-                host_node(&assignment),
-                flaps,
-                down_ms,
-                up_ms,
-            );
-            run_plan_job(case, &*scheduler, &plan, sim_cfg, &recovery)
-        }
-        FaultSpec::NimbusOutage {
-            crash_at_ms,
-            heal_at_ms,
-            nimbus_at_ms,
-            nimbus_down_ms,
-        } => {
-            let host = host_node(&assignment);
-            let plan = FaultPlan::new()
-                .crash_node(crash_at_ms, &host)
-                .recover_node(heal_at_ms, &host)
-                .nimbus_crash(nimbus_at_ms, nimbus_down_ms);
-            let journaled = RecoveryConfig {
-                journal: true,
-                ..RecoveryConfig::default()
-            };
-            run_plan_job(case, &*scheduler, &plan, sim_cfg, &journaled)
-        }
-    };
-
-    SweepRow {
-        job: job.clone(),
-        net_throughput: report.steady_throughput(&topo, WARMUP_WINDOWS),
-        tuples_completed: report.totals.tuples_completed,
-        tuples_lost: report.totals.tuples_lost,
-        zero_loss_ratio: report.zero_loss_ratio(),
-        time_to_detect_ms: detect,
-        time_to_recover_ms: recover,
-    }
-}
-
-/// The faulted half of [`run_job`]: the spec's plan runs through
-/// [`run_fault_plan_with`], the closed loop the CLI and the fuzzer
-/// share.
-fn run_plan_job(
-    case: &SweepCase,
-    scheduler: &dyn Scheduler,
-    plan: &FaultPlan,
-    sim_cfg: SimConfig,
-    recovery: &RecoveryConfig,
-) -> (SimReport, f64, f64) {
-    let out = run_fault_plan_with(
-        &case.cluster,
-        &case.topology,
-        plan,
-        &sim_cfg,
-        recovery,
-        scheduler,
-    )
-    .unwrap_or_else(|e| panic!("fault-plan job failed on sweep case {}: {e}", case.name));
-    let obs = out.observations;
-    (out.report, obs.time_to_detect_ms, obs.time_to_recover_ms)
-}
-
-/// Victim selection, shared by every fault spec: the host of the first
-/// assigned task — crashing (or partitioning) an idle machine
-/// demonstrates nothing.
-fn host_node(assignment: &rstorm_core::Assignment) -> String {
-    assignment
+    // The victim is the host of the first assigned task: crashing (or
+    // partitioning) an idle machine demonstrates nothing.
+    let assignment = scheduler
+        .schedule(
+            &case.topology,
+            &case.cluster,
+            &mut GlobalState::new(&case.cluster),
+        )
+        .unwrap_or_else(|e| {
+            panic!(
+                "{} cannot place sweep case {}: {e}",
+                job.scheduler, case.name
+            )
+        });
+    let host = &assignment
         .iter()
         .next()
         .expect("non-empty assignment")
         .1
-        .node
-        .as_str()
-        .to_owned()
+        .node;
+    let rack = case
+        .cluster
+        .rack_of(host.as_str())
+        .expect("assigned node belongs to a rack");
+    let plan = job
+        .fault
+        .plan_for(host.as_str(), rack.as_str())
+        .unwrap_or_else(|e| panic!("sweep fault `{}`: {e}", job.fault.label));
+
+    let mut sim_cfg = grid.sim.clone().with_seed(job.seed);
+    if job.fault.fair_network {
+        sim_cfg = sim_cfg.with_network_model(NetworkModel::Fair);
+    }
+    let recovery = RecoveryConfig {
+        journal: plan.has_control_faults(),
+        ..RecoveryConfig::default()
+    };
+    let out = run_fault_plan_with(
+        &case.cluster,
+        &case.topology,
+        &plan,
+        &sim_cfg,
+        &recovery,
+        &*scheduler,
+    )
+    .unwrap_or_else(|e| panic!("sweep job failed on case {}: {e}", case.name));
+    let report = out.report;
+    SweepRow {
+        job: job.clone(),
+        survivable: survivable(&plan),
+        net_throughput: report.steady_throughput(case.topology.id().as_str(), WARMUP_WINDOWS),
+        tuples_completed: report.totals.tuples_completed,
+        tuples_lost: report.totals.tuples_lost,
+        zero_loss_ratio: report.zero_loss_ratio(),
+        time_to_detect_ms: out.observations.time_to_detect_ms,
+        time_to_recover_ms: out.observations.time_to_recover_ms,
+    }
 }
 
 /// Everything a sweep produced: the per-job rows in job-index order, the
@@ -672,8 +548,8 @@ impl Percentiles {
 pub struct SweepGroup {
     /// `case/scheduler/fault` — the group's stable name.
     pub name: String,
-    /// Whether the fault spec is survivable (see
-    /// [`FaultSpec::survivable`]); gates the zero-loss pin.
+    /// Whether every seed's plan is [`survivable`]; gates the zero-loss
+    /// pin.
     pub survivable: bool,
     /// Seeds aggregated into this group.
     pub seeds: usize,
@@ -808,8 +684,8 @@ pub fn aggregate(grid: &SweepGrid, rows: &[SweepRow]) -> SweepSummary {
             lost_hist[hist_bucket(r.tuples_lost)] += 1;
         }
         groups.push(SweepGroup {
-            name: format!("{}/{}/{}", case.name, job.scheduler, job.fault.label()),
-            survivable: job.fault.survivable(),
+            name: format!("{}/{}/{}", case.name, job.scheduler, job.fault.label),
+            survivable: chunk.iter().all(|r| r.survivable),
             seeds: chunk.len(),
             detect_ms: Percentiles::of(detect),
             recover_ms: Percentiles::of(recover),
@@ -865,11 +741,11 @@ mod tests {
             }],
             schedulers: vec!["rstorm".to_owned(), "even".to_owned()],
             faults: vec![
-                FaultSpec::Healthy,
-                FaultSpec::CrashRecover {
-                    crash_at_ms: 3_000.0,
-                    heal_at_ms: 6_000.0,
-                },
+                SweepFault::new("healthy", ""),
+                SweepFault::new(
+                    "crash_recover",
+                    "crash 3000.0 {host}\nrecover 6000.0 {host}\n",
+                ),
             ],
             seeds: SeedRange::new(0, 3).unwrap(),
             sim: SimConfig::quick()
@@ -920,7 +796,7 @@ mod tests {
         for (i, job) in jobs.iter().enumerate() {
             assert_eq!(job.index, i, "indices follow expansion order");
             assert!(
-                seen.insert((job.case, job.scheduler.clone(), job.fault.label(), job.seed)),
+                seen.insert((job.case, &job.scheduler, &job.fault.label, job.seed)),
                 "duplicate grid point {job:?}"
             );
         }
@@ -989,16 +865,12 @@ mod tests {
             }],
             schedulers: vec!["rstorm".to_owned()],
             faults: vec![
-                FaultSpec::Partition {
-                    at_ms: 3_000.0,
-                    until_ms: 8_000.0,
-                },
-                FaultSpec::Flap {
-                    first_at_ms: 2_000.0,
-                    flaps: 2,
-                    down_ms: 1_500.0,
-                    up_ms: 1_500.0,
-                },
+                SweepFault::new("partition", "partition 3000.0 8000.0 {host_rack}\n"),
+                SweepFault::new(
+                    "flap",
+                    "crash 2000.0 {host}\nrecover 3500.0 {host}\n\
+                     crash 5000.0 {host}\nrecover 6500.0 {host}\n",
+                ),
             ],
             seeds: SeedRange::new(0, 2).unwrap(),
             sim: SimConfig::quick()
@@ -1044,12 +916,10 @@ mod tests {
                 cluster: cluster(),
             }],
             schedulers: vec!["rstorm".to_owned()],
-            faults: vec![FaultSpec::NimbusOutage {
-                crash_at_ms: 4_000.0,
-                heal_at_ms: 12_000.0,
-                nimbus_at_ms: 3_000.0,
-                nimbus_down_ms: 4_000.0,
-            }],
+            faults: vec![SweepFault::new(
+                "nimbus_outage",
+                "crash 4000.0 {host}\nrecover 12000.0 {host}\nnimbus 3000.0 4000.0\n",
+            )],
             seeds: SeedRange::new(0, 2).unwrap(),
             sim: SimConfig::quick()
                 .with_sim_time_ms(20_000.0)
@@ -1088,11 +958,10 @@ mod tests {
             // network and the capacity squeeze has something to squeeze.
             schedulers: vec!["even".to_owned()],
             faults: vec![
-                FaultSpec::Healthy,
-                FaultSpec::Congestion {
-                    at_ms: 4_000.0,
-                    until_ms: 16_000.0,
-                    extra_ms: 400.0,
+                SweepFault::new("healthy", ""),
+                SweepFault {
+                    fair_network: true,
+                    ..SweepFault::new("congestion", "degrade 4000.0 16000.0 400.0\n")
                 },
             ],
             seeds: SeedRange::new(0, 2).unwrap(),

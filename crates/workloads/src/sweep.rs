@@ -12,19 +12,52 @@
 //! survivable group (pinned on the quick grid by `tests/pins.rs`).
 
 use crate::{cases, clusters, micro, yahoo};
-use rstorm_sim::{FaultSpec, SeedRange, SimConfig, SweepCase, SweepGrid};
+use rstorm_sim::{SeedRange, SimConfig, SweepCase, SweepFault, SweepGrid};
 use std::sync::Arc;
 
-/// Crash time shared by both grids (milliseconds).
-const CRASH_AT_MS: f64 = 20_000.0;
-/// Heal time of the survivable outage (milliseconds).
-const HEAL_AT_MS: f64 = 35_000.0;
 /// Replay budget: far above what a single survivable outage can consume.
 const MAX_REPLAYS: u32 = 8;
 
+/// No injected faults: the plain (replay-enabled) run.
+const HEALTHY: &str = "";
+/// Crash the host at 20 s and heal it at 35 s — the survivable outage of
+/// the crash/replay pins.
+const CRASH_RECOVER: &str = "crash 20000.0 {host}\nrecover 35000.0 {host}\n";
+/// Crash the host at 20 s and never heal it: recovery depends entirely
+/// on re-placement onto survivors, and long runs may legitimately
+/// quarantine roots (not survivable, so zero-loss gates skip it).
+const CRASH_LASTING: &str = "crash 20000.0 {host}\n";
+/// Partition the host's rack over 20 s..35 s: 15 s of severed inter-rack
+/// traffic and silenced heartbeats, well past the detection (miss)
+/// window, healing with most of the horizon left.
+const PARTITION: &str = "partition 20000.0 35000.0 {host_rack}\n";
+/// A flap storm on the host: three 4 s outages 8 s apart from 20 s —
+/// each long enough to be declared dead, short enough to exercise the
+/// recovery plane's trust hysteresis and churn limiter.
+const FLAP: &str = "\
+crash 20000.0 {host}
+recover 24000.0 {host}
+crash 32000.0 {host}
+recover 36000.0 {host}
+crash 44000.0 {host}
+recover 48000.0 {host}
+";
+/// 15 s of background traffic from 20 s squeezing every link on the fair
+/// network plane: capacity shrinks to `100 / (100 + 400) = 20 %`.
+const CONGESTION: &str = "degrade 20000.0 35000.0 400.0\n";
+/// The survivable crash masked by a Nimbus outage: the control plane goes
+/// dark 2 s before the crash and stays down for 10 s, so the crash falls
+/// entirely inside the outage and only a journaled successor (the journal
+/// is on for plans with control faults) can detect and reschedule it.
+const NIMBUS_OUTAGE: &str = "\
+crash 20000.0 {host}
+recover 35000.0 {host}
+nimbus 18000.0 10000.0
+";
+
 /// The quick grid: 2 cases × 2 schedulers × 2 faults × seeds, 60 s sims.
-/// Small enough for a CI test run; every fault spec is survivable, so
-/// the whole grid is zero-loss-gated.
+/// Small enough for a CI test run; every fault is survivable, so the
+/// whole grid is zero-loss-gated.
 pub fn quick_grid(seeds: SeedRange) -> SweepGrid {
     SweepGrid {
         cases: vec![
@@ -41,48 +74,19 @@ pub fn quick_grid(seeds: SeedRange) -> SweepGrid {
         ],
         schedulers: vec!["rstorm".to_owned(), "even".to_owned()],
         faults: vec![
-            FaultSpec::Healthy,
-            FaultSpec::CrashRecover {
-                crash_at_ms: CRASH_AT_MS,
-                heal_at_ms: HEAL_AT_MS,
-            },
+            SweepFault::new("healthy", HEALTHY),
+            SweepFault::new("crash_recover", CRASH_RECOVER),
         ],
         seeds,
         sim: SimConfig::quick().with_max_replays(MAX_REPLAYS),
     }
 }
 
-/// Partition window of the full grid's mixed-fault specs (milliseconds):
-/// 15 s of severed inter-rack traffic and silenced heartbeats, well past
-/// the detection window, healing with most of the horizon left.
-const PARTITION_UNTIL_MS: f64 = 35_000.0;
-/// Flap-storm shape of the full grid: three 4 s outages 8 s apart —
-/// each long enough to be declared dead, short enough to exercise the
-/// recovery plane's trust hysteresis and churn limiter.
-const FLAP_DOWN_MS: f64 = 4_000.0;
-/// Up time between flap outages (milliseconds).
-const FLAP_UP_MS: f64 = 8_000.0;
-/// Number of flap cycles.
-const FLAPS: u32 = 3;
-/// Congestion window end of the full grid (milliseconds): 15 s of
-/// background traffic squeezing every link on the fair network plane.
-const CONGESTION_UNTIL_MS: f64 = 35_000.0;
-/// Congestion severity: capacity shrinks to
-/// `100 / (100 + 400) = 20 %` for the window's duration.
-const CONGESTION_EXTRA_MS: f64 = 400.0;
-/// Nimbus-outage shape of the full grid: the control plane goes dark
-/// 2 s before the worker crash and stays down for 10 s, so the crash
-/// falls entirely inside the outage and only a journaled successor
-/// (the spec runs journal-on) can detect and reschedule it.
-const NIMBUS_AT_MS: f64 = 18_000.0;
-/// Length of the Nimbus outage (milliseconds).
-const NIMBUS_DOWN_MS: f64 = 10_000.0;
-
 /// The full grid: all five benchmark workloads × 3 schedulers × 7 faults
 /// × seeds at the paper's 300 s horizon — the production-scale
-/// validation sweep. Includes the non-survivable lasting-crash
-/// scenario, whose groups are exempt from the zero-loss pin, plus the
-/// mixed-fault vocabulary (rack partition, flap storm, background-traffic
+/// validation sweep. Includes the non-survivable lasting crash, whose
+/// groups are exempt from the zero-loss pin, plus the mixed-fault
+/// vocabulary (rack partition, flap storm, background-traffic
 /// congestion on the fair network plane, a worker crash masked by a
 /// Nimbus outage and healed by journaled failover) of the chaos
 /// fuzzer — all survivable, so zero-loss-gated.
@@ -100,35 +104,16 @@ pub fn full_grid(seeds: SeedRange) -> SweepGrid {
         cases,
         schedulers: vec!["rstorm".to_owned(), "even".to_owned(), "offline".to_owned()],
         faults: vec![
-            FaultSpec::Healthy,
-            FaultSpec::CrashRecover {
-                crash_at_ms: CRASH_AT_MS,
-                heal_at_ms: HEAL_AT_MS,
+            SweepFault::new("healthy", HEALTHY),
+            SweepFault::new("crash_recover", CRASH_RECOVER),
+            SweepFault::new("crash_lasting", CRASH_LASTING),
+            SweepFault::new("partition", PARTITION),
+            SweepFault::new("flap", FLAP),
+            SweepFault {
+                fair_network: true,
+                ..SweepFault::new("congestion", CONGESTION)
             },
-            FaultSpec::CrashLasting {
-                crash_at_ms: CRASH_AT_MS,
-            },
-            FaultSpec::Partition {
-                at_ms: CRASH_AT_MS,
-                until_ms: PARTITION_UNTIL_MS,
-            },
-            FaultSpec::Flap {
-                first_at_ms: CRASH_AT_MS,
-                flaps: FLAPS,
-                down_ms: FLAP_DOWN_MS,
-                up_ms: FLAP_UP_MS,
-            },
-            FaultSpec::Congestion {
-                at_ms: CRASH_AT_MS,
-                until_ms: CONGESTION_UNTIL_MS,
-                extra_ms: CONGESTION_EXTRA_MS,
-            },
-            FaultSpec::NimbusOutage {
-                crash_at_ms: CRASH_AT_MS,
-                heal_at_ms: HEAL_AT_MS,
-                nimbus_at_ms: NIMBUS_AT_MS,
-                nimbus_down_ms: NIMBUS_DOWN_MS,
-            },
+            SweepFault::new("nimbus_outage", NIMBUS_OUTAGE),
         ],
         seeds,
         sim: SimConfig::default().with_max_replays(MAX_REPLAYS),
@@ -139,20 +124,25 @@ pub fn full_grid(seeds: SeedRange) -> SweepGrid {
 mod tests {
     use super::*;
     use rstorm_core::{schedulers, GlobalState};
+    use rstorm_sim::sweep::survivable;
 
+    /// Every fault of both grids fills and parses for every case's host
+    /// and rack, round-trips as canonical plan text, and derives the
+    /// per-fault rules from the plan: only the lasting crash is not
+    /// survivable, only the Nimbus outage turns the journal on, and only
+    /// congestion runs on the fair plane.
     #[test]
-    fn quick_grid_is_fully_survivable() {
-        let grid = quick_grid(SeedRange::new(0, 4).unwrap());
-        assert!(grid.faults.iter().all(FaultSpec::survivable));
-        assert_eq!(grid.job_count(), 2 * 2 * 2 * 4);
-    }
-
-    #[test]
-    fn full_grid_covers_the_mixed_fault_vocabulary() {
-        let grid = full_grid(SeedRange::new(0, 1).unwrap());
-        let labels: Vec<&str> = grid.faults.iter().map(FaultSpec::label).collect();
+    fn preset_faults_fill_parse_and_derive_their_rules() {
+        let seeds = SeedRange::new(0, 4).unwrap();
+        let quick = quick_grid(seeds);
+        let full = full_grid(seeds);
+        assert_eq!(quick.job_count(), 2 * 2 * 2 * 4);
+        let labels = |grid: &SweepGrid| -> Vec<String> {
+            grid.faults.iter().map(|f| f.label.clone()).collect()
+        };
+        assert_eq!(labels(&quick), ["healthy", "crash_recover"]);
         assert_eq!(
-            labels,
+            labels(&full),
             [
                 "healthy",
                 "crash_recover",
@@ -163,15 +153,30 @@ mod tests {
                 "nimbus_outage"
             ]
         );
-        // Everything but the lasting crash is survivable and therefore
-        // zero-loss-gated — including both new mixed-fault specs.
-        for fault in &grid.faults {
-            assert_eq!(
-                fault.survivable(),
-                fault.label() != "crash_lasting",
-                "{}",
-                fault.label()
-            );
+        for grid in [&quick, &full] {
+            for case in &grid.cases {
+                for node in case.cluster.nodes() {
+                    let (host, rack) = (node.id().as_str(), node.rack().as_str());
+                    for fault in &grid.faults {
+                        let filled = fault
+                            .plan
+                            .replace("{host}", host)
+                            .replace("{host_rack}", rack);
+                        let plan = fault
+                            .plan_for(host, rack)
+                            .unwrap_or_else(|e| panic!("{}: {e}", fault.label));
+                        assert_eq!(plan.to_text(), filled, "{}", fault.label);
+                        let label = fault.label.as_str();
+                        assert_eq!(survivable(&plan), label != "crash_lasting", "{label}");
+                        assert_eq!(
+                            plan.has_control_faults(),
+                            label == "nimbus_outage",
+                            "{label}"
+                        );
+                        assert_eq!(fault.fair_network, label == "congestion", "{label}");
+                    }
+                }
+            }
         }
     }
 

@@ -159,8 +159,9 @@ fn schedulers_place_the_latency_cases_and_reschedule_after_failure() {
     }
 }
 
-/// An empty fault plan costs nothing in bits, and a crash of a tasked
-/// node is detected, fully re-placed and leaves a clean plan.
+/// An empty fault plan costs nothing in bits, on the plain engine and
+/// through the closed recovery loop alike, and a crash of a tasked node
+/// is detected, fully re-placed and leaves a clean plan.
 #[test]
 fn crash_then_recover_is_detected_and_fully_replaced() {
     for case in outage_cases() {
@@ -171,12 +172,31 @@ fn crash_then_recover_is_detected_and_fully_replaced() {
         let mut faultless = Simulation::new(Arc::clone(&cluster), config.clone());
         faultless.add_topology(&case.topology, &assignment);
         faultless.set_fault_plan(FaultPlan::new());
+        let plain = faultless.run();
         let mut reference = ReferenceSimulation::new(Arc::clone(&cluster), config.clone());
         reference.add_topology(&case.topology, &assignment);
         assert_eq!(
-            faultless.run(),
+            plain,
             reference.run(),
             "{}: empty fault plan diverges from the reference engine",
+            case.name
+        );
+        // The sweep's healthy jobs run the empty plan through the closed
+        // loop: apart from the recovery block, nothing may change.
+        let mut closed_loop = run_fault_plan_with(
+            &cluster,
+            &case.topology,
+            &FaultPlan::new(),
+            &config,
+            &RecoveryConfig::default(),
+            &RStormScheduler::new(),
+        )
+        .expect("the empty plan runs")
+        .report;
+        closed_loop.recovery = None;
+        assert_eq!(
+            closed_loop, plain,
+            "{}: the closed loop perturbs a faultless run",
             case.name
         );
 
