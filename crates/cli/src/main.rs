@@ -6,6 +6,7 @@
 //! rstorm schedule --topology topo.spec --cluster cluster.spec [--scheduler NAME]
 //! rstorm simulate --topology topo.spec --cluster cluster.spec [--duration-s N] [--seed N]
 //! rstorm compare  --topology topo.spec --cluster cluster.spec [--duration-s N]
+//! rstorm chaos    --topology topo.spec --cluster cluster.spec [--plan FILE] [--duration-s N]
 //! rstorm sweep    [--grid quick|full] [--seeds A..B] [--workers N] [--out FILE]
 //! rstorm fuzz     --topology topo.spec --cluster cluster.spec [--iterations N] [--seed N]
 //! rstorm scale    [--tasks N] [--nodes N] [--horizon-ms N] [--seed N] [--churn]
@@ -21,6 +22,7 @@ use rstorm_metrics::text_table;
 use rstorm_sim::{
     run_adaptive_rebalance, run_fault_plan_with, run_fuzz_campaign, run_sweep, AdaptiveConfig,
     FaultPlan, FuzzConfig, NetworkModel, SeedRange, SimConfig, SimReport, Simulation,
+    HOST_PLACEHOLDER,
 };
 use rstorm_spec::{parse_cluster, parse_topology};
 use rstorm_topology::Topology;
@@ -37,10 +39,10 @@ USAGE:
     rstorm simulate --topology FILE --cluster FILE [--scheduler NAME]
                     [--duration-s N] [--seed N]
     rstorm compare  --topology FILE --cluster FILE [--duration-s N] [--seed N]
-    rstorm chaos    --topology FILE --cluster FILE [--victim NODE]
-                    [--crash-at-s N] [--heal-at-s N] [--duration-s N] [--seed N]
-                    [--replay] [--max-replays N] [--network fair|legacy]
-                    [--nimbus-down-ms N] [--journal on|off]
+    rstorm chaos    --topology FILE --cluster FILE [--plan FILE | [--victim NODE]
+                    [--crash-at-s N] [--heal-at-s N] [--nimbus-down-ms N]]
+                    [--duration-s N] [--seed N] [--replay] [--max-replays N]
+                    [--network fair|legacy] [--journal on|off]
     rstorm rebalance --topology FILE --cluster FILE [--observe-s N]
                     [--rebalance-at-s N] [--pause-ms N] [--alpha X]
                     [--duration-s N] [--seed N]
@@ -57,6 +59,11 @@ USAGE:
 SCHEDULERS:
     rstorm (default), default (Storm's round-robin), offline, random,
     exhaustive
+
+CHAOS PLANS (--plan FILE; one event per line, times in ms):
+    crash AT NODE, recover AT NODE, degrade AT UNTIL EXTRA, partition AT UNTIL RACK,
+    nimbus AT DOWN, ctrl-loss AT UNTIL. The node {host} and the rack {host_rack}
+    stand for the first task's node and rack; the fault flags build such a plan.
 ";
 
 fn main() -> ExitCode {
@@ -171,14 +178,15 @@ fn journal_flag(flags: &BTreeMap<String, String>, default: bool) -> Result<bool,
     }
 }
 
-fn make_scheduler(flags: &BTreeMap<String, String>) -> Result<Box<dyn Scheduler>, String> {
+/// The scheduler `--scheduler NAME` names (R-Storm when absent).
+fn make_scheduler(
+    flags: &BTreeMap<String, String>,
+) -> Result<Box<dyn Scheduler + Send + Sync>, String> {
     let name = flags
         .get("scheduler")
         .map(String::as_str)
         .unwrap_or("rstorm");
-    let scheduler: Box<dyn Scheduler> =
-        schedulers::by_name(name).ok_or_else(|| format!("unknown scheduler `{name}`"))?;
-    Ok(scheduler)
+    schedulers::by_name(name).ok_or_else(|| format!("unknown scheduler `{name}`"))
 }
 
 fn sim_config(flags: &BTreeMap<String, String>) -> Result<SimConfig, String> {
@@ -309,79 +317,33 @@ fn compare_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs a crash-then-recover chaos scenario: schedules with R-Storm,
-/// crashes the victim node mid-run, heals it, and reports
-/// detection/recovery latency plus the data-plane damage. With
-/// `--nimbus-down-ms N` the control plane itself goes dark 2 s before the
-/// crash for N ms, and a successor reassumes afterwards — journaled by
-/// default, cold with `--journal off` — reporting time-to-reassume and
-/// the journal decisions replayed as well. A final plan that violates a
-/// constraint is an error.
+/// Runs a fault scenario through the closed recovery loop and reports
+/// detection/recovery latency plus the data-plane damage. The scenario
+/// is a fault plan (see [`chaos_plan`]); when it has control faults the
+/// report adds time-to-reassume and the journal decisions replayed. A
+/// final plan that violates a constraint is an error.
 fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (topology, cluster) = load_inputs(flags)?;
     let config = apply_network_flag(flags, sim_config(flags)?)?;
     let duration_s = config.sim_time_ms / 1000.0;
-
-    let crash_at_s = flag(flags, "crash-at-s", duration_s / 3.0)?;
-    let heal_at_s = flag(flags, "heal-at-s", crash_at_s + duration_s / 4.0)?;
-    let (crash_at_ms, heal_at_ms) = (crash_at_s * 1000.0, heal_at_s * 1000.0);
-    if !(crash_at_ms >= 0.0 && crash_at_ms < heal_at_ms && heal_at_ms.is_finite()) {
-        return Err(format!(
-            "need 0 <= --crash-at-s ({crash_at_s}) < --heal-at-s ({heal_at_s})"
-        ));
+    let plan = chaos_plan(flags, duration_s)?;
+    if flags.contains_key("journal") && !plan.has_control_faults() {
+        let hint = "--nimbus-down-ms, or a `nimbus` or `ctrl-loss` line in --plan";
+        return Err(format!("--journal needs control faults ({hint})"));
     }
-
-    let cluster = Arc::new(cluster);
-    let victim = match flags.get("victim") {
-        Some(name) => name.clone(),
-        None => {
-            // Default to a node the placement actually uses — crashing an
-            // idle machine demonstrates nothing.
-            let mut state = GlobalState::new(&cluster);
-            let assignment = RStormScheduler::new()
-                .schedule(&topology, &cluster, &mut state)
-                .map_err(|e| e.to_string())?;
-            let host = assignment.iter().next().expect("non-empty assignment");
-            host.1.node.as_str().to_owned()
-        }
+    // As in the sweep, the journal is on exactly when the plan has
+    // control faults; `--journal off` runs their cold-failover variant.
+    let recovery = RecoveryConfig {
+        journal: plan.has_control_faults() && journal_flag(flags, true)?,
+        ..RecoveryConfig::default()
     };
-    if !cluster.nodes().iter().any(|n| n.id().as_str() == victim) {
-        return Err(format!("--victim `{victim}` is not a node of the cluster"));
-    }
 
     // `--replay` turns on guaranteed processing with a default budget of
     // 3 re-emissions per root; `--max-replays` sets the budget exactly.
     let default_replays = if flags.contains_key("replay") { 3 } else { 0 };
     let max_replays: u32 = flag(flags, "max-replays", default_replays)?;
 
-    let mut plan = FaultPlan::new()
-        .crash_node(crash_at_ms, &victim)
-        .recover_node(heal_at_ms, &victim);
-    let mut recovery = RecoveryConfig::default();
-    // `--nimbus-down-ms` adds a control-plane outage: Nimbus goes dark
-    // 2 s before the crash, so the victim's silence starts while nobody
-    // is watching.
-    let mut outage = String::new();
-    if flags.contains_key("nimbus-down-ms") {
-        let down_ms: f64 = flag(flags, "nimbus-down-ms", 0.0)?;
-        if !(down_ms.is_finite() && down_ms > 0.0) {
-            return Err(format!(
-                "--nimbus-down-ms must be a positive duration, got {down_ms}"
-            ));
-        }
-        let down_at_ms = (crash_at_ms - 2_000.0).max(0.0);
-        plan = plan.nimbus_crash(down_at_ms, down_ms);
-        recovery.journal = journal_flag(flags, true)?;
-        outage = format!(
-            ", Nimbus down {:.0}..{:.0} s, journal {}",
-            down_at_ms / 1000.0,
-            (down_at_ms + down_ms) / 1000.0,
-            if recovery.journal { "on" } else { "off" }
-        );
-    } else if flags.contains_key("journal") {
-        return Err("--journal requires --nimbus-down-ms".into());
-    }
-
+    let cluster = Arc::new(cluster);
     let out = run_fault_plan_with(
         &cluster,
         &topology,
@@ -392,16 +354,19 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
 
-    println!(
-        "chaos scenario on `{}`: crash {victim} at {crash_at_s:.0} s, heal at {heal_at_s:.0} s\
-         {outage} (sim {duration_s:.0} s{})\n",
-        topology.id(),
-        if max_replays > 0 {
-            format!(", replay budget {max_replays}")
-        } else {
-            String::new()
-        }
-    );
+    let mut run = format!("sim {duration_s:.0} s");
+    if max_replays > 0 {
+        run.push_str(&format!(", replay budget {max_replays}"));
+    }
+    if plan.has_control_faults() {
+        let journal = if recovery.journal { "on" } else { "off" };
+        run.push_str(&format!(", journal {journal}"));
+    }
+    println!("chaos scenario on `{}` ({run}), fault plan:", topology.id());
+    for line in out.fault_plan.to_text().lines() {
+        println!("  {line}");
+    }
+    println!();
     for event in &out.events {
         println!("  {event:?}");
     }
@@ -418,22 +383,18 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         println!("journal decisions replayed: {}", audit.decisions_replayed);
     }
     let obs = out.observations;
-    if obs.time_to_detect_ms >= 0.0 {
-        println!(
-            "time to detect: {:.0} ms after the crash",
-            obs.time_to_detect_ms
-        );
-    } else {
-        println!("time to detect: never (within the run)");
-    }
-    if obs.time_to_recover_ms >= 0.0 {
-        println!(
-            "time to full re-placement: {:.0} ms after the crash",
-            obs.time_to_recover_ms
-        );
-    } else {
-        println!("time to full re-placement: never (within the run)");
-    }
+    let after_crash = |ms: f64| {
+        if ms >= 0.0 {
+            format!("{ms:.0} ms after the crash")
+        } else {
+            "never (within the run)".to_owned()
+        }
+    };
+    println!("time to detect: {}", after_crash(obs.time_to_detect_ms));
+    println!(
+        "time to full re-placement: {}",
+        after_crash(obs.time_to_recover_ms)
+    );
     println!(
         "tuples lost: {}; throughput dip depth: {:.0}%; reschedule attempts: {}",
         obs.tuples_lost,
@@ -470,6 +431,51 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     } else {
         Err(lines.join("\n"))
     }
+}
+
+/// The fault plan `rstorm chaos` runs. `--plan FILE` reads any
+/// [`FaultPlan::to_text`] file; `#` lines are skipped, so a fuzz-corpus
+/// reproducer runs as it is. Without it, the flags are sugar for a
+/// crash-then-heal plan: `--victim` (default `{host}`, the node of the
+/// placement's first task) crashes at `--crash-at-s` (default a third of
+/// the run) and heals at `--heal-at-s` (default a quarter of the run
+/// later). `--nimbus-down-ms N` adds a Nimbus outage of N ms starting
+/// 2 s before the crash, so the victim's silence starts while nobody is
+/// watching. Combining `--plan` with any of those flags is an error.
+fn chaos_plan(flags: &BTreeMap<String, String>, duration_s: f64) -> Result<FaultPlan, String> {
+    const SUGAR: [&str; 4] = ["victim", "crash-at-s", "heal-at-s", "nimbus-down-ms"];
+    if let Some(path) = flags.get("plan") {
+        if let Some(sugar) = SUGAR.iter().find(|name| flags.contains_key(**name)) {
+            return Err(format!(
+                "--{sugar} cannot be combined with --plan (write the fault into the plan file)"
+            ));
+        }
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        return FaultPlan::from_text(&text).map_err(|e| format!("{path}: {e}"));
+    }
+
+    let crash_at_s = flag(flags, "crash-at-s", duration_s / 3.0)?;
+    let heal_at_s = flag(flags, "heal-at-s", crash_at_s + duration_s / 4.0)?;
+    let (crash_at_ms, heal_at_ms) = (crash_at_s * 1000.0, heal_at_s * 1000.0);
+    if !(crash_at_ms >= 0.0 && crash_at_ms < heal_at_ms && heal_at_ms.is_finite()) {
+        return Err(format!(
+            "need 0 <= --crash-at-s ({crash_at_s}) < --heal-at-s ({heal_at_s})"
+        ));
+    }
+    let victim = flags.get("victim").map_or(HOST_PLACEHOLDER, String::as_str);
+    let mut plan = FaultPlan::new()
+        .crash_node(crash_at_ms, victim)
+        .recover_node(heal_at_ms, victim);
+    if flags.contains_key("nimbus-down-ms") {
+        let down_ms: f64 = flag(flags, "nimbus-down-ms", 0.0)?;
+        if !(down_ms.is_finite() && down_ms > 0.0) {
+            return Err(format!(
+                "--nimbus-down-ms must be a positive duration, got {down_ms}"
+            ));
+        }
+        plan = plan.nimbus_crash((crash_at_ms - 2_000.0).max(0.0), down_ms);
+    }
+    Ok(plan)
 }
 
 /// Runs the adaptive rebalance plane end to end: profiles the R-Storm
@@ -647,12 +653,7 @@ fn sweep_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn fuzz_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (topology, cluster) = load_inputs(flags)?;
     let cluster = Arc::new(cluster);
-    let name = flags
-        .get("scheduler")
-        .map(String::as_str)
-        .unwrap_or("rstorm");
-    let scheduler =
-        schedulers::by_name(name).ok_or_else(|| format!("unknown scheduler `{name}`"))?;
+    let scheduler = make_scheduler(flags)?;
 
     let mut cfg = FuzzConfig::default();
     cfg.iterations = flag(flags, "iterations", cfg.iterations)?;
@@ -674,7 +675,7 @@ fn fuzz_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         "fuzzing `{}` under the {} scheduler: {} iterations, seed {}, horizon {:.0} s, \
          {} worker(s), oracles on\n",
         topology.id(),
-        name,
+        scheduler.name(),
         cfg.iterations,
         cfg.seed,
         cfg.sim.sim_time_ms / 1000.0,
@@ -935,8 +936,8 @@ mod tests {
 
     #[test]
     fn chaos_on_an_unplaceable_topology_is_an_error() {
-        // With an explicit victim the CLI never places the topology
-        // itself, so the failure comes from the chaos runner.
+        // The CLI never places the topology itself, so the failure comes
+        // from the chaos runner, with an explicit victim or without.
         let mut flags = unplaceable_flags("rstorm-cli-unplaceable-chaos-test");
         flags.insert("victim".into(), "n0".into());
         let err = chaos_cmd(&flags).unwrap_err();
@@ -1045,6 +1046,117 @@ mod tests {
         stray_journal.extend(["--journal".to_owned(), "on".to_owned()]);
         let err = chaos_cmd(&parse_flags(&stray_journal).unwrap()).unwrap_err();
         assert!(err.contains("--nimbus-down-ms"), "{err}");
+    }
+
+    /// Flags naming the fuzz corpus's committed workload specs, run for
+    /// 30 s.
+    fn corpus_flags() -> (std::path::PathBuf, BTreeMap<String, String>) {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fuzz_corpus");
+        let mut flags = BTreeMap::new();
+        for (name, file) in [
+            ("topology", "corpus.topology"),
+            ("cluster", "corpus.cluster"),
+        ] {
+            flags.insert(name.into(), dir.join(file).to_string_lossy().into_owned());
+        }
+        flags.insert("duration-s".into(), "30".into());
+        (dir, flags)
+    }
+
+    #[test]
+    fn chaos_runs_every_corpus_plan_as_written() {
+        let (dir, flags) = corpus_flags();
+        let mut plans: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "plan"))
+            .collect();
+        plans.sort();
+        assert!(!plans.is_empty(), "the corpus must not be empty");
+        for path in &plans {
+            let mut run = flags.clone();
+            run.insert("plan".into(), path.to_string_lossy().into_owned());
+            chaos_cmd(&run).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        }
+
+        // The fault flags are sugar for a plan: none of them mixes with
+        // `--plan`.
+        for sugar in ["victim", "crash-at-s", "heal-at-s", "nimbus-down-ms"] {
+            let mut mixed = flags.clone();
+            mixed.insert("plan".into(), plans[0].to_string_lossy().into_owned());
+            mixed.insert(sugar.into(), "1".into());
+            let err = chaos_cmd(&mixed).unwrap_err();
+            assert!(
+                err.contains(&format!("--{sugar}")) && err.contains("--plan"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_plan_files_fill_the_host_and_derive_the_journal() {
+        let (_, flags) = corpus_flags();
+        let dir = std::env::temp_dir().join("rstorm-cli-chaos-plan-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let mut run = flags.clone();
+            run.insert("plan".into(), path.to_string_lossy().into_owned());
+            run
+        };
+        // Placeholders, a rack partition and a Nimbus outage: the journal
+        // is on by default, and `--journal off` is accepted.
+        let mut outage = write(
+            "outage.plan",
+            "# a comment\ncrash 8000.0 {host}\nrecover 16000.0 {host}\n\
+             partition 20000.0 24000.0 {host_rack}\nnimbus 7000.0 4000.0\n",
+        );
+        chaos_cmd(&outage).unwrap();
+        outage.insert("journal".into(), "off".into());
+        chaos_cmd(&outage).unwrap();
+
+        // Without control faults `--journal` is an error that names the
+        // sugar flag.
+        let mut plain = write(
+            "plain.plan",
+            "crash 8000.0 {host}\nrecover 16000.0 {host}\n",
+        );
+        chaos_cmd(&plain).unwrap();
+        plain.insert("journal".into(), "on".into());
+        let err = chaos_cmd(&plain).unwrap_err();
+        assert!(err.contains("--nimbus-down-ms"), "{err}");
+
+        // Unknown names come from the runner; a bad line names the file.
+        let err = chaos_cmd(&write("ghost.plan", "crash 8000.0 ghost\n")).unwrap_err();
+        assert!(err.contains("ghost"), "{err}");
+        let err = chaos_cmd(&write("bad.plan", "crash soon {host}\n")).unwrap_err();
+        assert!(err.contains("bad.plan") && err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn sugar_flags_build_the_equivalent_host_plan() {
+        let text = |t: &str| FaultPlan::from_text(t).unwrap();
+        let mut flags = BTreeMap::new();
+        // Defaults on a 30 s run: crash a third in, heal a quarter later.
+        assert_eq!(
+            chaos_plan(&flags, 30.0).unwrap(),
+            text("crash 10000.0 {host}\nrecover 17500.0 {host}\n")
+        );
+        flags.insert("crash-at-s".into(), "1".into());
+        flags.insert("heal-at-s".into(), "9".into());
+        flags.insert("nimbus-down-ms".into(), "4000".into());
+        // The outage starts 2 s before the crash, clamped at 0.
+        assert_eq!(
+            chaos_plan(&flags, 30.0).unwrap(),
+            text("crash 1000.0 {host}\nrecover 9000.0 {host}\nnimbus 0.0 4000.0\n")
+        );
+        flags.insert("crash-at-s".into(), "5".into());
+        flags.insert("victim".into(), "n1".into());
+        assert_eq!(
+            chaos_plan(&flags, 30.0).unwrap(),
+            text("crash 5000.0 n1\nrecover 9000.0 n1\nnimbus 3000.0 4000.0\n")
+        );
     }
 
     /// Flags naming a two-node cluster and a topology given as spec text.

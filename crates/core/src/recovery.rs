@@ -306,10 +306,18 @@ impl RecoveryManager {
     /// Records a heartbeat from `node` at `now_ms`. Only nodes with at
     /// least one observed heartbeat are subject to failure detection.
     pub fn observe_heartbeat(&mut self, node: &str, now_ms: f64) {
-        let entry = self.last_heartbeat.entry(node.to_owned()).or_insert(now_ms);
-        *entry = entry.max(now_ms);
-        if self.declared_dead.contains(node) {
-            *self.consecutive_beats.entry(node.to_owned()).or_insert(0) += 1;
+        // Look the node up before inserting: a key is allocated only the
+        // first time a node is seen, not on every tick.
+        if let Some(last) = self.last_heartbeat.get_mut(node) {
+            *last = last.max(now_ms);
+        } else {
+            self.last_heartbeat.insert(node.to_owned(), now_ms);
+        }
+        // `consecutive_beats` only holds declared-dead nodes.
+        if let Some(beats) = self.consecutive_beats.get_mut(node) {
+            *beats += 1;
+        } else if self.declared_dead.contains(node) {
+            self.consecutive_beats.insert(node.to_owned(), 1);
         }
     }
 

@@ -4,8 +4,12 @@
 //! crash under a Nimbus outage, a partition or the chaos fuzzer's
 //! generated plans all run through [`run_fault_plan_with`], which
 //!
-//! 1. resolves every node and rack name the plan references;
-//! 2. places the topology on the healthy cluster;
+//! 1. resolves every node and rack name the plan references, accepting
+//!    the placeholders `{host}` and `{host_rack}`;
+//! 2. places the topology on the healthy cluster, then fills `{host}`
+//!    with the node of the placement's first task and `{host_rack}` with
+//!    that node's rack ([`FaultPlan::fill_placeholders`]) — crashing or
+//!    partitioning an idle machine demonstrates nothing;
 //! 3. runs one checked, fault-injected [`Simulation`] of that placement
 //!    with the **recovery loop inside the engine**, as Nimbus runs
 //!    beside its workers. A [`RecoveryManager`], with its own copy of
@@ -29,7 +33,7 @@
 //! included — is a pure function of the scenario's inputs.
 
 use crate::config::SimConfig;
-use crate::faults::{FaultEvent, FaultPlan};
+use crate::faults::{FaultEvent, FaultPlan, HOST_PLACEHOLDER, HOST_RACK_PLACEHOLDER};
 use crate::report::{InvariantViolation, RecoveryObservations, SimReport};
 use crate::sim::{CheckedReport, Simulation};
 use rstorm_cluster::Cluster;
@@ -106,6 +110,9 @@ pub struct ChaosOutcome {
     /// The fault-injected simulation report, with
     /// [`SimReport::recovery`] populated.
     pub report: SimReport,
+    /// The plan the run injected: the input plan with `{host}` and
+    /// `{host_rack}` filled from the initial placement.
+    pub fault_plan: FaultPlan,
     /// Invariant violations the checked engine observed — empty unless
     /// the engine broke an accounting identity or reported an insane
     /// metric (the fuzzer's oracle input).
@@ -161,6 +168,13 @@ pub struct ReconcileAudit {
 /// [`RecoveryObservations::crash_at_ms`] for the anchor the
 /// observations measure from.
 ///
+/// The plan may name its victim as the node `{host}` and the rack
+/// `{host_rack}` ([`crate::HOST_PLACEHOLDER`],
+/// [`crate::HOST_RACK_PLACEHOLDER`]): the runner fills them with the
+/// node of the initial placement's first task and that node's rack, so a
+/// scenario is placed once. [`ChaosOutcome::fault_plan`] is the filled
+/// plan. A plan without placeholders runs as given.
+///
 /// # Errors
 ///
 /// [`ChaosError::UnknownNode`] / [`ChaosError::UnknownRack`] when the
@@ -208,16 +222,17 @@ pub(crate) fn run_closed_loop(
     scheduler: &(dyn Scheduler + '_),
 ) -> Result<ClosedLoopRun, ChaosError> {
     // Resolve every name the plan references up front so fuzzed plans
-    // surface as typed errors here instead of engine panics mid-run.
+    // surface as typed errors here instead of engine panics mid-run. The
+    // placeholders resolve to the placement's host below.
     for ev in plan.events() {
         match ev {
             FaultEvent::NodeCrash { node, .. } | FaultEvent::NodeRecover { node, .. } => {
-                if !cluster.nodes().iter().any(|n| n.id().as_str() == node) {
+                if node != HOST_PLACEHOLDER && cluster.node(node).is_none() {
                     return Err(ChaosError::UnknownNode { node: node.clone() });
                 }
             }
             FaultEvent::RackPartition { rack, .. } => {
-                if !cluster.racks().iter().any(|r| r.as_str() == rack) {
+                if rack != HOST_RACK_PLACEHOLDER && cluster.rack_nodes(rack).is_empty() {
                     return Err(ChaosError::UnknownRack { rack: rack.clone() });
                 }
             }
@@ -229,7 +244,6 @@ pub(crate) fn run_closed_loop(
         }
     }
 
-    let anchor_ms = anchor_ms(plan);
     let control = (**cluster).clone();
     let mut state = GlobalState::new(&control);
     let initial = scheduler
@@ -238,6 +252,12 @@ pub(crate) fn run_closed_loop(
             topology: topology.id().as_str().to_owned(),
             error,
         })?;
+    let (_, first) = initial.iter().next().expect("a placed topology has a task");
+    let rack = cluster
+        .rack_of(first.node.as_str())
+        .expect("the scheduler places on cluster nodes");
+    let plan = plan.fill_placeholders(first.node.as_str(), rack.as_str());
+    let anchor_ms = anchor_ms(&plan);
     let control = ControlLoop {
         topology,
         scheduler,
@@ -301,10 +321,11 @@ pub(crate) fn run_closed_loop(
             });
     let reconciliation = plan
         .has_control_faults()
-        .then(|| control.audit(cluster, plan));
+        .then(|| control.audit(cluster, &plan));
     Ok(ClosedLoopRun {
         outcome: ChaosOutcome {
             report,
+            fault_plan: plan,
             violations,
             plan: final_plan,
             events: control.events,

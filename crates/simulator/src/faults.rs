@@ -49,11 +49,25 @@
 //! ([`FaultPlan::to_text`] / [`FaultPlan::from_text`]) so the fuzz
 //! plane's regression corpus under `tests/fuzz_corpus/` stays readable
 //! and diffable.
+//!
+//! A plan may name its victim before the topology is placed: the node
+//! [`HOST_PLACEHOLDER`] (`{host}`) and the rack [`HOST_RACK_PLACEHOLDER`]
+//! (`{host_rack}`) stand for the node of the placement's first task and
+//! that node's rack. `crate::chaos::run_fault_plan_with` fills them
+//! through [`FaultPlan::fill_placeholders`] once it has placed the
+//! topology.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// The node name that stands for the node of the placement's first task
+/// (see [`FaultPlan::fill_placeholders`]).
+pub const HOST_PLACEHOLDER: &str = "{host}";
+
+/// The rack name that stands for the rack of [`HOST_PLACEHOLDER`]'s node.
+pub const HOST_RACK_PLACEHOLDER: &str = "{host_rack}";
 
 /// One timed fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -524,7 +538,10 @@ impl FaultPlan {
 
     /// Parses the [`FaultPlan::to_text`] format. Blank lines and lines
     /// starting with `#` are skipped, so corpus files can carry header
-    /// comments.
+    /// comments. A node may be written [`HOST_PLACEHOLDER`] (`{host}`)
+    /// and a rack [`HOST_RACK_PLACEHOLDER`] (`{host_rack}`); they parse
+    /// as names like any other, and [`FaultPlan::fill_placeholders`]
+    /// replaces them.
     ///
     /// # Errors
     ///
@@ -611,6 +628,27 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// The plan with every node named [`HOST_PLACEHOLDER`] renamed
+    /// `host` and every rack named [`HOST_RACK_PLACEHOLDER`] renamed
+    /// `host_rack`. Only whole names are replaced; a plan without
+    /// placeholders comes back equal.
+    pub fn fill_placeholders(&self, host: &str, host_rack: &str) -> Self {
+        let mut plan = self.clone();
+        for ev in &mut plan.events {
+            let (name, placeholder, value) = match ev {
+                FaultEvent::NodeCrash { node, .. } | FaultEvent::NodeRecover { node, .. } => {
+                    (node, HOST_PLACEHOLDER, host)
+                }
+                FaultEvent::RackPartition { rack, .. } => (rack, HOST_RACK_PLACEHOLDER, host_rack),
+                _ => continue,
+            };
+            if name == placeholder {
+                value.clone_into(name);
+            }
+        }
+        plan
     }
 }
 
@@ -740,6 +778,26 @@ mod tests {
         let parsed = FaultPlan::from_text(&text).unwrap();
         assert_eq!(parsed, plan);
         assert_eq!(parsed.to_text(), text, "serialization is a fixpoint");
+    }
+
+    #[test]
+    fn placeholders_fill_whole_names_only() {
+        let template = FaultPlan::from_text(
+            "crash 1.0 {host}\nrecover 2.0 {host}\npartition 3.0 4.0 {host_rack}\n\
+             crash 5.0 n7\npartition 6.0 7.0 {host}\nnimbus 8.0 1.0\n",
+        )
+        .unwrap();
+        let filled = template.fill_placeholders("n0", "r0");
+        assert_eq!(
+            filled.to_text(),
+            "crash 1.0 n0\nrecover 2.0 n0\npartition 3.0 4.0 r0\n\
+             crash 5.0 n7\npartition 6.0 7.0 {host}\nnimbus 8.0 1.0\n",
+            "a rack field never takes the host's name"
+        );
+        let plain = FaultPlan::new()
+            .crash_node(1.0, "n3")
+            .degrade_links(2.0, 3.0, 4.0);
+        assert_eq!(plain.fill_placeholders("n0", "r0"), plain);
     }
 
     #[test]

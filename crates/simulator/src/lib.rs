@@ -76,7 +76,7 @@ pub mod sweep;
 
 pub use chaos::{run_fault_plan_with, ChaosError, ChaosOutcome, ReconcileAudit};
 pub use config::{NetworkModel, SimConfig};
-pub use faults::{FaultEvent, FaultPlan, ParsePlanError};
+pub use faults::{FaultEvent, FaultPlan, ParsePlanError, HOST_PLACEHOLDER, HOST_RACK_PLACEHOLDER};
 pub use fuzz::{
     check_fault_plan, run_fuzz_campaign, shrink_fault_plan, FuzzConfig, FuzzOutcome,
     FuzzReproducer, FuzzVerdict, OracleKind,

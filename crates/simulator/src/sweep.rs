@@ -11,9 +11,9 @@
 //! mean ± stdev, tuples-lost histogram).
 //!
 //! A fault is plain data: a [`SweepFault`] is a [`FaultPlan::to_text`]
-//! template that each job fills with its placement's host, and every
-//! job, the healthy one (the empty template) included, runs through
-//! [`run_fault_plan_with`].
+//! template whose `{host}` and `{host_rack}` [`run_fault_plan_with`]
+//! fills from the placement it makes, and every job, the healthy one
+//! (the empty template) included, runs through it.
 //!
 //! ## Determinism under parallelism
 //!
@@ -41,11 +41,11 @@
 
 use crate::chaos::run_fault_plan_with;
 use crate::config::{NetworkModel, SimConfig};
-use crate::faults::{FaultPlan, ParsePlanError};
+use crate::faults::FaultPlan;
 use crate::report::SimReport;
 use crate::sim::Simulation;
 use rstorm_cluster::Cluster;
-use rstorm_core::{schedulers, GlobalState, RecoveryConfig};
+use rstorm_core::{schedulers, RecoveryConfig};
 use rstorm_metrics::Summary;
 use rstorm_topology::Topology;
 use std::fmt;
@@ -196,7 +196,8 @@ pub struct SweepFault {
     pub label: String,
     /// The scenario as a [`FaultPlan::to_text`] template: `{host}` stands
     /// for the node of the placement's first task and `{host_rack}` for
-    /// that node's rack. The empty template is the healthy run.
+    /// that node's rack ([`FaultPlan::fill_placeholders`]). The empty
+    /// template is the healthy run.
     pub plan: String,
     /// Run the job on the fair network plane
     /// ([`NetworkModel::Fair`]), where a `degrade` window shrinks link
@@ -213,21 +214,6 @@ impl SweepFault {
             plan: plan.into(),
             fair_network: false,
         }
-    }
-
-    /// Fills the template for a placement whose first task runs on
-    /// `host` in `host_rack`, and parses the result.
-    ///
-    /// # Errors
-    ///
-    /// [`ParsePlanError`] when the filled template is not a valid plan.
-    pub fn plan_for(&self, host: &str, host_rack: &str) -> Result<FaultPlan, ParsePlanError> {
-        FaultPlan::from_text(
-            &self
-                .plan
-                .replace("{host}", host)
-                .replace("{host_rack}", host_rack),
-        )
     }
 }
 
@@ -336,44 +322,19 @@ pub struct SweepRow {
 
 // ---- execution ----------------------------------------------------------
 
-/// Runs one job: fills the fault template for the placement's host and
-/// runs the plan through [`run_fault_plan_with`], the closed loop the CLI
-/// and the fuzzer share. The healthy run is the empty plan. As in the
-/// CLI, the control journal is on exactly when the plan has control
-/// faults. Scheduling failures panic: grids are built from feasible
-/// workloads, and a scheduler that cannot place a grid case is a
-/// configuration error, not a data point.
+/// Runs one job: parses the fault template and runs it through
+/// [`run_fault_plan_with`], the closed loop the CLI and the fuzzer share,
+/// which places the topology once and fills the template's host from
+/// that placement. The healthy run is the empty plan. As in the CLI, the
+/// control journal is on exactly when the plan has control faults.
+/// Scheduling failures panic: grids are built from feasible workloads,
+/// and a scheduler that cannot place a grid case is a configuration
+/// error, not a data point.
 fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
     let case = &grid.cases[job.case];
     let scheduler = schedulers::by_name(&job.scheduler)
         .unwrap_or_else(|| panic!("unknown scheduler `{}` in the sweep grid", job.scheduler));
-    // The victim is the host of the first assigned task: crashing (or
-    // partitioning) an idle machine demonstrates nothing.
-    let assignment = scheduler
-        .schedule(
-            &case.topology,
-            &case.cluster,
-            &mut GlobalState::new(&case.cluster),
-        )
-        .unwrap_or_else(|e| {
-            panic!(
-                "{} cannot place sweep case {}: {e}",
-                job.scheduler, case.name
-            )
-        });
-    let host = &assignment
-        .iter()
-        .next()
-        .expect("non-empty assignment")
-        .1
-        .node;
-    let rack = case
-        .cluster
-        .rack_of(host.as_str())
-        .expect("assigned node belongs to a rack");
-    let plan = job
-        .fault
-        .plan_for(host.as_str(), rack.as_str())
+    let plan = FaultPlan::from_text(&job.fault.plan)
         .unwrap_or_else(|e| panic!("sweep fault `{}`: {e}", job.fault.label));
 
     let mut sim_cfg = grid.sim.clone().with_seed(job.seed);
@@ -396,7 +357,7 @@ fn run_job(grid: &SweepGrid, job: &SweepJob) -> SweepRow {
     let report = out.report;
     SweepRow {
         job: job.clone(),
-        survivable: survivable(&plan),
+        survivable: survivable(&out.fault_plan),
         net_throughput: report.steady_throughput(case.topology.id().as_str(), WARMUP_WINDOWS),
         tuples_completed: report.totals.tuples_completed,
         tuples_lost: report.totals.tuples_lost,

@@ -125,9 +125,11 @@ mod tests {
     use super::*;
     use rstorm_core::{schedulers, GlobalState};
     use rstorm_sim::sweep::survivable;
+    use rstorm_sim::FaultPlan;
 
-    /// Every fault of both grids fills and parses for every case's host
-    /// and rack, round-trips as canonical plan text, and derives the
+    /// Every fault of both grids parses, fills for every case's host and
+    /// rack exactly as the text substitution would, round-trips as
+    /// canonical plan text, and derives the
     /// per-fault rules from the plan: only the lasting crash is not
     /// survivable, only the Nimbus outage turns the journal on, and only
     /// congestion runs on the fair plane.
@@ -162,9 +164,9 @@ mod tests {
                             .plan
                             .replace("{host}", host)
                             .replace("{host_rack}", rack);
-                        let plan = fault
-                            .plan_for(host, rack)
-                            .unwrap_or_else(|e| panic!("{}: {e}", fault.label));
+                        let plan = FaultPlan::from_text(&fault.plan)
+                            .unwrap_or_else(|e| panic!("{}: {e}", fault.label))
+                            .fill_placeholders(host, rack);
                         assert_eq!(plan.to_text(), filled, "{}", fault.label);
                         let label = fault.label.as_str();
                         assert_eq!(survivable(&plan), label != "crash_lasting", "{label}");

@@ -259,3 +259,57 @@ fn yahoo_page_load_crash_then_recover_replaces_everything() {
     assert_eq!(out.report.recovery, Some(obs));
     assert!(out.report.to_json().contains("\"recovery\""));
 }
+
+/// The runner fills `{host}` and `{host_rack}` from its own initial
+/// placement: a plan written with the placeholders runs exactly as the
+/// same plan with the host named by hand, under both schedulers.
+#[test]
+fn host_placeholders_run_as_the_named_host() {
+    let cluster = Arc::new(clusters::emulab_micro());
+    let topology = micro::linear_network_bound();
+    let template = "crash 20000.0 {host}\nrecover 35000.0 {host}\n\
+                    partition 40000.0 50000.0 {host_rack}\n";
+    let schedulers: [&dyn Scheduler; 2] = [&RStormScheduler::new(), &EvenScheduler::new()];
+    for scheduler in schedulers {
+        let mut state = GlobalState::new(&cluster);
+        let placed = scheduler.schedule(&topology, &cluster, &mut state).unwrap();
+        let host = placed.iter().next().unwrap().1.node.as_str().to_owned();
+        let rack = cluster.rack_of(&host).unwrap().as_str().to_owned();
+        let named = FaultPlan::from_text(
+            &template
+                .replace("{host_rack}", &rack)
+                .replace("{host}", &host),
+        )
+        .unwrap();
+        let run = |plan: &FaultPlan| {
+            run_fault_plan_with(
+                &cluster,
+                &topology,
+                plan,
+                &SimConfig::quick(),
+                &RecoveryConfig::default(),
+                scheduler,
+            )
+            .unwrap()
+        };
+        let by_name = run(&named);
+        let by_placeholder = run(&FaultPlan::from_text(template).unwrap());
+
+        let name = scheduler.name();
+        assert!(
+            by_name.events.iter().any(
+                |e| matches!(e, RecoveryEvent::NodeDeclaredDead { node, .. } if *node == host)
+            ),
+            "{name}: the crash must displace the topology"
+        );
+        assert_eq!(
+            by_placeholder.report.to_json(),
+            by_name.report.to_json(),
+            "{name}"
+        );
+        assert_eq!(by_placeholder.events, by_name.events, "{name}");
+        assert_eq!(by_placeholder.plan, by_name.plan, "{name}");
+        assert_eq!(by_placeholder.fault_plan, named, "{name}");
+        assert_eq!(by_name.fault_plan, named, "{name}");
+    }
+}

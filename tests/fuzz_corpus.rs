@@ -155,3 +155,20 @@ proptest! {
         }
     }
 }
+
+/// `tests/fuzz_corpus/corpus.topology` and `corpus.cluster`, the specs
+/// `rstorm chaos --plan` replays the corpus against, describe exactly
+/// the workload above.
+#[test]
+fn committed_specs_describe_the_corpus_workload() {
+    use rstorm::spec::{cluster_to_spec, parse_cluster, parse_topology, topology_to_spec};
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fuzz_corpus");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).unwrap();
+    let topology = parse_topology(&read("corpus.topology")).unwrap();
+    assert_eq!(
+        topology_to_spec(&topology),
+        topology_to_spec(&split_topology())
+    );
+    let parsed = parse_cluster(&read("corpus.cluster")).unwrap();
+    assert_eq!(cluster_to_spec(&parsed), cluster_to_spec(&cluster()));
+}
