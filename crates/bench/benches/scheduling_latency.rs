@@ -8,8 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rstorm_cluster::{Cluster, ClusterBuilder, ResourceCapacity};
+use rstorm_core::oracle::ReferenceRStormScheduler;
 use rstorm_core::schedulers::EvenScheduler;
-use rstorm_core::{GlobalState, RStormScheduler, ReferenceRStormScheduler, Scheduler};
+use rstorm_core::{GlobalState, RStormScheduler, Scheduler};
 use rstorm_topology::{Topology, TopologyBuilder};
 
 /// A linear topology with `stages` components of `parallelism` tasks.

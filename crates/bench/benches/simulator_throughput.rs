@@ -11,7 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rstorm_core::{GlobalState, RStormScheduler, Scheduler};
-use rstorm_sim::{ReferenceSimulation, SimConfig, Simulation};
+use rstorm_sim::oracle::ReferenceSimulation;
+use rstorm_sim::{SimConfig, Simulation};
 use rstorm_topology::Topology;
 use rstorm_workloads::{clusters, micro, yahoo};
 use std::sync::Arc;

@@ -21,8 +21,8 @@ use rstorm_core::{
 use rstorm_metrics::text_table;
 use rstorm_sim::{
     run_adaptive_rebalance, run_fault_plan_with, run_fuzz_campaign, run_sweep, AdaptiveConfig,
-    FaultPlan, FuzzConfig, NetworkModel, SeedRange, SimConfig, SimReport, Simulation,
-    HOST_PLACEHOLDER,
+    FaultPlan, FuzzConfig, NetworkModel, RecoveryObservations, SeedRange, SimConfig, SimReport,
+    Simulation, HOST_PLACEHOLDER,
 };
 use rstorm_spec::{parse_cluster, parse_topology};
 use rstorm_topology::Topology;
@@ -79,19 +79,46 @@ fn main() -> ExitCode {
     }
 }
 
+/// A command that takes flags.
+type Command = fn(&BTreeMap<String, String>) -> Result<(), String>;
+
+/// Every command that takes flags, with the flags it reads (names
+/// without `--`, separated by spaces). Any other flag is an error, so a
+/// typo or another command's flag never runs silently with a default.
+const COMMANDS: [(&str, Command, &str); 8] = [
+    ("schedule", schedule_cmd, "topology cluster scheduler"),
+    (
+        "simulate",
+        simulate_cmd,
+        "topology cluster scheduler duration-s seed",
+    ),
+    ("compare", compare_cmd, "topology cluster duration-s seed"),
+    (
+        "chaos",
+        chaos_cmd,
+        "topology cluster plan victim crash-at-s heal-at-s nimbus-down-ms duration-s seed \
+         replay max-replays network journal",
+    ),
+    (
+        "rebalance",
+        rebalance_cmd,
+        "topology cluster observe-s rebalance-at-s pause-ms alpha duration-s seed",
+    ),
+    ("sweep", sweep_cmd, "grid seeds workers out network"),
+    (
+        "fuzz",
+        fuzz_cmd,
+        "topology cluster iterations seed max-atoms duration-s scheduler workers corpus-dir \
+         out journal",
+    ),
+    ("scale", scale_cmd, "tasks nodes horizon-ms seed churn"),
+];
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         return Err("missing command".into());
     };
     match command.as_str() {
-        "schedule" => schedule_cmd(&parse_flags(&args[1..])?),
-        "simulate" => simulate_cmd(&parse_flags(&args[1..])?),
-        "compare" => compare_cmd(&parse_flags(&args[1..])?),
-        "chaos" => chaos_cmd(&parse_flags(&args[1..])?),
-        "rebalance" => rebalance_cmd(&parse_flags(&args[1..])?),
-        "sweep" => sweep_cmd(&parse_flags(&args[1..])?),
-        "fuzz" => fuzz_cmd(&parse_flags(&args[1..])?),
-        "scale" => scale_cmd(&parse_flags(&args[1..])?),
         "example-specs" => {
             print_example_specs();
             Ok(())
@@ -100,20 +127,35 @@ fn run(args: &[String]) -> Result<(), String> {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        name => {
+            let (_, command, accepted) = COMMANDS
+                .iter()
+                .find(|(known, ..)| *known == name)
+                .ok_or_else(|| format!("unknown command `{name}`"))?;
+            command(&parse_flags(name, accepted, &args[1..])?)
+        }
     }
 }
 
 /// Flags that take no value: their presence means `"true"`.
 const BOOLEAN_FLAGS: &[&str] = &["replay", "churn"];
 
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+/// Parses `--name value` pairs (and the [`BOOLEAN_FLAGS`]) for
+/// `command`, which reads only the space-separated flags in `accepted`.
+fn parse_flags(
+    command: &str,
+    accepted: &str,
+    args: &[String],
+) -> Result<BTreeMap<String, String>, String> {
     let mut flags = BTreeMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected a --flag, got `{flag}`"))?;
+        if !accepted.split_whitespace().any(|known| known == name) {
+            return Err(format!("`rstorm {command}` takes no --{name} flag"));
+        }
         if BOOLEAN_FLAGS.contains(&name) {
             flags.insert(name.to_owned(), "true".to_owned());
             continue;
@@ -383,18 +425,7 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
         println!("journal decisions replayed: {}", audit.decisions_replayed);
     }
     let obs = out.observations;
-    let after_crash = |ms: f64| {
-        if ms >= 0.0 {
-            format!("{ms:.0} ms after the crash")
-        } else {
-            "never (within the run)".to_owned()
-        }
-    };
-    println!("time to detect: {}", after_crash(obs.time_to_detect_ms));
-    println!(
-        "time to full re-placement: {}",
-        after_crash(obs.time_to_recover_ms)
-    );
+    print!("{}", recovery_times(&obs));
     println!(
         "tuples lost: {}; throughput dip depth: {:.0}%; reschedule attempts: {}",
         obs.tuples_lost,
@@ -431,6 +462,28 @@ fn chaos_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     } else {
         Err(lines.join("\n"))
     }
+}
+
+/// The detection and re-placement lines of `rstorm chaos`. Both times
+/// are measured from the anchor the runner uses,
+/// [`RecoveryObservations::crash_at_ms`]: the plan's first data-plane
+/// fault, which may be a partition or a degraded link.
+fn recovery_times(obs: &RecoveryObservations) -> String {
+    let after_first_fault = |ms: f64| {
+        if ms >= 0.0 {
+            format!(
+                "{ms:.0} ms after the first fault (at {:.1} s)",
+                obs.crash_at_ms / 1000.0
+            )
+        } else {
+            "never (within the run)".to_owned()
+        }
+    };
+    format!(
+        "time to detect: {}\ntime to full re-placement: {}\n",
+        after_first_fault(obs.time_to_detect_ms),
+        after_first_fault(obs.time_to_recover_ms)
+    )
 }
 
 /// The fault plan `rstorm chaos` runs. `--plan FILE` reads any
@@ -795,30 +848,118 @@ fn print_example_specs() {
 mod tests {
     use super::*;
 
+    /// [`parse_flags`] with `command`'s own flag list.
+    fn flags_of(command: &str, args: &[String]) -> Result<BTreeMap<String, String>, String> {
+        let (_, _, accepted) = COMMANDS
+            .iter()
+            .find(|(known, ..)| *known == command)
+            .expect("a command that takes flags");
+        parse_flags(command, accepted, args)
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| (*a).to_owned()).collect()
+    }
+
     #[test]
     fn flag_parsing() {
-        let flags = parse_flags(&[
-            "--topology".into(),
-            "t.spec".into(),
-            "--seed".into(),
-            "7".into(),
-        ])
+        let flags = flags_of(
+            "simulate",
+            &strings(&["--topology", "t.spec", "--seed", "7"]),
+        )
         .unwrap();
         assert_eq!(flags["topology"], "t.spec");
         assert_eq!(flags["seed"], "7");
-        assert!(parse_flags(&["oops".into()]).is_err());
-        assert!(parse_flags(&["--dangling".into()]).is_err());
+        assert!(flags_of("simulate", &strings(&["oops"])).is_err());
+        let err = flags_of("simulate", &strings(&["--seed"])).unwrap_err();
+        assert!(err.contains("--seed needs a value"), "{err}");
     }
 
     #[test]
     fn boolean_flags_take_no_value() {
         // `--replay` alone is complete…
-        let flags = parse_flags(&["--replay".into()]).unwrap();
+        let flags = flags_of("chaos", &strings(&["--replay"])).unwrap();
         assert_eq!(flags["replay"], "true");
         // …and does not swallow the following flag.
-        let flags = parse_flags(&["--replay".into(), "--seed".into(), "9".into()]).unwrap();
+        let flags = flags_of("chaos", &strings(&["--replay", "--seed", "9"])).unwrap();
         assert_eq!(flags["replay"], "true");
         assert_eq!(flags["seed"], "9");
+    }
+
+    /// A flag the command does not read is an error naming the flag and
+    /// the command, raised before any input is read.
+    #[test]
+    fn commands_reject_flags_they_do_not_read() {
+        for (args, flag, command) in [
+            (
+                &[
+                    "chaos",
+                    "--topology",
+                    "t",
+                    "--cluster",
+                    "c",
+                    "--scheduler",
+                    "even",
+                ][..],
+                "--scheduler",
+                "rstorm chaos",
+            ),
+            (&["chaos", "--plna", "x.plan"][..], "--plna", "rstorm chaos"),
+            (
+                &["sweep", "--topology", "t"][..],
+                "--topology",
+                "rstorm sweep",
+            ),
+        ] {
+            let err = run(&strings(args)).unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains(command),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    /// Every flag `USAGE` lists for a command is one that command
+    /// accepts, and it lists every flag the command accepts.
+    #[test]
+    fn usage_flags_are_the_accepted_flags() {
+        let mut listed: BTreeMap<&str, Vec<String>> = BTreeMap::new();
+        let mut current = None;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("rstorm ") {
+                current = rest.split_whitespace().next();
+            } else if !line.starts_with("    ") || line.trim().is_empty() {
+                current = None;
+            }
+            let Some(command) = current else {
+                continue;
+            };
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            for word in words {
+                if let Some(name) = word.strip_prefix("--") {
+                    listed.entry(command).or_default().push(name.to_owned());
+                }
+            }
+        }
+        for (command, _, accepted) in COMMANDS {
+            let names = listed.remove(command).unwrap_or_default();
+            let mut sorted = names.clone();
+            sorted.sort();
+            let mut expected: Vec<&str> = accepted.split_whitespace().collect();
+            expected.sort_unstable();
+            assert_eq!(sorted, expected, "USAGE vs the flags of `{command}`");
+            for name in &names {
+                let mut args = vec![format!("--{name}")];
+                if !BOOLEAN_FLAGS.contains(&name.as_str()) {
+                    args.push("x".to_owned());
+                }
+                flags_of(command, &args).unwrap_or_else(|e| panic!("{command}: {e}"));
+            }
+        }
+        assert!(
+            listed.is_empty(),
+            "USAGE lists unknown commands: {listed:?}"
+        );
     }
 
     #[test]
@@ -854,14 +995,17 @@ mod tests {
             "cluster\nrack r0\n  node n0 cpu=100 mem=2048 slots=4\n  node n1 cpu=100 mem=2048 slots=4\n",
         )
         .unwrap();
-        let flags = parse_flags(&[
-            "--topology".into(),
-            topo.to_string_lossy().into_owned(),
-            "--cluster".into(),
-            clus.to_string_lossy().into_owned(),
-            "--duration-s".into(),
-            "20".into(),
-        ])
+        let flags = flags_of(
+            "simulate",
+            &[
+                "--topology".into(),
+                topo.to_string_lossy().into_owned(),
+                "--cluster".into(),
+                clus.to_string_lossy().into_owned(),
+                "--duration-s".into(),
+                "20".into(),
+            ],
+        )
         .unwrap();
         schedule_cmd(&flags).unwrap();
         simulate_cmd(&flags).unwrap();
@@ -923,14 +1067,17 @@ mod tests {
             "cluster\nrack r0\n  node n0 cpu=100 mem=2048 slots=4\n  node n1 cpu=100 mem=2048 slots=4\n",
         )
         .unwrap();
-        parse_flags(&[
-            "--topology".into(),
-            topo.to_string_lossy().into_owned(),
-            "--cluster".into(),
-            clus.to_string_lossy().into_owned(),
-            "--duration-s".into(),
-            "20".into(),
-        ])
+        flags_of(
+            "chaos",
+            &[
+                "--topology".into(),
+                topo.to_string_lossy().into_owned(),
+                "--cluster".into(),
+                clus.to_string_lossy().into_owned(),
+                "--duration-s".into(),
+                "20".into(),
+            ],
+        )
         .unwrap()
     }
 
@@ -1011,7 +1158,7 @@ mod tests {
         ];
         let mut bad_victim = base.clone();
         bad_victim.extend(["--victim".to_owned(), "ghost".to_owned()]);
-        let err = chaos_cmd(&parse_flags(&bad_victim).unwrap()).unwrap_err();
+        let err = chaos_cmd(&flags_of("chaos", &bad_victim).unwrap()).unwrap_err();
         assert!(err.contains("ghost"), "{err}");
 
         let mut bad_times = base.clone();
@@ -1021,7 +1168,7 @@ mod tests {
             "--heal-at-s".to_owned(),
             "10".to_owned(),
         ]);
-        let err = chaos_cmd(&parse_flags(&bad_times).unwrap()).unwrap_err();
+        let err = chaos_cmd(&flags_of("chaos", &bad_times).unwrap()).unwrap_err();
         assert!(err.contains("crash-at-s"), "{err}");
 
         // Control-outage flags: a non-positive duration, a --journal
@@ -1029,7 +1176,7 @@ mod tests {
         // outage all surface typed errors.
         let mut bad_nimbus = base.clone();
         bad_nimbus.extend(["--nimbus-down-ms".to_owned(), "-5".to_owned()]);
-        let err = chaos_cmd(&parse_flags(&bad_nimbus).unwrap()).unwrap_err();
+        let err = chaos_cmd(&flags_of("chaos", &bad_nimbus).unwrap()).unwrap_err();
         assert!(err.contains("--nimbus-down-ms"), "{err}");
 
         let mut bad_journal = base.clone();
@@ -1039,12 +1186,12 @@ mod tests {
             "--journal".to_owned(),
             "maybe".to_owned(),
         ]);
-        let err = chaos_cmd(&parse_flags(&bad_journal).unwrap()).unwrap_err();
+        let err = chaos_cmd(&flags_of("chaos", &bad_journal).unwrap()).unwrap_err();
         assert!(err.contains("--journal") && err.contains("maybe"), "{err}");
 
         let mut stray_journal = base.clone();
         stray_journal.extend(["--journal".to_owned(), "on".to_owned()]);
-        let err = chaos_cmd(&parse_flags(&stray_journal).unwrap()).unwrap_err();
+        let err = chaos_cmd(&flags_of("chaos", &stray_journal).unwrap()).unwrap_err();
         assert!(err.contains("--nimbus-down-ms"), "{err}");
     }
 
@@ -1134,6 +1281,42 @@ mod tests {
         assert!(err.contains("bad.plan") && err.contains("line 1"), "{err}");
     }
 
+    /// The times `rstorm chaos` prints are measured from the plan's first
+    /// data-plane fault, and the text says so: a partition-only plan has
+    /// no crash to measure from.
+    #[test]
+    fn chaos_times_name_the_first_fault() {
+        let (_, flags) = corpus_flags();
+        let dir = std::env::temp_dir().join("rstorm-cli-first-fault-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = "partition 20000.0 24000.0 {host_rack}\n";
+        let path = dir.join("partition.plan");
+        std::fs::write(&path, text).unwrap();
+        let mut partition = flags.clone();
+        partition.insert("plan".into(), path.to_string_lossy().into_owned());
+        chaos_cmd(&partition).unwrap();
+
+        // The same scenario through the runner, for the observations the
+        // command prints from.
+        let (topology, cluster) = load_inputs(&flags).unwrap();
+        let out = run_fault_plan_with(
+            &Arc::new(cluster),
+            &topology,
+            &FaultPlan::from_text(text).unwrap(),
+            &sim_config(&flags).unwrap(),
+            &RecoveryConfig::default(),
+            &RStormScheduler::new(),
+        )
+        .unwrap();
+        assert_eq!(out.observations.crash_at_ms, 20_000.0);
+        let times = recovery_times(&out.observations);
+        assert!(
+            times.contains("ms after the first fault (at 20.0 s)"),
+            "{times}"
+        );
+        assert!(!times.contains("crash"), "{times}");
+    }
+
     #[test]
     fn sugar_flags_build_the_equivalent_host_plan() {
         let text = |t: &str| FaultPlan::from_text(t).unwrap();
@@ -1220,20 +1403,23 @@ mod tests {
         )
         .unwrap();
         let log = dir.join("campaign.log");
-        let flags = parse_flags(&[
-            "--topology".into(),
-            topo.to_string_lossy().into_owned(),
-            "--cluster".into(),
-            clus.to_string_lossy().into_owned(),
-            "--iterations".into(),
-            "3".into(),
-            "--duration-s".into(),
-            "20".into(),
-            "--workers".into(),
-            "2".into(),
-            "--out".into(),
-            log.to_string_lossy().into_owned(),
-        ])
+        let flags = flags_of(
+            "fuzz",
+            &[
+                "--topology".into(),
+                topo.to_string_lossy().into_owned(),
+                "--cluster".into(),
+                clus.to_string_lossy().into_owned(),
+                "--iterations".into(),
+                "3".into(),
+                "--duration-s".into(),
+                "20".into(),
+                "--workers".into(),
+                "2".into(),
+                "--out".into(),
+                log.to_string_lossy().into_owned(),
+            ],
+        )
         .unwrap();
         fuzz_cmd(&flags).unwrap();
         let written = std::fs::read_to_string(&log).unwrap();
@@ -1302,7 +1488,7 @@ mod tests {
                 "5000".to_owned(),
             ];
             v.extend(extra.iter().map(|s| (*s).to_owned()));
-            parse_flags(&v).unwrap()
+            flags_of("scale", &v).unwrap()
         };
         scale_cmd(&args(&[])).unwrap();
         scale_cmd(&args(&["--churn"])).unwrap();

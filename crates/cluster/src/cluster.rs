@@ -66,9 +66,9 @@ impl Cluster {
         &self.index
     }
 
-    /// The index as a shareable handle — schedulers hold this so state
-    /// keyed by dense indices can verify (via [`Arc::ptr_eq`]) that it
-    /// was built against the same cluster layout.
+    /// The index as a shareable handle. Scheduling state keyed by dense
+    /// indices holds it, so every reader of that state uses the layout the
+    /// state was built from.
     pub fn shared_index(&self) -> Arc<ClusterIndex> {
         Arc::clone(&self.index)
     }

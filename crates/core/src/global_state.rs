@@ -259,9 +259,9 @@ impl GlobalState {
         self.rack_stamp.0[rack as usize] = NEXT_RACK_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The cluster layout index this state is keyed by. Fast paths that
-    /// consume the dense accessors must verify (via [`Arc::ptr_eq`]) that
-    /// this is the same index as the cluster they were built against.
+    /// The cluster layout index this state is keyed by. Readers of the
+    /// dense accessors take node, rack and distance lookups from this
+    /// index, never from another cluster's.
     pub fn cluster_index(&self) -> &Arc<ClusterIndex> {
         &self.index
     }

@@ -54,6 +54,8 @@ mod assignment;
 pub mod control;
 mod error;
 mod global_state;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 pub mod recovery;
 mod resource;
 pub mod rstorm;
@@ -71,6 +73,6 @@ pub use error::ScheduleError;
 pub use global_state::{GlobalState, RemainingResources, UndoLog};
 pub use recovery::{RecoveryConfig, RecoveryEvent, RecoveryManager};
 pub use resource::{weighted_euclidean, NormalizationContext, SoftConstraintWeights};
-pub use rstorm::{RStormConfig, RStormScheduler, ReferenceRStormScheduler};
+pub use rstorm::{RStormConfig, RStormScheduler};
 pub use scheduler::{schedule_all, Scheduler};
 pub use verify::{verify_plan, Violation};

@@ -15,9 +15,10 @@
 //! mutations are applied to the live state and reverted bit-exactly on
 //! failure, costing O(tasks placed) on rejection instead of the
 //! O(cluster) clone-per-call the scratch-copy approach paid up front.
-//! [`ReferenceRStormScheduler`] keeps the scratch-copy approach (and the
-//! scan-based node selection) as the executable specification the fast
-//! implementation is tested against.
+//! That scratch-copy scheduler, with node selection as a plain scan, is
+//! kept as an executable specification in the test-only `oracle` module;
+//! the unit tests below and `tests/properties.rs` hold this one to its
+//! assignments and errors bit for bit.
 
 pub mod node_selection;
 pub mod task_selection;
@@ -137,84 +138,10 @@ impl Scheduler for RStormScheduler {
     }
 }
 
-/// The pre-index R-Storm implementation, kept as an executable
-/// specification: node selection scans the string-keyed state API and
-/// atomicity comes from cloning the whole state up front. Produces
-/// byte-identical assignments to [`RStormScheduler`] (enforced by the
-/// parity property test) at O(cluster) higher cost per call.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceRStormScheduler {
-    config: RStormConfig,
-}
-
-impl ReferenceRStormScheduler {
-    /// Creates a reference scheduler with the default configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a reference scheduler with an explicit configuration.
-    pub fn with_config(config: RStormConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl Scheduler for ReferenceRStormScheduler {
-    fn name(&self) -> &str {
-        "rstorm-reference"
-    }
-
-    fn schedule(
-        &self,
-        topology: &Topology,
-        cluster: &Cluster,
-        state: &mut GlobalState,
-    ) -> Result<Assignment, ScheduleError> {
-        if state.is_scheduled(topology.id().as_str()) {
-            return Err(ScheduleError::AlreadyScheduled(topology.id().clone()));
-        }
-        if state.iter_remaining().next().is_none() {
-            return Err(ScheduleError::NoAliveNodes);
-        }
-
-        let task_set = topology.task_set();
-        let ordering = task_selection::task_ordering(topology, &task_set, self.config.traversal);
-
-        // Work on a scratch copy so a failed scheduling leaves `state`
-        // untouched (atomic commit, §4.1).
-        let mut scratch = state.clone();
-        let mut selector = NodeSelector::new_scan_only(cluster, &self.config.weights);
-        let mut slots = BTreeMap::new();
-
-        for task_id in ordering {
-            let request = *task_set
-                .resources(task_id)
-                .expect("ordering only contains tasks of this task set");
-            let node = selector
-                .select(&scratch, &request)
-                .map_err(|best_available_mb| ScheduleError::InsufficientMemory {
-                    topology: topology.id().clone(),
-                    task: task_id,
-                    needed_mb: request.memory_mb,
-                    best_available_mb,
-                })?;
-            // The scratch copy is discarded on error, so plain
-            // propagation preserves atomicity here.
-            scratch.reserve(topology.id(), &node, &request)?;
-            let slot = scratch.slot_for(cluster, topology.id(), &node)?;
-            slots.insert(task_id, slot);
-        }
-
-        let assignment = Assignment::new(topology.id().clone(), slots);
-        scratch.commit(assignment.clone());
-        *state = scratch;
-        Ok(assignment)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ReferenceRStormScheduler;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
     use rstorm_topology::TopologyBuilder;
 

@@ -10,14 +10,15 @@
 //! constraints allow" (§4.2). Nodes whose remaining memory cannot hold the
 //! task are excluded (the hard constraint `H_θ > H_τ`).
 //!
-//! ## Two implementations, one answer
+//! ## One path, checked against a scan
 //!
-//! Selection has an **indexed** fast path and a **scan** reference path.
-//! The scan path is the direct transcription of Algorithm 4 over the
-//! string API: every alive node is scored, and the strict-`<` winner in
-//! node-id order is kept. The fast path works on [`GlobalState`]'s dense
-//! vectors keyed by the cluster's [`ClusterIndex`], and memoises
-//! Algorithm 4's winner **per rack**:
+//! Selection reads the layout of the [`GlobalState`] it is handed
+//! ([`GlobalState::cluster_index`]) and works on the state's dense
+//! vectors keyed by that [`ClusterIndex`]. A selector attaches to the
+//! state's index when it anchors the reference node, so a state built
+//! from another cluster is read through its own layout, never through
+//! the scheduling cluster's. Algorithm 4's winner is memoised **per
+//! rack**:
 //!
 //! - The memo is keyed by the request's CPU and memory bits and the
 //!   reference node, and holds one entry per rack: the rack's stamp
@@ -44,21 +45,22 @@
 //! computed once per call, and no strings are hashed or compared
 //! anywhere in the loop.
 //!
-//! Both paths are required to produce **byte-identical** results — same
-//! floating-point operations in the same order, same id-order tie
-//! breaking (`Winner` restates the scan's rule as an order-independent
-//! fold) — which `tests/properties.rs` enforces on randomized inputs and
-//! mutation sequences. The fast path engages only when the state was built
-//! from this cluster's index (checked via [`Arc::ptr_eq`]); otherwise
-//! selection silently falls back to the scan.
+//! The direct transcription of Algorithm 4 (score every alive node over
+//! the string-keyed state API, keep the strict-`<` winner in node-id
+//! order) lives in the test-only `oracle` module. The selector must agree
+//! with it **byte for byte** — same floating-point operations in the same
+//! order, same id-order tie breaking (`Winner` restates the scan's rule
+//! as an order-independent fold) — which the unit tests below and
+//! `tests/properties.rs` enforce on randomized inputs and mutation
+//! sequences.
 
 use crate::global_state::GlobalState;
-use crate::resource::{weighted_euclidean, NormalizationContext, SoftConstraintWeights};
+use crate::resource::{NormalizationContext, SoftConstraintWeights};
 use rstorm_cluster::{Cluster, ClusterIndex, NodeId};
 use rstorm_topology::ResourceRequest;
 use std::sync::Arc;
 
-/// The scan path's winner rule as an order-independent fold, so racks can
+/// The scan's winner rule as an order-independent fold, so racks can
 /// be scanned in declaration order and combined in any order.
 ///
 /// The scan keeps a candidate only if its distance is strictly below the
@@ -133,32 +135,29 @@ struct RackMemo {
 /// Stateful node selector for scheduling one topology.
 #[derive(Debug)]
 pub struct NodeSelector<'a> {
-    cluster: &'a Cluster,
-    index: Arc<ClusterIndex>,
     weights: &'a SoftConstraintWeights,
     norm: NormalizationContext,
-    /// Dense index of the reference node, once anchored.
-    ref_node: Option<u32>,
-    force_scan: bool,
+    /// The reference node's dense index, once anchored, with the layout
+    /// of the state it was anchored in.
+    anchor: Option<(Arc<ClusterIndex>, u32)>,
     /// `(cpu bits, memory bits, reference node)` the memo was built for.
     memo_key: Option<(u64, u64, u32)>,
     /// Per-rack winners for `memo_key`, by rack index.
     memo: Vec<RackMemo>,
-    /// Nodes scored by the last indexed selection.
+    /// Nodes scored by the last selection.
     #[cfg(test)]
     last_scored: usize,
 }
 
 impl<'a> NodeSelector<'a> {
-    /// Creates a selector for one topology-scheduling pass.
-    pub fn new(cluster: &'a Cluster, weights: &'a SoftConstraintWeights) -> Self {
+    /// Creates a selector for one topology-scheduling pass. The distance
+    /// terms are normalized by `cluster`'s capacity maxima and network
+    /// costs.
+    pub fn new(cluster: &Cluster, weights: &'a SoftConstraintWeights) -> Self {
         Self {
-            cluster,
-            index: cluster.shared_index(),
             weights,
             norm: NormalizationContext::for_cluster(cluster),
-            ref_node: None,
-            force_scan: false,
+            anchor: None,
             memo_key: None,
             memo: Vec::new(),
             #[cfg(test)]
@@ -166,19 +165,9 @@ impl<'a> NodeSelector<'a> {
         }
     }
 
-    /// Creates a selector pinned to the scan (reference) path, bypassing
-    /// the indexed fast path even when it would apply. Exists so parity
-    /// tests and benchmarks can compare the two implementations.
-    pub fn new_scan_only(cluster: &'a Cluster, weights: &'a SoftConstraintWeights) -> Self {
-        Self {
-            force_scan: true,
-            ..Self::new(cluster, weights)
-        }
-    }
-
     /// The reference node, once anchored by the first selection.
     pub fn ref_node(&self) -> Option<&NodeId> {
-        self.ref_node.map(|i| self.index.node_id(i))
+        self.anchor.as_ref().map(|(index, i)| index.node_id(*i))
     }
 
     /// Selects the node for a task with demand `request` given current
@@ -191,43 +180,36 @@ impl<'a> NodeSelector<'a> {
     /// cluster is never over-committed); if no such node exists the soft
     /// constraint is relaxed — CPU may then be overloaded, which is what
     /// distinguishes it from the hard memory constraint.
+    ///
+    /// Nodes are read from `state`'s own layout, so every pick is a node
+    /// of that layout.
     pub fn select(
         &mut self,
         state: &GlobalState,
         request: &ResourceRequest,
     ) -> Result<NodeId, f64> {
-        // The dense vectors are only meaningful if the state was built
-        // from this cluster's own index; the normalization maxima then
-        // agree with the index's by construction.
-        let fast = !self.force_scan && Arc::ptr_eq(state.cluster_index(), &self.index);
-        if self.ref_node.is_none() {
-            self.ref_node = if fast {
-                self.find_ref_node_indexed(state)
-            } else {
-                self.find_ref_node_scan(state)
-            };
+        if self.anchor.is_none() {
+            self.anchor = self
+                .find_ref_node(state)
+                .map(|i| (Arc::clone(state.cluster_index()), i));
         }
-        let Some(ref_idx) = self.ref_node else {
+        let Some(ref_idx) = self.anchor.as_ref().map(|&(_, i)| i) else {
             return Err(0.0);
         };
-        if fast {
-            let i = self.select_indexed(state, request, ref_idx)?;
-            Ok(self.index.node_id(i).clone())
-        } else {
-            self.select_scan(state, request, self.index.node_id(ref_idx))
-        }
+        let i = self.select_indexed(state, request, ref_idx)?;
+        Ok(state.cluster_index().node_id(i).clone())
     }
 
-    /// The indexed fast path: per-rack memo keyed by rack stamps,
-    /// precomputed network terms, and whole-rack skipping. Returns the
-    /// dense index of the pick, byte-identical to [`Self::select_scan`].
+    /// Per-rack memo keyed by rack stamps, precomputed network terms, and
+    /// whole-rack skipping. Returns the dense index of the pick,
+    /// byte-identical to the scan oracle's.
     fn select_indexed(
         &mut self,
         state: &GlobalState,
         request: &ResourceRequest,
         ref_idx: u32,
     ) -> Result<u32, f64> {
-        // Hard-constraint fail-fast: the scan path's `best_available_mb`
+        // Hard-constraint fail-fast: the scan's `best_available_mb`
         // is a running max over alive nodes starting at 0.0, which equals
         // this fold over the maintained per-rack maxima (max is
         // associative; NEG_INFINITY rack sentinels lose against 0.0). If
@@ -251,13 +233,13 @@ impl<'a> NodeSelector<'a> {
             self.memo_key = Some(key);
             self.memo.clear();
             self.memo
-                .resize(self.index.rack_count(), RackMemo::default());
+                .resize(state.cluster_index().rack_count(), RackMemo::default());
         }
 
-        let (index, norm, weights) = (&self.index, &self.norm, self.weights);
+        let (index, norm, weights) = (state.cluster_index(), &self.norm, self.weights);
         // The network term only depends on the candidate's relation to
         // the reference node, so its three possible values are computed
-        // once — with exactly the scan path's operation order.
+        // once — with exactly the scan's operation order.
         let net_term = |distance: f64| {
             let db = distance / norm.max_network_distance;
             weights.network * db * db
@@ -277,7 +259,7 @@ impl<'a> NodeSelector<'a> {
         let mut best = Winner::default();
         let mut best_relaxed = Winner::default();
         for (rack, memo) in self.memo.iter_mut().enumerate() {
-            // The scan path `continue`s every node of such a rack before
+            // The scan `continue`s every node of such a rack before
             // either winner is touched, so skipping it changes nothing.
             if rack_max[rack] < request.memory_mb {
                 continue;
@@ -314,68 +296,19 @@ impl<'a> NodeSelector<'a> {
             best.merge(&memo.soft);
             best_relaxed.merge(&memo.relaxed);
         }
-        // `None` is unreachable after the fail-fast, but mirror the scan
-        // path.
+        // `None` is unreachable after the fail-fast, but mirror the scan.
         best.pick().or(best_relaxed.pick()).ok_or(best_available_mb)
     }
 
-    /// The scan (reference) path: Algorithm 4 transcribed directly over
-    /// the string-keyed state API.
-    fn select_scan(
-        &self,
-        state: &GlobalState,
-        request: &ResourceRequest,
-        ref_node: &NodeId,
-    ) -> Result<NodeId, f64> {
-        let mut best: Option<(f64, &NodeId)> = None;
-        let mut best_relaxed: Option<(f64, &NodeId)> = None;
-        let mut best_available_mb: f64 = 0.0;
-        for (node, remaining) in state.iter_remaining() {
-            best_available_mb = best_available_mb.max(remaining.memory_mb);
-            // Hard constraint: never over-commit memory.
-            if remaining.memory_mb < request.memory_mb {
-                continue;
-            }
-            // A node in scheduler state but absent from the cluster layout
-            // can only appear via a foreign-state fallback after layout
-            // churn; skip it rather than crash the scheduling loop.
-            let Ok(network_distance) = self.cluster.node_distance(ref_node.as_str(), node.as_str())
-            else {
-                continue;
-            };
-            let d = weighted_euclidean(
-                self.weights,
-                &self.norm,
-                request.memory_mb,
-                request.cpu_points,
-                remaining.memory_mb,
-                remaining.cpu_points,
-                network_distance,
-            );
-            // Strict `<` plus ordered iteration makes ties deterministic
-            // (first node in id order wins).
-            if remaining.cpu_points >= request.cpu_points && best.is_none_or(|(bd, _)| d < bd) {
-                best = Some((d, node));
-            }
-            if best_relaxed.is_none_or(|(bd, _)| d < bd) {
-                best_relaxed = Some((d, node));
-            }
-        }
-        match best.or(best_relaxed) {
-            Some((_, node)) => Ok(node.clone()),
-            None => Err(best_available_mb),
-        }
-    }
-
-    /// Algorithm 4 lines 6-9 on the fast path: the rack comes straight
-    /// from the maintained per-rack aggregates; only the winning rack's
-    /// members are then scanned (in declaration order, like the scan
-    /// path).
-    fn find_ref_node_indexed(&self, state: &GlobalState) -> Option<u32> {
+    /// Algorithm 4 lines 6-9: the rack comes straight from the
+    /// maintained per-rack aggregates; only the winning rack's members are
+    /// then scanned (in declaration order, like the scan).
+    fn find_ref_node(&self, state: &GlobalState) -> Option<u32> {
+        let index = state.cluster_index();
         let abundances = state.rack_abundances();
         let alive_counts = state.rack_alive_counts();
         let mut best_rack: Option<(f64, u32)> = None;
-        for rack in 0..self.index.rack_count() as u32 {
+        for rack in 0..index.rack_count() as u32 {
             if alive_counts[rack as usize] == 0 {
                 continue;
             }
@@ -390,7 +323,7 @@ impl<'a> NodeSelector<'a> {
         let dense = state.remaining_dense();
         let alive = state.alive_dense();
         let mut best_node: Option<(f64, u32)> = None;
-        for &i in self.index.rack_members(rack) {
+        for &i in index.rack_members(rack) {
             if !alive[i as usize] {
                 continue;
             }
@@ -401,52 +334,12 @@ impl<'a> NodeSelector<'a> {
         }
         best_node.map(|(_, i)| i)
     }
-
-    /// Algorithm 4 lines 6-9 on the scan path: the node with the most
-    /// resources in the rack with the most resources. One pass per rack
-    /// accumulates the abundance sum and liveness together.
-    fn find_ref_node_scan(&self, state: &GlobalState) -> Option<u32> {
-        let (max_cpu, max_mem) = (self.norm.max_cpu_points, self.norm.max_memory_mb);
-        let mut best_rack: Option<(f64, &str)> = None;
-        for rack in self.cluster.racks() {
-            let mut abundance = 0.0;
-            let mut has_alive = false;
-            for node in self.cluster.rack_nodes(rack.as_str()) {
-                if let Some(remaining) = state.remaining(node.as_str()) {
-                    abundance += remaining.abundance(max_cpu, max_mem);
-                    has_alive = true;
-                }
-            }
-            if !has_alive {
-                continue;
-            }
-            if best_rack.is_none_or(|(b, _)| abundance > b) {
-                best_rack = Some((abundance, rack.as_str()));
-            }
-        }
-        let rack = best_rack?.1;
-
-        let mut best_node: Option<(f64, &NodeId)> = None;
-        for node in self.cluster.rack_nodes(rack) {
-            let Some(remaining) = state.remaining(node.as_str()) else {
-                continue;
-            };
-            let abundance = remaining.abundance(max_cpu, max_mem);
-            if best_node.is_none_or(|(b, _)| abundance > b) {
-                best_node = Some((abundance, node));
-            }
-        }
-        best_node.map(|(_, n)| {
-            self.index
-                .node_index(n.as_str())
-                .expect("cluster nodes are part of the layout")
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::ScanNodeSelector;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
     use rstorm_topology::TopologyId;
 
@@ -570,7 +463,7 @@ mod tests {
         assert!(sel.select(&state, &ResourceRequest::zero()).is_err());
     }
 
-    /// Drives the indexed and scan paths in lock-step through a sequence
+    /// Drives the selector and the scan oracle in lock-step through a sequence
     /// of selections and checks every decision (and error value) matches
     /// to the bit.
     #[test]
@@ -585,7 +478,7 @@ mod tests {
         let weights = SoftConstraintWeights::default();
         let mut state = GlobalState::new(&c);
         let mut fast = NodeSelector::new(&c, &weights);
-        let mut scan = NodeSelector::new_scan_only(&c, &weights);
+        let mut scan = ScanNodeSelector::new(&c, &weights);
         let t = TopologyId::new("t");
         let requests = [
             ResourceRequest::new(40.0, 600.0, 10.0),
@@ -630,7 +523,7 @@ mod tests {
         let state = GlobalState::new(&c);
         let request = ResourceRequest::new(60.0, 900.0, 0.0);
         let fast = NodeSelector::new(&c, &weights).select(&state, &request);
-        let scan = NodeSelector::new_scan_only(&c, &weights).select(&state, &request);
+        let scan = ScanNodeSelector::new(&c, &weights).select(&state, &request);
         assert_eq!(fast.unwrap(), scan.unwrap());
     }
 
@@ -645,7 +538,7 @@ mod tests {
         let weights = SoftConstraintWeights::default();
         let mut state = GlobalState::new(&c);
         let mut sel = NodeSelector::new(&c, &weights);
-        let mut scan = NodeSelector::new_scan_only(&c, &weights);
+        let mut scan = ScanNodeSelector::new(&c, &weights);
         let t = TopologyId::new("t");
         let req = ResourceRequest::new(8.0, 48.0, 0.0);
 
@@ -665,10 +558,11 @@ mod tests {
         assert_eq!(sel.last_scored, 1000, "a new request rescans everything");
     }
 
-    /// A state built from a *different* cluster (even a structurally
-    /// identical one) must not take the fast path — and still work.
+    /// A state built from a *different* (structurally identical) cluster
+    /// is read through its own index and picks what the scan oracle
+    /// picks.
     #[test]
-    fn foreign_state_falls_back_to_scan() {
+    fn foreign_state_matches_the_scan_oracle() {
         let c1 = cluster();
         let c2 = cluster();
         let state = GlobalState::new(&c2);
@@ -678,9 +572,63 @@ mod tests {
         let picked = sel
             .select(&state, &ResourceRequest::new(10.0, 64.0, 0.0))
             .unwrap();
-        let expected = NodeSelector::new_scan_only(&c1, &weights)
+        let expected = ScanNodeSelector::new(&c1, &weights)
             .select(&state, &ResourceRequest::new(10.0, 64.0, 0.0))
             .unwrap();
         assert_eq!(picked, expected);
+    }
+
+    /// A state whose layout has a node the scheduling cluster lacks: the
+    /// selector reads the state's layout, so it may pick that node, and
+    /// the scheduler then returns a typed error with the state untouched.
+    /// When the stray node is never picked, the placement is valid.
+    #[test]
+    fn state_with_a_node_the_cluster_lacks_never_panics() {
+        use crate::{RStormScheduler, ScheduleError, Scheduler};
+        use rstorm_topology::TopologyBuilder;
+
+        let scheduling = cluster();
+        // Tasks of 3000 MB fit only on the large stray; 256 MB tasks fit
+        // everywhere except on the tiny one.
+        for (stray, memory_mb, placed) in [
+            (ResourceCapacity::new(100.0, 8192.0, 100.0), 3000.0, false),
+            (ResourceCapacity::new(1.0, 1.0, 100.0), 256.0, true),
+        ] {
+            let mut b = TopologyBuilder::new("t");
+            b.set_spout("s", 2)
+                .set_cpu_load(20.0)
+                .set_memory_load(memory_mb);
+            b.set_bolt("k", 2)
+                .shuffle_grouping("s")
+                .set_cpu_load(20.0)
+                .set_memory_load(memory_mb);
+            let topology = b.build().unwrap();
+            let layout = ClusterBuilder::new()
+                .homogeneous_racks(2, 3, ResourceCapacity::emulab_node(), 4)
+                .add_node("rack-1-stray", "rack-1", stray, 4)
+                .build()
+                .unwrap();
+            let mut state = GlobalState::new(&layout);
+            let before = format!("{state:?}");
+            match RStormScheduler::new().schedule(&topology, &scheduling, &mut state) {
+                Ok(assignment) => {
+                    assert!(placed, "the stray node cannot be placed on");
+                    assert_eq!(assignment.len(), 4);
+                    for node in assignment.used_nodes() {
+                        assert!(scheduling.node(node.as_str()).is_some(), "{node}");
+                    }
+                }
+                Err(e) => {
+                    assert!(!placed, "{e}");
+                    assert_eq!(
+                        e,
+                        ScheduleError::UnknownNode {
+                            node: "rack-1-stray".into()
+                        }
+                    );
+                    assert_eq!(format!("{state:?}"), before, "a failed schedule is atomic");
+                }
+            }
+        }
     }
 }

@@ -127,8 +127,9 @@ impl ClusterIndex {
     }
 
     /// The link class and fixed latency of a transfer from a task placed
-    /// at `(node, port)` `from` to one at `to`: the placement relation of
-    /// [`relation_of`], where the same node and port is the same worker.
+    /// at `(node, port)` `from` to one at `to`: the same node and port is
+    /// the same worker, the same node a local hop, then same rack or
+    /// inter-rack.
     pub fn link(&self, from: (u32, u16), to: (u32, u16)) -> (LinkKind, f64) {
         if from.0 == to.0 {
             (
@@ -371,21 +372,10 @@ impl SimBuild {
     }
 }
 
-pub(crate) fn relation_of(a: &SimTaskSpec, b: &SimTaskSpec) -> PlacementRelation {
-    if a.slot == b.slot {
-        PlacementRelation::SameWorker
-    } else if a.node_idx == b.node_idx {
-        PlacementRelation::SameNode
-    } else if a.rack_idx == b.rack_idx {
-        PlacementRelation::SameRack
-    } else {
-        PlacementRelation::InterRack
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::relation_of;
     use rstorm_cluster::{ClusterBuilder, ResourceCapacity};
     use rstorm_core::{GlobalState, RStormScheduler, Scheduler};
     use rstorm_topology::{TaskId, TopologyBuilder};
@@ -553,8 +543,8 @@ mod tests {
 
     /// The routing table the engine used to precompute per producer task:
     /// `task_groups[task]` is a range into `groups`, each group a range
-    /// into `routes`, with every route's link resolved through
-    /// [`relation_of`] and the cost matrix.
+    /// into `routes`, with every route's link resolved through the
+    /// oracle's `relation_of` and the cost matrix.
     #[derive(Debug, Default)]
     struct RoutingTable {
         groups: Vec<RouteGroup>,

@@ -73,13 +73,13 @@ pub struct SimConfig {
     /// the budget are quarantined as poison tuples. `0` disables replay
     /// entirely and preserves bit-identical legacy (at-most-once) behavior.
     pub max_replays: u32,
-    /// **Fuzzer self-test hook — never set this outside the planted-bug
-    /// gate.** When true, quarantine accounting deliberately skips the
-    /// `roots_quarantined` increment, breaking the drain invariant the
-    /// first time a root exhausts its replay budget. The fuzz pins and
-    /// unit tests use it to prove the campaign finds and shrinks a real
-    /// violation; with the hook off (always, in real use) the branch is
-    /// a single predictable-false comparison.
+    /// **Fuzzer self-test hook**, present only in tests and under the
+    /// `oracle` cargo feature. When true, quarantine accounting
+    /// deliberately skips the `roots_quarantined` increment, breaking the
+    /// drain invariant the first time a root exhausts its replay budget.
+    /// The fuzz pins and unit tests use it to prove the campaign finds and
+    /// shrinks a real violation.
+    #[cfg(any(test, feature = "oracle"))]
     #[doc(hidden)]
     pub planted_quarantine_bug: bool,
     /// Which contention model serves `transfer()` (see [`NetworkModel`]).
@@ -125,6 +125,7 @@ impl SimConfig {
 
     /// Fuzzer self-test hook (see
     /// [`SimConfig::planted_quarantine_bug`]).
+    #[cfg(any(test, feature = "oracle"))]
     #[doc(hidden)]
     pub fn with_planted_quarantine_bug(mut self, planted: bool) -> Self {
         self.planted_quarantine_bug = planted;
@@ -150,6 +151,7 @@ impl Default for SimConfig {
             seed: 42,
             oom_thrash_factor: 0.05,
             max_replays: 0,
+            #[cfg(any(test, feature = "oracle"))]
             planted_quarantine_bug: false,
             network_model: NetworkModel::Legacy,
         }

@@ -66,8 +66,9 @@ mod event;
 pub mod faults;
 pub mod fuzz;
 pub mod network;
+#[cfg(any(test, feature = "oracle"))]
+pub mod oracle;
 pub mod rebalance;
-mod reference;
 mod report;
 mod servers;
 mod sim;
@@ -83,7 +84,6 @@ pub use fuzz::{
 };
 pub use network::LinkClass;
 pub use rebalance::{refined_clone, run_adaptive_rebalance, AdaptiveConfig, AdaptiveOutcome};
-pub use reference::ReferenceSimulation;
 pub use report::{
     InvariantViolation, LinkUtilization, NetworkObservations, RecoveryObservations, SimDebugStats,
     SimReport, SimTotals,

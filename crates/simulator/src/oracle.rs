@@ -1,20 +1,22 @@
 //! The original string-keyed simulation engine, kept as a semantic
-//! oracle.
+//! oracle. Compiled only for tests and under the `oracle` cargo feature,
+//! which only dev-dependencies switch on.
 //!
 //! [`ReferenceSimulation`] interprets groupings per emission, keeps
 //! in-flight tuple trees in a `HashMap`, shares each node's CPU through
-//! the hash-keyed [`CpuServer`] and records statistics through the
+//! the hash-keyed `CpuServer` and records statistics through the
 //! string-keyed `StatisticServer` — exactly the straightforward
-//! implementation the fast engine in [`crate::sim`] optimizes. It mirrors
-//! the `ReferenceRStormScheduler` pattern: parity tests assert that
-//! [`crate::Simulation`] produces bit-for-bit identical [`SimReport`]s,
-//! so every fast-path shortcut stays pinned to these semantics.
+//! implementation the fast engine in `crate::sim` optimizes. It mirrors
+//! the reference scheduler in `rstorm_core::oracle`: parity tests assert
+//! that [`crate::Simulation`] produces bit-for-bit identical
+//! [`SimReport`]s, so every fast-path shortcut stays pinned to these
+//! semantics.
 
-use crate::build::{relation_of, ClusterIndex, SimBuild};
+use crate::build::{ClusterIndex, SimBuild, SimTaskSpec};
 use crate::config::SimConfig;
 use crate::event::EventQueue;
 use crate::report::{SimDebugStats, SimReport, SimTotals};
-use crate::servers::{legacy_link_fabric, CpuServer, LinkServer};
+use crate::servers::{legacy_link_fabric, max_min_alloc, LinkServer, DEMAND_TAU_MS};
 use crate::sim::{Batch, LatencyAccumulator, TaskRt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -540,6 +542,133 @@ impl RefEngine {
                 ..SimDebugStats::default()
             },
         }
+    }
+}
+
+/// The placement relation between two placed tasks: the same slot is
+/// the same worker.
+pub(crate) fn relation_of(a: &SimTaskSpec, b: &SimTaskSpec) -> PlacementRelation {
+    if a.slot == b.slot {
+        PlacementRelation::SameWorker
+    } else if a.node_idx == b.node_idx {
+        PlacementRelation::SameNode
+    } else if a.rack_idx == b.rack_idx {
+        PlacementRelation::SameRack
+    } else {
+        PlacementRelation::InterRack
+    }
+}
+
+/// A node's CPU under the max-min fair processor-sharing model of
+/// the engine's `DenseCpuServer`, with per-task state in a
+/// `HashMap` created lazily on first submission and the demand vector
+/// rebuilt on every call. The dense server must match its completion
+/// times bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct CpuServer {
+    cores: f64,
+    /// Thrash multiplier in (0, 1]: < 1 when the node's memory is
+    /// over-committed.
+    thrash: f64,
+    tasks: std::collections::HashMap<usize, TaskCpu>,
+    busy_core_ms: f64,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct TaskCpu {
+    busy_until: f64,
+    demand_acc: f64,
+    last_update: f64,
+}
+
+impl CpuServer {
+    /// Creates a CPU server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is not positive or `thrash` is outside (0, 1].
+    pub fn new(cores: f64, thrash: f64) -> Self {
+        assert!(
+            cores.is_finite() && cores > 0.0,
+            "core count must be positive, got {cores}"
+        );
+        assert!(
+            thrash.is_finite() && thrash > 0.0 && thrash <= 1.0,
+            "thrash factor must be in (0, 1], got {thrash}"
+        );
+        Self {
+            cores,
+            thrash,
+            tasks: std::collections::HashMap::new(),
+            busy_core_ms: 0.0,
+        }
+    }
+
+    /// Commits `work_core_ms` of work for `task` submitted at `at`;
+    /// returns the completion time.
+    pub fn serve(&mut self, at: f64, task: usize, work_core_ms: f64) -> f64 {
+        // Update the submitting task's decayed demand estimate.
+        {
+            let entry = self.tasks.entry(task).or_insert(TaskCpu {
+                busy_until: 0.0,
+                demand_acc: 0.0,
+                last_update: at,
+            });
+            let dt = (at - entry.last_update).max(0.0);
+            entry.demand_acc = entry.demand_acc * (-dt / DEMAND_TAU_MS).exp() + work_core_ms;
+            entry.last_update = at;
+        }
+
+        // Demands in cores, capped at 1.0 (a task is single-threaded).
+        let mut demands: Vec<(usize, f64)> = self
+            .tasks
+            .iter()
+            .map(|(&id, t)| {
+                let dt = (at - t.last_update).max(0.0);
+                let d = t.demand_acc * (-dt / DEMAND_TAU_MS).exp() / DEMAND_TAU_MS;
+                (id, d.min(1.0))
+            })
+            .collect();
+
+        let capacity = self.cores * self.thrash;
+        let alloc = max_min_alloc(&mut demands, capacity, task);
+        let demand = demands
+            .iter()
+            .find(|(id, _)| *id == task)
+            .map_or(0.0, |&(_, d)| d);
+        // A task whose demand fits its fair share runs at single-core
+        // speed (it simply idles between batches); a starved task runs at
+        // its allocation — `1/alloc` cores — which is what makes its
+        // backlog diverge while protected neighbours are unaffected. The
+        // thrash factor always applies.
+        let fair_stretch = if demand > alloc + 1e-9 {
+            (1.0 / alloc.max(1e-6)).max(1.0)
+        } else {
+            1.0
+        };
+        let multiplier = fair_stretch / self.thrash;
+
+        let entry = self.tasks.get_mut(&task).expect("inserted above");
+        let start = entry.busy_until.max(at);
+        let done = start + work_core_ms * multiplier;
+        entry.busy_until = done;
+        self.busy_core_ms += work_core_ms;
+        done
+    }
+
+    /// Total core-milliseconds of work served.
+    pub fn busy_core_ms(&self) -> f64 {
+        self.busy_core_ms
+    }
+
+    /// The configured core count.
+    pub fn cores(&self) -> f64 {
+        self.cores
+    }
+
+    /// The thrash multiplier.
+    pub fn thrash(&self) -> f64 {
+        self.thrash
     }
 }
 

@@ -90,6 +90,9 @@ pub fn legacy_link_fabric(
     (egress, ingress, uplink)
 }
 
+/// Demand estimation time constant (ms).
+pub(crate) const DEMAND_TAU_MS: f64 = 2_000.0;
+
 /// A node's CPU under **max-min fair processor sharing** (the behaviour
 /// of an OS scheduler like CFS across the worker processes on a machine):
 ///
@@ -105,125 +108,15 @@ pub fn legacy_link_fabric(
 /// light tasks and starved heavy tasks is what lets a resource-oblivious
 /// schedule kill one topology while another one on the same machines
 /// merely degrades (§6.5 of the paper).
-#[derive(Debug, Clone)]
-pub struct CpuServer {
-    cores: f64,
-    /// Thrash multiplier in (0, 1]: < 1 when the node's memory is
-    /// over-committed.
-    thrash: f64,
-    tasks: std::collections::HashMap<usize, TaskCpu>,
-    busy_core_ms: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TaskCpu {
-    busy_until: f64,
-    demand_acc: f64,
-    last_update: f64,
-}
-
-/// Demand estimation time constant (ms).
-const DEMAND_TAU_MS: f64 = 2_000.0;
-
-impl CpuServer {
-    /// Creates a CPU server.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is not positive or `thrash` is outside (0, 1].
-    pub fn new(cores: f64, thrash: f64) -> Self {
-        assert!(
-            cores.is_finite() && cores > 0.0,
-            "core count must be positive, got {cores}"
-        );
-        assert!(
-            thrash.is_finite() && thrash > 0.0 && thrash <= 1.0,
-            "thrash factor must be in (0, 1], got {thrash}"
-        );
-        Self {
-            cores,
-            thrash,
-            tasks: std::collections::HashMap::new(),
-            busy_core_ms: 0.0,
-        }
-    }
-
-    /// Commits `work_core_ms` of work for `task` submitted at `at`;
-    /// returns the completion time.
-    pub fn serve(&mut self, at: f64, task: usize, work_core_ms: f64) -> f64 {
-        // Update the submitting task's decayed demand estimate.
-        {
-            let entry = self.tasks.entry(task).or_insert(TaskCpu {
-                busy_until: 0.0,
-                demand_acc: 0.0,
-                last_update: at,
-            });
-            let dt = (at - entry.last_update).max(0.0);
-            entry.demand_acc = entry.demand_acc * (-dt / DEMAND_TAU_MS).exp() + work_core_ms;
-            entry.last_update = at;
-        }
-
-        // Demands in cores, capped at 1.0 (a task is single-threaded).
-        let mut demands: Vec<(usize, f64)> = self
-            .tasks
-            .iter()
-            .map(|(&id, t)| {
-                let dt = (at - t.last_update).max(0.0);
-                let d = t.demand_acc * (-dt / DEMAND_TAU_MS).exp() / DEMAND_TAU_MS;
-                (id, d.min(1.0))
-            })
-            .collect();
-
-        let capacity = self.cores * self.thrash;
-        let alloc = max_min_alloc(&mut demands, capacity, task);
-        let demand = demands
-            .iter()
-            .find(|(id, _)| *id == task)
-            .map_or(0.0, |&(_, d)| d);
-        // A task whose demand fits its fair share runs at single-core
-        // speed (it simply idles between batches); a starved task runs at
-        // its allocation — `1/alloc` cores — which is what makes its
-        // backlog diverge while protected neighbours are unaffected. The
-        // thrash factor always applies.
-        let fair_stretch = if demand > alloc + 1e-9 {
-            (1.0 / alloc.max(1e-6)).max(1.0)
-        } else {
-            1.0
-        };
-        let multiplier = fair_stretch / self.thrash;
-
-        let entry = self.tasks.get_mut(&task).expect("inserted above");
-        let start = entry.busy_until.max(at);
-        let done = start + work_core_ms * multiplier;
-        entry.busy_until = done;
-        self.busy_core_ms += work_core_ms;
-        done
-    }
-
-    /// Total core-milliseconds of work served.
-    pub fn busy_core_ms(&self) -> f64 {
-        self.busy_core_ms
-    }
-
-    /// The configured core count.
-    pub fn cores(&self) -> f64 {
-        self.cores
-    }
-
-    /// The thrash multiplier.
-    pub fn thrash(&self) -> f64 {
-        self.thrash
-    }
-}
-
-/// A node's CPU with the same max-min fair model as [`CpuServer`], but
-/// with dense storage: per-task state lives in a `Vec` indexed by a
+///
+/// Storage is dense: per-task state lives in a `Vec` indexed by a
 /// node-local slot assigned at build time, and the demand scan reuses a
 /// scratch buffer, so steady-state `serve` does no hashing and no heap
 /// allocation.
 ///
 /// Given the same sequence of `serve` calls, the completion times are
-/// bit-for-bit identical to [`CpuServer`]'s: the demand update and decay
+/// bit-for-bit identical to those of the hash-keyed reference server in
+/// the test-only `oracle` module: the demand update and decay
 /// use the same arithmetic in the same order, and the max-min allocation
 /// sorts candidates by `(demand, global task id)` — a total order — so
 /// the water-filling fold visits the same values in the same order
@@ -452,7 +345,7 @@ impl DenseCpuServer {
 /// Water-filling max-min fair allocation: returns the share of `task`.
 /// Tasks demanding less than an equal split keep their demand; the
 /// leftover is split among the rest.
-fn max_min_alloc(demands: &mut [(usize, f64)], capacity: f64, task: usize) -> f64 {
+pub(crate) fn max_min_alloc(demands: &mut [(usize, f64)], capacity: f64, task: usize) -> f64 {
     demands.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     let mut remaining = capacity;
     let mut left = demands.len();
@@ -471,6 +364,7 @@ fn max_min_alloc(demands: &mut [(usize, f64)], capacity: f64, task: usize) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::CpuServer;
 
     #[test]
     fn link_serializes_back_to_back() {

@@ -19,11 +19,12 @@
 //!   no `String` is hashed, cloned or compared between the first and the
 //!   last event.
 //!
-//! [`crate::reference::ReferenceSimulation`] keeps the original
-//! string-keyed implementation; parity tests assert both engines emit
-//! identical [`SimReport`]s, which pins every reordering here to the
-//! reference semantics (same RNG draw sequence, same event order, same
-//! float arithmetic).
+//! The original string-keyed implementation is kept as a test oracle
+//! (the `oracle` module, compiled for tests and under the `oracle`
+//! feature only); parity tests assert both engines emit identical
+//! [`SimReport`]s, which pins every reordering here to the reference
+//! semantics (same RNG draw sequence, same event order, same float
+//! arithmetic).
 
 use crate::build::{ClusterIndex, LinkKind, SimBuild, NO_SINK};
 use crate::chaos::ControlLoop;
@@ -1280,9 +1281,14 @@ impl<'c> Engine<'c> {
             // Retry budget exhausted: quarantine the poison tuple. Only
             // now do the crash-destroyed tuples of every attempt count as
             // lost — no replay will retransmit them. The planted-bug hook
-            // (fuzzer self-test only) skips the settled-roots increment,
-            // breaking the drain invariant on the first quarantine.
-            if !self.config.planted_quarantine_bug {
+            // (fuzzer self-test only, absent from a default build) skips
+            // the settled-roots increment, breaking the drain invariant on
+            // the first quarantine.
+            #[cfg(any(test, feature = "oracle"))]
+            let planted = self.config.planted_quarantine_bug;
+            #[cfg(not(any(test, feature = "oracle")))]
+            let planted = false;
+            if !planted {
                 self.totals.roots_quarantined += 1;
             }
             self.totals.tuples_quarantined += u64::from(self.config.batch_tuples);

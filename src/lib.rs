@@ -113,14 +113,14 @@ pub mod prelude {
     pub use rstorm_core::{
         schedule_all, verify_plan, Assignment, DeltaScheduler, DriftConfig, DriftDetector,
         DriftReport, GlobalState, MigrationMove, MigrationPlan, ProfileRefiner, RStormConfig,
-        RStormScheduler, RecoveryConfig, RecoveryEvent, RecoveryManager, ReferenceRStormScheduler,
-        ScheduleError, Scheduler, SchedulingPlan, SoftConstraintWeights,
+        RStormScheduler, RecoveryConfig, RecoveryEvent, RecoveryManager, ScheduleError, Scheduler,
+        SchedulingPlan, SoftConstraintWeights,
     };
     pub use rstorm_metrics::{StatisticServer, Summary, ThroughputReport};
     pub use rstorm_sim::{
         run_adaptive_rebalance, run_fault_plan_with, AdaptiveConfig, AdaptiveOutcome, ChaosOutcome,
-        FaultEvent, FaultPlan, NetworkModel, RecoveryObservations, ReferenceSimulation, SimConfig,
-        SimDebugStats, SimReport, SimTotals, Simulation,
+        FaultEvent, FaultPlan, NetworkModel, RecoveryObservations, SimConfig, SimDebugStats,
+        SimReport, SimTotals, Simulation,
     };
     pub use rstorm_topology::{
         ExecutionProfile, StreamGrouping, Topology, TopologyBuilder, TraversalOrder,

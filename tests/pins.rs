@@ -32,6 +32,8 @@ use rstorm::workloads::cases::{drifted_cases, fig8_cases, yahoo_cases, WorkloadC
 use rstorm::workloads::scale::{scale_cluster, scale_topology, SCALE_NODES, SCALE_TASKS};
 use rstorm::workloads::sweep::quick_grid;
 use rstorm::workloads::{clusters, micro};
+use rstorm_core::oracle::ReferenceRStormScheduler;
+use rstorm_sim::oracle::ReferenceSimulation;
 use std::sync::Arc;
 
 /// Workers on the parallel side of the worker-count identity checks: all

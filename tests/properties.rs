@@ -10,6 +10,8 @@ use rstorm::scheduler::rstorm::node_selection::NodeSelector;
 use rstorm::scheduler::rstorm::task_selection;
 use rstorm::scheduler::UndoLog;
 use rstorm::topology::{bfs_component_order, ResourceRequest, TopologyId};
+use rstorm_core::oracle::{ReferenceRStormScheduler, ScanNodeSelector};
+use rstorm_sim::oracle::ReferenceSimulation;
 
 // ---------- generators ----------------------------------------------------
 
@@ -495,7 +497,7 @@ proptest! {
 
         let mut state = GlobalState::new(&cluster);
         let mut memo = NodeSelector::new(&cluster, &weights);
-        let mut scan = NodeSelector::new_scan_only(&cluster, &weights);
+        let mut scan = ScanNodeSelector::new(&cluster, &weights);
         // Reservations of `t` since the last checkpoint are in `log`;
         // `held` shadows every live reservation so releases never target
         // a node `t` holds nothing on.

@@ -14,6 +14,7 @@
 use rstorm::prelude::*;
 use rstorm::workloads::cases::{fig8_cases, yahoo_cases, WorkloadCase};
 use rstorm::workloads::{clusters, yahoo};
+use rstorm_sim::oracle::ReferenceSimulation;
 use std::sync::Arc;
 
 fn schedule(topology: &Topology, cluster: &Cluster) -> Assignment {
