@@ -158,9 +158,26 @@ pub(crate) struct FairNetwork {
     active: Vec<u32>,
     /// Scratch: indices of flows not yet frozen during filling.
     worklist: Vec<u32>,
+    /// Work done by the fills so far.
+    counters: FillCounters,
     /// Links the last fill's bottleneck searches ranged over.
     #[cfg(test)]
     last_scan: usize,
+}
+
+/// How much work progressive filling has done, summed over the plane's
+/// transitions. Deterministic, so tests can pin it exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FillCounters {
+    /// Fills run: one per transition that changed the flow set or the
+    /// capacities.
+    pub transitions: u64,
+    /// Flows re-rated.
+    pub flows: u64,
+    /// Filling rounds: bottleneck searches, each freezing one link's flows.
+    pub rounds: u64,
+    /// Links the bottleneck searches visited.
+    pub links_scanned: u64,
 }
 
 /// Per-link telemetry at the report boundary.
@@ -218,6 +235,7 @@ impl FairNetwork {
             unfrozen: vec![0; n_links],
             active: Vec::new(),
             worklist: Vec::new(),
+            counters: FillCounters::default(),
             #[cfg(test)]
             last_scan: 0,
         }
@@ -237,6 +255,11 @@ impl FairNetwork {
     }
     fn core(&self) -> u32 {
         (2 * self.nodes + 2 * self.racks) as u32
+    }
+
+    /// The fills' work so far.
+    pub fn counters(&self) -> FillCounters {
+        self.counters
     }
 
     /// The generation a wake event must carry to be fresh.
@@ -489,7 +512,11 @@ impl FairNetwork {
         }
         self.worklist.clear();
         self.worklist.extend(0..self.flows.len() as u32);
+        self.counters.transitions += 1;
+        self.counters.flows += self.worklist.len() as u64;
         while !self.worklist.is_empty() {
+            self.counters.rounds += 1;
+            self.counters.links_scanned += self.active.len() as u64;
             let mut bottleneck = u32::MAX;
             let mut share = f64::INFINITY;
             for &l in &self.active {

@@ -185,6 +185,16 @@ pub struct SimDebugStats {
     /// could not prove under-committed, so the max-min fair-share scan
     /// ran. Each node's CPU server counts its own calls.
     pub cpu_fair_scans: u64,
+    /// Fair-plane transitions that re-ran progressive filling (flow
+    /// admissions, completions, severances and degradations). Zero on the
+    /// legacy network model, which builds no plane.
+    pub net_transitions: u64,
+    /// Flows re-rated by those fills, summed over transitions.
+    pub net_fill_flows: u64,
+    /// Progressive-filling rounds (one bottleneck search each).
+    pub net_fill_rounds: u64,
+    /// Links visited by the bottleneck searches, summed over rounds.
+    pub net_links_scanned: u64,
 }
 
 /// Recovery observability derived from a fault-plan run by the chaos

@@ -1740,6 +1740,11 @@ impl<'c> Engine<'c> {
             }
             None => (self.uplink.served_bytes() / 1e6, None),
         };
+        let fill = self
+            .network
+            .as_ref()
+            .map(FairNetwork::counters)
+            .unwrap_or_default();
         let report = SimReport {
             duration_ms: elapsed,
             window_ms: self.config.window_ms,
@@ -1761,6 +1766,10 @@ impl<'c> Engine<'c> {
                 route_entries: self.build.route_entries() as u64,
                 cpu_serves: self.cpus.iter().map(DenseCpuServer::serves).sum(),
                 cpu_fair_scans: self.cpus.iter().map(DenseCpuServer::fair_scans).sum(),
+                net_transitions: fill.transitions,
+                net_fill_flows: fill.flows,
+                net_fill_rounds: fill.rounds,
+                net_links_scanned: fill.links_scanned,
             },
         };
         violations.extend(report.sanity_violations());

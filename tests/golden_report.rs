@@ -59,14 +59,11 @@ fn linear_net_quick_report_is_stable() {
     check_golden("linear_net_quick", &report.to_json());
 }
 
-/// The fair-share network plane's transitions, pinned: the fig-8
-/// linear-net case spread across both racks (so flows cross the trunks)
-/// on `NetworkModel::Fair`, with one link-degradation window and one
-/// rack partition. Every plane transition — admit, complete, degrade
-/// and mid-transfer sever — feeds the report, including the per-link
-/// telemetry block.
-#[test]
-fn linear_net_fair_faulted_report_is_stable() {
+/// The fig-8 linear-net case spread across both racks (so flows cross
+/// the trunks) on `NetworkModel::Fair`, with one link-degradation window
+/// and one rack partition: every fair-plane transition — admit,
+/// complete, degrade and mid-transfer sever — runs.
+fn linear_net_fair_faulted() -> SimReport {
     let case = fig8_cases()
         .into_iter()
         .find(|c| c.name == "linear_net")
@@ -90,7 +87,14 @@ fn linear_net_fair_faulted_report_is_stable() {
             .degrade_links(4_000.0, 8_000.0, 100.0)
             .partition_rack(11_000.0, 14_000.0, &rack),
     );
-    let report = sim.run();
+    sim.run()
+}
+
+/// The fair-share network plane's transitions, pinned: every one feeds
+/// the report, including the per-link telemetry block.
+#[test]
+fn linear_net_fair_faulted_report_is_stable() {
+    let report = linear_net_fair_faulted();
     let net = report.network.as_ref().expect("fair runs export telemetry");
     assert!(
         net.links
@@ -104,6 +108,24 @@ fn linear_net_fair_faulted_report_is_stable() {
         "the partition must sever in-flight trunk flows"
     );
     check_golden("linear_net_fair_faulted", &report.to_json());
+}
+
+/// The fair plane's fill work on the same run, pinned exactly: fills run
+/// (one per transition), flows re-rated, filling rounds and links the
+/// bottleneck searches visited. The report bytes above cannot see how
+/// much work produced them.
+#[test]
+fn fair_plane_fill_work_is_pinned() {
+    let d = linear_net_fair_faulted().debug;
+    assert_eq!(
+        (
+            d.net_transitions,
+            d.net_fill_flows,
+            d.net_fill_rounds,
+            d.net_links_scanned
+        ),
+        (180_815, 1_139_958, 683_029, 9_916_202)
+    );
 }
 
 /// Migration churn, pinned: a scaled-down scale-plane run (400 tasks on
