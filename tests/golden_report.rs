@@ -113,7 +113,10 @@ fn linear_net_fair_faulted_report_is_stable() {
 /// The fair plane's fill work on the same run, pinned exactly: fills run
 /// (one per transition), flows re-rated, filling rounds and links the
 /// bottleneck searches visited. The report bytes above cannot see how
-/// much work produced them.
+/// much work produced them. Filling every in-flight flow on every
+/// transition, the same run re-rated 1,139,958 flows in 683,029 rounds
+/// over 9,916,202 links; filling only each transition's component gives
+/// the same bytes.
 #[test]
 fn fair_plane_fill_work_is_pinned() {
     let d = linear_net_fair_faulted().debug;
@@ -124,7 +127,7 @@ fn fair_plane_fill_work_is_pinned() {
             d.net_fill_rounds,
             d.net_links_scanned
         ),
-        (180_815, 1_139_958, 683_029, 9_916_202)
+        (180_815, 783_499, 448_752, 4_710_088)
     );
 }
 
