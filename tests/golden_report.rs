@@ -113,10 +113,7 @@ fn linear_net_fair_faulted_report_is_stable() {
 /// The fair plane's fill work on the same run, pinned exactly: fills run
 /// (one per transition), flows re-rated, filling rounds and links the
 /// bottleneck searches visited. The report bytes above cannot see how
-/// much work produced them. Filling every in-flight flow on every
-/// transition, the same run re-rated 1,139,958 flows in 683,029 rounds
-/// over 9,916,202 links; filling only each transition's component gives
-/// the same bytes.
+/// much work produced them.
 #[test]
 fn fair_plane_fill_work_is_pinned() {
     let d = linear_net_fair_faulted().debug;
