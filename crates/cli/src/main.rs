@@ -10,6 +10,7 @@
 //! rstorm sweep    [--grid quick|full] [--seeds A..B] [--workers N] [--out FILE]
 //! rstorm fuzz     --topology topo.spec --cluster cluster.spec [--iterations N] [--seed N]
 //! rstorm scale    [--tasks N] [--nodes N] [--horizon-ms N] [--seed N] [--churn]
+//! rstorm reproduce [--figure 8|9|10|12|13|ablation]
 //! rstorm example-specs
 //! ```
 
@@ -26,6 +27,7 @@ use rstorm_sim::{
 };
 use rstorm_spec::{parse_cluster, parse_topology};
 use rstorm_topology::Topology;
+use rstorm_workloads::figures::{self, Figure};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -54,6 +56,7 @@ USAGE:
                     [--out FILE] [--journal on|off]
     rstorm scale    [--tasks N] [--nodes N] [--horizon-ms N] [--seed N]
                     [--churn]
+    rstorm reproduce [--figure 8|9|10|12|13|ablation]
     rstorm example-specs
 
 SCHEDULERS:
@@ -85,7 +88,7 @@ type Command = fn(&BTreeMap<String, String>) -> Result<(), String>;
 /// Every command that takes flags, with the flags it reads (names
 /// without `--`, separated by spaces). Any other flag is an error, so a
 /// typo or another command's flag never runs silently with a default.
-const COMMANDS: [(&str, Command, &str); 8] = [
+const COMMANDS: [(&str, Command, &str); 9] = [
     ("schedule", schedule_cmd, "topology cluster scheduler"),
     (
         "simulate",
@@ -112,6 +115,7 @@ const COMMANDS: [(&str, Command, &str); 8] = [
          out journal",
     ),
     ("scale", scale_cmd, "tasks nodes horizon-ms seed churn"),
+    ("reproduce", reproduce_cmd, "figure"),
 ];
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -320,14 +324,9 @@ fn simulate_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (topology, cluster) = load_inputs(flags)?;
     let scheduler = make_scheduler(flags)?;
     let config = sim_config(flags)?;
-    let mut state = GlobalState::new(&cluster);
-    let assignment = scheduler
-        .schedule(&topology, &cluster, &mut state)
-        .map_err(|e| e.to_string())?;
     let duration = config.sim_time_ms;
-    let mut sim = Simulation::new(cluster, config);
-    sim.add_topology(&topology, &assignment);
-    let report = sim.run();
+    let report = figures::run(&*scheduler, &[&topology], &Arc::new(cluster), config)
+        .map_err(|e| e.to_string())?;
     println!(
         "simulated `{}` for {:.0} s under the {} scheduler",
         topology.id(),
@@ -341,17 +340,13 @@ fn simulate_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
 fn compare_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let (topology, cluster) = load_inputs(flags)?;
     let config = sim_config(flags)?;
+    let cluster = Arc::new(cluster);
     for scheduler in [
         &RStormScheduler::new() as &dyn Scheduler,
         &EvenScheduler::new(),
     ] {
-        let mut state = GlobalState::new(&cluster);
-        let assignment = scheduler
-            .schedule(&topology, &cluster, &mut state)
+        let report = figures::run(scheduler, &[&topology], &cluster, config.clone())
             .map_err(|e| e.to_string())?;
-        let mut sim = Simulation::new(cluster.clone(), config.clone());
-        sim.add_topology(&topology, &assignment);
-        let report = sim.run();
         println!("=== {} ===", scheduler.name());
         print_report(&topology, &report);
         println!();
@@ -826,6 +821,21 @@ fn scale_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Reproduces the paper's figures: every figure's rows, or with
+/// `--figure` one figure's rows and its per-window series.
+fn reproduce_cmd(flags: &BTreeMap<String, String>) -> Result<(), String> {
+    match flags.get("figure") {
+        None => print!("{}", figures::render(&figures::table())),
+        Some(raw) => {
+            let figure: Figure = raw.parse().map_err(|e| format!("invalid --figure: {e}"))?;
+            let run = figures::run_figure(figure, figure.horizon_ms());
+            print!("{}", figures::render(&run.rows));
+            print!("{}", figures::render_series(&run.series));
+        }
+    }
+    Ok(())
+}
+
 fn print_example_specs() {
     println!("# ---- word-count.spec ----------------------------------");
     println!(
@@ -914,6 +924,32 @@ mod tests {
             let err = run(&strings(args)).unwrap_err();
             assert!(
                 err.contains(flag) && err.contains(command),
+                "{args:?}: {err}"
+            );
+        }
+    }
+
+    /// `--figure` names one of the paper's figures, and anything else is
+    /// an error naming them, raised before any figure runs. `reproduce`
+    /// takes no other flag: the horizons and the seed are the table's.
+    #[test]
+    fn reproduce_takes_only_a_known_figure() {
+        for bad in ["7", "x"] {
+            let err = run(&strings(&["reproduce", "--figure", bad])).unwrap_err();
+            assert!(
+                err.contains("--figure")
+                    && err.contains(&format!("`{bad}`"))
+                    && err.contains("8, 9, 10, 12, 13, ablation"),
+                "{err}"
+            );
+        }
+        for (args, flag) in [
+            (&["reproduce", "--seed", "1"][..], "--seed"),
+            (&["reproduce", "--quick"][..], "--quick"),
+        ] {
+            let err = run(&strings(args)).unwrap_err();
+            assert!(
+                err.contains("rstorm reproduce") && err.contains(flag),
                 "{args:?}: {err}"
             );
         }

@@ -2023,8 +2023,8 @@ mod tests {
         // the round-robin spread.
         let cluster = emulab(2, 6);
         let t = linear_topology("net", 6, ExecutionProfile::network_bound(400), 15.0, 128.0);
-        // In-flight-limited regime (see the fig8 harness): placement
-        // quality shows up as end-to-end latency.
+        // In-flight-limited regime (Fig 8 in `rstorm_workloads::figures`):
+        // placement quality shows up as end-to-end latency.
         let mut config = SimConfig::quick();
         config.max_pending = 4;
         let rstorm = run_with(&RStormScheduler::new(), &t, &cluster, config.clone());
@@ -2170,7 +2170,7 @@ mod tests {
     #[test]
     fn shared_arc_cluster_avoids_per_sim_deep_copy() {
         // Constructing many simulations over one Arc'd cluster must not
-        // clone the cluster (the fig8/fig10 harness pattern).
+        // clone the cluster (the pattern `rstorm_workloads::figures` runs).
         let cluster = Arc::new(emulab(2, 3));
         let t = linear_topology("t", 2, ExecutionProfile::new(0.1, 1.0, 100), 20.0, 128.0);
         let mut state = GlobalState::new(&cluster);

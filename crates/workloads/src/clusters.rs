@@ -46,6 +46,25 @@ pub fn emulab_multi() -> Cluster {
         .expect("static preset is valid")
 }
 
+/// The 12-worker Emulab cluster with node ids *interleaved* across the
+/// two racks: `node-<i>` sits in `rack-<i mod 2>`. On [`emulab_micro`],
+/// node-id tie-breaking happens to keep even a network-oblivious
+/// scheduler inside one rack, which masks the distance term the ablation
+/// removes; interleaving removes that accident without changing the
+/// hardware.
+pub fn emulab_micro_interleaved() -> Cluster {
+    let mut b = ClusterBuilder::new();
+    for i in 0..12u32 {
+        b = b.add_node(
+            format!("node-{i:02}"),
+            format!("rack-{}", i % 2),
+            ResourceCapacity::emulab_node(),
+            SLOTS_PER_NODE,
+        );
+    }
+    b.build().expect("static preset is valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,5 +107,17 @@ mod tests {
         let c = emulab_multi();
         assert_eq!(c.nodes().len(), 24);
         assert_eq!(c.racks().len(), 2);
+    }
+
+    #[test]
+    fn interleaved_preset_alternates_racks() {
+        let c = emulab_micro_interleaved();
+        assert_eq!(c.nodes().len(), 12);
+        for (i, node) in c.nodes().iter().enumerate() {
+            assert_eq!(node.id().as_str(), format!("node-{i:02}"));
+            assert_eq!(node.rack().as_str(), format!("rack-{}", i % 2));
+            assert_eq!(*node.capacity(), ResourceCapacity::emulab_node());
+            assert_eq!(node.slots().len(), usize::from(SLOTS_PER_NODE));
+        }
     }
 }

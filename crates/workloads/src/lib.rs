@@ -8,6 +8,9 @@
 //! * [`yahoo`] — the PageLoad and Processing topologies modeled after the
 //!   production layouts of Figure 11 (event-level advertising data
 //!   pipelines for near-real-time analytical reporting).
+//! * [`figures`] — the paper's Figs 8–13 and our ablation as one table
+//!   of R-Storm-versus-baseline rows, with its runner and text renderer
+//!   (`rstorm reproduce`).
 //! * [`drifted`] — topologies whose declared profiles are deliberately
 //!   wrong, the test cases of the adaptive rebalance plane.
 //! * [`clusters`] — the Emulab cluster presets of §6.1: two racks
@@ -31,6 +34,7 @@
 pub mod cases;
 pub mod clusters;
 pub mod drifted;
+pub mod figures;
 pub mod micro;
 pub mod scale;
 pub mod sweep;

@@ -1,6 +1,7 @@
 //! Golden-report regression test: the simulator's exact output —
 //! deterministic JSON, every float formatted from its full bit pattern —
-//! is pinned for a fixed workload, schedule, seed and horizon. Any
+//! is pinned for a fixed workload, schedule, seed and horizon, and so is
+//! the text of the paper's figures (`rstorm reproduce`). Any
 //! change to event ordering, RNG consumption, float arithmetic order or
 //! the report boundary shows up as a diff here, even if it is too small
 //! to fail a statistical assertion.
@@ -13,10 +14,11 @@ use rstorm::prelude::*;
 use rstorm::workloads::cases::fig8_cases;
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
+/// `file` (a name with its extension) under `tests/golden/`.
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{name}.json"))
+        .join(file)
 }
 
 fn check_golden(name: &str, actual: &str) {
@@ -56,7 +58,7 @@ fn linear_net_quick_report_is_stable() {
     let mut sim = Simulation::new(case.cluster, SimConfig::quick());
     sim.add_topology(&case.topology, &assignment);
     let report = sim.run();
-    check_golden("linear_net_quick", &report.to_json());
+    check_golden("linear_net_quick.json", &report.to_json());
 }
 
 /// The fig-8 linear-net case spread across both racks (so flows cross
@@ -107,7 +109,7 @@ fn linear_net_fair_faulted_report_is_stable() {
         report.totals.tuples_lost > 0,
         "the partition must sever in-flight trunk flows"
     );
-    check_golden("linear_net_fair_faulted", &report.to_json());
+    check_golden("linear_net_fair_faulted.json", &report.to_json());
 }
 
 /// The fair plane's fill work on the same run, pinned exactly: fills run
@@ -147,7 +149,7 @@ fn scale_churn_report_is_stable() {
     schedule_churn(&mut sim, &plans, HORIZON_MS);
     let report = sim.run();
     assert!(report.totals.tuples_completed > 0, "the chain flows");
-    check_golden("scale_churn_400", &report.to_json());
+    check_golden("scale_churn_400.json", &report.to_json());
 }
 
 /// Local-or-shuffle routing across a migration, pinned: PageLoad's
@@ -208,7 +210,7 @@ fn page_load_los_migration_report_is_stable() {
     );
     let report = sim.run();
     assert!(report.totals.tuples_completed > 0, "the pipeline flows");
-    check_golden("page_load_los_migration", &report.to_json());
+    check_golden("page_load_los_migration.json", &report.to_json());
 }
 
 /// The quick sweep grid's aggregated payload (seeds 0..8), pinned byte
@@ -225,5 +227,21 @@ fn quick_sweep_payload_is_stable() {
     use rstorm::sim::{run_sweep, SeedRange};
     use rstorm::workloads::sweep::quick_grid;
     let grid = quick_grid(SeedRange::new(0, 8).expect("0..8 is a valid range"));
-    check_golden("sweep_quick", &run_sweep(&grid, 1).summary.to_json());
+    check_golden("sweep_quick.json", &run_sweep(&grid, 1).summary.to_json());
+}
+
+/// The paper's figures as `rstorm reproduce` prints them, pinned byte for
+/// byte: every row of Figs 8–13 and the ablation at its full horizon
+/// (five simulated minutes, fifteen for Fig 13). Any model change that
+/// moves a figure shows up here as one diff against the paper's numbers.
+/// The runs cost minutes in a debug build, so this only runs with
+/// optimisations.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "release-only: CI runs it in the release test step"
+)]
+fn paper_figures_are_stable() {
+    use rstorm::workloads::figures::{render, table};
+    check_golden("paper_figures.txt", &render(&table()));
 }

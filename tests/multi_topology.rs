@@ -96,7 +96,8 @@ fn joint_simulation_runs_both_topologies() {
 fn degraded_processing_under_default_schedule() {
     // The Figure 13 mechanism in miniature: under the default scheduler
     // the Processing pipeline loses throughput it keeps under R-Storm.
-    // (The full death spiral needs the 15-minute run in the fig13 bench.)
+    // (The full death spiral needs the 15-minute run of
+    // `rstorm reproduce --figure 13`.)
     let cluster = clusters::emulab_multi();
     let processing = yahoo::processing();
     let page_load = yahoo::page_load();

@@ -1,64 +1,48 @@
-//! Regression net over the reproduced paper results: quick-mode versions
-//! of every figure's *shape* (who wins, roughly how). The precise
-//! full-length numbers live in EXPERIMENTS.md; these tests keep the
-//! shapes from silently regressing as the code evolves.
+//! Regression net over the reproduced paper results: every figure's
+//! *shape* (who wins, roughly how), asserted on the rows of
+//! `rstorm::workloads::figures` at shortened horizons. The full-length
+//! numbers are pinned byte for byte by
+//! `golden_report::paper_figures_are_stable` and recorded in
+//! EXPERIMENTS.md; these tests keep the shapes from silently regressing
+//! as the code evolves.
 //!
-//! Runs are shortened (60–90 simulated seconds) so the whole file stays
-//! CI-friendly; thresholds are set loose enough to be stable across the
-//! shorter horizon.
+//! Runs are shortened (60–90 simulated seconds, 420 for Fig 13) so the
+//! whole file stays CI-friendly; thresholds are set loose enough to be
+//! stable across the shorter horizon.
 
-use rstorm::prelude::*;
-use rstorm::workloads::{clusters, micro, yahoo};
+use rstorm::workloads::figures::{run_figure, Figure, Measured, Row};
+use std::sync::OnceLock;
 
-fn compare(topology: &Topology, cluster: &Cluster, sim_time_ms: f64) -> (SimReport, SimReport) {
-    let run = |scheduler: &dyn Scheduler| {
-        let mut state = GlobalState::new(cluster);
-        let assignment = scheduler.schedule(topology, cluster, &mut state).unwrap();
-        let mut sim = Simulation::new(
-            cluster.clone(),
-            SimConfig::default().with_sim_time_ms(sim_time_ms),
-        );
-        sim.add_topology(topology, &assignment);
-        sim.run()
-    };
-    (run(&RStormScheduler::new()), run(&EvenScheduler::new()))
+/// The row for `topology` among `rows`.
+fn row<'a>(rows: &'a [Row], topology: &str) -> &'a Row {
+    rows.iter()
+        .find(|r| r.topology == topology)
+        .unwrap_or_else(|| panic!("no row for {topology}"))
 }
 
-fn ratio(topology: &Topology, cluster: &Cluster, sim_time_ms: f64) -> f64 {
-    let (rstorm, even) = compare(topology, cluster, sim_time_ms);
-    let id = topology.id().as_str();
-    rstorm.steady_throughput(id, 2) / even.steady_throughput(id, 2).max(1e-9)
+/// Fig 8's rows at 90 s, run once for the three Fig 8 tests.
+fn fig8_rows() -> &'static [Row] {
+    static ROWS: OnceLock<Vec<Row>> = OnceLock::new();
+    ROWS.get_or_init(|| run_figure(Figure::Fig8, 90_000.0).rows)
 }
 
 // ---- Figure 8: network-bound throughput -----------------------------------
 
 #[test]
 fn fig8a_linear_network_bound_shape() {
-    let r = ratio(
-        &micro::linear_network_bound(),
-        &clusters::emulab_micro(),
-        90_000.0,
-    );
+    let r = row(fig8_rows(), "linear-net").ratio();
     assert!((1.3..2.0).contains(&r), "paper ≈ 1.5, measured {r:.2}");
 }
 
 #[test]
 fn fig8b_diamond_network_bound_shape() {
-    let r = ratio(
-        &micro::diamond_network_bound(),
-        &clusters::emulab_micro(),
-        90_000.0,
-    );
+    let r = row(fig8_rows(), "diamond-net").ratio();
     assert!((1.1..1.6).contains(&r), "paper ≈ 1.3, measured {r:.2}");
 }
 
 #[test]
 fn fig8c_star_network_bound_shape() {
-    let r = ratio(
-        &micro::star_network_bound(),
-        &clusters::emulab_micro(),
-        90_000.0,
-    );
+    let r = row(fig8_rows(), "star-net").ratio();
     assert!((1.3..2.0).contains(&r), "paper ≈ 1.47, measured {r:.2}");
 }
 
@@ -66,18 +50,16 @@ fn fig8c_star_network_bound_shape() {
 
 #[test]
 fn fig9ab_equal_throughput_on_fewer_machines() {
-    let cluster = clusters::emulab_micro();
-    for topology in [micro::linear_cpu_bound(), micro::diamond_cpu_bound()] {
-        let (rstorm, even) = compare(&topology, &cluster, 60_000.0);
-        let id = topology.id().as_str();
-        let r = rstorm.steady_throughput(id, 2);
-        let e = even.steady_throughput(id, 2);
+    let rows = run_figure(Figure::Fig9, 60_000.0).rows;
+    for id in ["linear-cpu", "diamond-cpu"] {
+        let row = row(&rows, id);
+        let (r, e) = (row.subject.throughput, row.baseline.throughput);
         assert!(
             (0.9..1.1).contains(&(r / e)),
             "{id}: throughput should match, {r:.0} vs {e:.0}"
         );
         assert!(
-            rstorm.used_nodes_by_topology[id] + 3 <= even.used_nodes_by_topology[id],
+            row.subject.machines + 3 <= row.baseline.machines,
             "{id}: R-Storm should use far fewer machines"
         );
     }
@@ -85,11 +67,7 @@ fn fig9ab_equal_throughput_on_fewer_machines() {
 
 #[test]
 fn fig9c_star_default_is_bottlenecked() {
-    let r = ratio(
-        &micro::star_cpu_bound(),
-        &clusters::emulab_micro(),
-        90_000.0,
-    );
+    let r = row(&run_figure(Figure::Fig9, 90_000.0).rows, "star-cpu").ratio();
     assert!(
         r > 1.15,
         "R-Storm must clearly win the star, measured {r:.2}"
@@ -100,17 +78,11 @@ fn fig9c_star_default_is_bottlenecked() {
 
 #[test]
 fn fig10_utilization_ordering() {
-    let cluster = clusters::emulab_micro();
-    let mut improvements = Vec::new();
-    for topology in [
-        micro::linear_cpu_bound(),
-        micro::diamond_cpu_bound(),
-        micro::star_cpu_bound(),
-    ] {
-        let (rstorm, even) = compare(&topology, &cluster, 60_000.0);
-        improvements
-            .push(rstorm.mean_used_cpu_utilization.mean / even.mean_used_cpu_utilization.mean);
-    }
+    let rows = run_figure(Figure::Fig10, 60_000.0).rows;
+    let improvements: Vec<f64> = ["linear-cpu", "diamond-cpu", "star-cpu"]
+        .iter()
+        .map(|id| row(&rows, id).ratio())
+        .collect();
     // Every workload shows a clear utilization win...
     for (i, imp) in improvements.iter().enumerate() {
         assert!(*imp > 1.3, "workload {i}: ratio {imp:.2}");
@@ -128,10 +100,10 @@ fn fig10_utilization_ordering() {
 
 #[test]
 fn fig12_yahoo_topologies_favor_rstorm() {
-    let cluster = clusters::emulab_micro();
-    let pl = ratio(&yahoo::page_load(), &cluster, 90_000.0);
+    let rows = run_figure(Figure::Fig12, 90_000.0).rows;
+    let pl = row(&rows, "page-load").ratio();
     assert!(pl > 1.15, "PageLoad measured {pl:.2}");
-    let pr = ratio(&yahoo::processing(), &cluster, 90_000.0);
+    let pr = row(&rows, "processing").ratio();
     assert!(pr > 1.2, "Processing measured {pr:.2}");
 }
 
@@ -139,44 +111,35 @@ fn fig12_yahoo_topologies_favor_rstorm() {
 
 #[test]
 fn fig13_processing_collapses_under_default_only() {
-    let cluster = clusters::emulab_multi();
-    let processing = yahoo::processing();
-    let page_load = yahoo::page_load();
-
-    let run = |scheduler: &dyn Scheduler| {
-        let plan = schedule_all(scheduler, &[&processing, &page_load], &cluster).unwrap();
-        let mut sim = Simulation::new(
-            cluster.clone(),
-            SimConfig::default().with_sim_time_ms(420_000.0),
-        );
-        sim.add_topology(&page_load, plan.assignment("page-load").unwrap());
-        sim.add_topology(&processing, plan.assignment("processing").unwrap());
-        sim.run()
+    let rows = run_figure(Figure::Fig13, 420_000.0).rows;
+    let (page_load, processing) = (row(&rows, "page-load"), row(&rows, "processing"));
+    let collapse = |side: &Measured| {
+        side.collapse
+            .clone()
+            .expect("Fig 13 rows carry the collapse")
     };
-
-    let rstorm = run(&RStormScheduler::new());
-    let default = run(&EvenScheduler::new());
+    let (rstorm, default) = (
+        collapse(&processing.subject),
+        collapse(&processing.baseline),
+    );
 
     // R-Storm: both topologies healthy, zero timeouts.
-    assert_eq!(rstorm.totals.roots_timed_out, 0);
-    assert!(rstorm.steady_throughput("processing", 2) > 30_000.0);
+    assert_eq!(rstorm.roots_timed_out, 0);
+    assert!(processing.subject.throughput > 30_000.0);
 
     // Default: Processing's tuple trees blow the 30 s timeout en masse
     // and its late windows collapse, while PageLoad merely degrades.
     assert!(
-        default.totals.roots_timed_out > 10_000,
+        default.roots_timed_out > 10_000,
         "expected mass timeouts, got {}",
-        default.totals.roots_timed_out
+        default.roots_timed_out
     );
-    let windows = &default.throughput["processing"].windows;
-    let late = &windows[windows.len() - 6..];
-    let late_mean = late.iter().sum::<f64>() / late.len() as f64;
     assert!(
-        late_mean < 0.2 * rstorm.steady_throughput("processing", 2),
-        "processing should have collapsed, late windows {late:?}"
+        default.late_throughput < 0.2 * processing.subject.throughput,
+        "processing should have collapsed, late windows average {:.0}",
+        default.late_throughput
     );
-    let pl_ratio =
-        default.steady_throughput("page-load", 2) / rstorm.steady_throughput("page-load", 2);
+    let pl_ratio = page_load.baseline.throughput / page_load.subject.throughput;
     assert!(
         pl_ratio > 0.5,
         "PageLoad must survive (got {:.0}% of R-Storm)",
