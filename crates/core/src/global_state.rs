@@ -52,15 +52,64 @@ use std::sync::Arc;
 /// is never issued twice. Starts at 1: 0 is free for "never computed".
 static NEXT_RACK_STAMP: AtomicU64 = AtomicU64::new(1);
 
-/// Per-rack stamps. They are identity, not state, so their `Debug` prints
-/// a constant: a rollback restores contents under fresh stamps and must
-/// still print exactly the state it restored.
-#[derive(Clone)]
-struct RackStamps(Vec<u64>);
+/// Bookkeeping *about* a state rather than state: rack stamps (identity)
+/// and work counters. `Debug` prints a constant, so a rollback, which
+/// restores contents under fresh stamps and counts its own writes, still
+/// prints exactly the state it restored.
+#[derive(Clone, Default)]
+struct Unprinted<T>(T);
 
-impl fmt::Debug for RackStamps {
+impl<T> fmt::Debug for Unprinted<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RackStamps(..)")
+        f.write_str("..")
+    }
+}
+
+/// Work counters of R-Storm placement, accumulated over the life of the
+/// [`GlobalState`] every placement runs against; read them with
+/// [`GlobalState::schedule_stats`] after [`crate::Scheduler::schedule`].
+///
+/// They are deterministic — the same inputs count the same work on every
+/// machine — so they can be pinned where wall time cannot. The selector
+/// counters (searches through nodes scored) come from
+/// [`NodeSelector`](crate::rstorm::node_selection::NodeSelector); the last
+/// two from the state itself, whoever writes to it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScheduleStats {
+    /// Reference-node searches (Algorithm 4 lines 6–9), one per
+    /// placement pass that found an alive node.
+    pub ref_node_searches: u64,
+    /// Node picks: one per task a selector was asked to place.
+    pub picks: u64,
+    /// Racks a pick visited (not skipped by the memory bound).
+    pub racks_visited: u64,
+    /// Racks a pick skipped because their maximum remaining memory is
+    /// below the request.
+    pub racks_skipped: u64,
+    /// Visited racks whose members a pick rescanned.
+    pub rack_rescans: u64,
+    /// Visited racks whose memo a pick updated in O(1) from the rack's
+    /// last single-node write.
+    pub rack_updates: u64,
+    /// Nodes whose distance to a request a pick computed.
+    pub nodes_scored: u64,
+    /// Entries appended to undo logs.
+    pub undo_entries: u64,
+    /// Writes of a node's remaining resources or liveness.
+    pub state_writes: u64,
+}
+
+impl std::ops::AddAssign for ScheduleStats {
+    fn add_assign(&mut self, other: Self) {
+        self.ref_node_searches += other.ref_node_searches;
+        self.picks += other.picks;
+        self.racks_visited += other.racks_visited;
+        self.racks_skipped += other.racks_skipped;
+        self.rack_rescans += other.rack_rescans;
+        self.rack_updates += other.rack_updates;
+        self.nodes_scored += other.nodes_scored;
+        self.undo_entries += other.undo_entries;
+        self.state_writes += other.state_writes;
     }
 }
 
@@ -182,7 +231,9 @@ pub struct GlobalState {
     rack_alive: Vec<u32>,
     /// Per-rack stamp, fresh from [`NEXT_RACK_STAMP`] at every
     /// recomputation of the rack's aggregates.
-    rack_stamp: RackStamps,
+    rack_stamp: Unprinted<Vec<u64>>,
+    /// Work counters.
+    stats: Unprinted<ScheduleStats>,
     plan: SchedulingPlan,
     /// Per-topology, per-node reserved totals, for release on unschedule.
     reserved: HashMap<TopologyId, BTreeMap<NodeId, ResourceRequest>>,
@@ -219,7 +270,8 @@ impl GlobalState {
             rack_abundance: vec![0.0; racks],
             rack_max_mem: vec![f64::NEG_INFINITY; racks],
             rack_alive: vec![0; racks],
-            rack_stamp: RackStamps(vec![0; racks]),
+            rack_stamp: Unprinted(vec![0; racks]),
+            stats: Unprinted::default(),
             plan: SchedulingPlan::new(),
             reserved: HashMap::new(),
             topology_slots: HashMap::new(),
@@ -301,6 +353,17 @@ impl GlobalState {
     /// identical rack contents.
     pub fn rack_stamps(&self) -> &[u64] {
         &self.rack_stamp.0
+    }
+
+    /// Work counters of every placement run against this state (and of
+    /// every write to it) since it was created.
+    pub fn schedule_stats(&self) -> &ScheduleStats {
+        &self.stats.0
+    }
+
+    /// Adds a selector's counters to this state's.
+    pub(crate) fn record_stats(&mut self, stats: ScheduleStats) {
+        self.stats.0 += stats;
     }
 
     /// Remaining resources of a node ([`None`] for unknown/dead nodes).
@@ -399,6 +462,8 @@ impl GlobalState {
             prev,
             topology_was_present,
         });
+        self.stats.0.undo_entries += 2;
+        self.stats.0.state_writes += 1;
         let rack = self.index.rack_of(i);
         self.recompute_rack(rack);
         Ok(())
@@ -465,6 +530,8 @@ impl GlobalState {
             prev: Some(prev),
             topology_was_present: true,
         });
+        self.stats.0.undo_entries += 2;
+        self.stats.0.state_writes += 1;
         let rack = self.index.rack_of(i);
         self.recompute_rack(rack);
         Ok(())
@@ -537,6 +604,7 @@ impl GlobalState {
             topology: topology.clone(),
             node: node.clone(),
         });
+        self.stats.0.undo_entries += 2;
         Ok(slot)
     }
 
@@ -549,6 +617,7 @@ impl GlobalState {
             match entry {
                 UndoEntry::Remaining { index: i, prev } => {
                     self.dense[i as usize] = prev;
+                    self.stats.0.state_writes += 1;
                     let rack = index.rack_of(i);
                     if !touched_racks.contains(&rack) {
                         touched_racks.push(rack);
@@ -635,6 +704,7 @@ impl GlobalState {
                 if let Some(i) = index.node_index(node.as_str()) {
                     if self.alive[i as usize] {
                         self.dense[i as usize].add(&total);
+                        self.stats.0.state_writes += 1;
                         let rack = index.rack_of(i);
                         if !touched_racks.contains(&rack) {
                             touched_racks.push(rack);
@@ -664,6 +734,7 @@ impl GlobalState {
         if let Some(i) = self.index.node_index(node) {
             if self.alive[i as usize] {
                 self.alive[i as usize] = false;
+                self.stats.0.state_writes += 1;
                 let rack = self.index.rack_of(i);
                 self.recompute_rack(rack);
             }
@@ -706,6 +777,7 @@ impl GlobalState {
         }
         self.dense[i as usize] = remaining;
         self.alive[i as usize] = true;
+        self.stats.0.state_writes += 1;
         let rack = self.index.rack_of(i);
         self.recompute_rack(rack);
         true

@@ -691,6 +691,7 @@ fn place_degraded(
         }
     }
 
+    state.record_stats(*selector.stats());
     if slots.is_empty() {
         return None;
     }

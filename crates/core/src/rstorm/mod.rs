@@ -104,6 +104,7 @@ impl Scheduler for RStormScheduler {
             let node = match selector.select(state, &request) {
                 Ok(node) => node,
                 Err(best_available_mb) => {
+                    state.record_stats(*selector.stats());
                     state.rollback(log);
                     return Err(ScheduleError::InsufficientMemory {
                         topology: topology.id().clone(),
@@ -119,18 +120,21 @@ impl Scheduler for RStormScheduler {
             // task placed so far (atomicity holds on this path too).
             let reserved = state.reserve_logged(topology.id(), &node, &request, &mut log);
             if let Err(e) = reserved {
+                state.record_stats(*selector.stats());
                 state.rollback(log);
                 return Err(e);
             }
             let slot = match state.slot_for_logged(cluster, topology.id(), &node, &mut log) {
                 Ok(slot) => slot,
                 Err(e) => {
+                    state.record_stats(*selector.stats());
                     state.rollback(log);
                     return Err(e);
                 }
             };
             slots.insert(task_id, slot);
         }
+        state.record_stats(*selector.stats());
 
         let assignment = Assignment::new(topology.id().clone(), slots);
         state.commit(assignment.clone());

@@ -54,7 +54,7 @@
 //! `tests/properties.rs` enforce on randomized inputs and mutation
 //! sequences.
 
-use crate::global_state::GlobalState;
+use crate::global_state::{GlobalState, ScheduleStats};
 use crate::resource::{NormalizationContext, SoftConstraintWeights};
 use rstorm_cluster::{Cluster, ClusterIndex, NodeId};
 use rstorm_topology::ResourceRequest;
@@ -144,9 +144,8 @@ pub struct NodeSelector<'a> {
     memo_key: Option<(u64, u64, u32)>,
     /// Per-rack winners for `memo_key`, by rack index.
     memo: Vec<RackMemo>,
-    /// Nodes scored by the last selection.
-    #[cfg(test)]
-    last_scored: usize,
+    /// Work counters of this selector's searches and picks.
+    stats: ScheduleStats,
 }
 
 impl<'a> NodeSelector<'a> {
@@ -160,9 +159,14 @@ impl<'a> NodeSelector<'a> {
             anchor: None,
             memo_key: None,
             memo: Vec::new(),
-            #[cfg(test)]
-            last_scored: 0,
+            stats: ScheduleStats::default(),
         }
+    }
+
+    /// The work this selector has done so far (the selector counters of
+    /// [`ScheduleStats`]; the state counters stay zero).
+    pub fn stats(&self) -> &ScheduleStats {
+        &self.stats
     }
 
     /// The reference node, once anchored by the first selection.
@@ -188,6 +192,7 @@ impl<'a> NodeSelector<'a> {
         state: &GlobalState,
         request: &ResourceRequest,
     ) -> Result<NodeId, f64> {
+        self.stats.picks += 1;
         if self.anchor.is_none() {
             self.anchor = self
                 .find_ref_node(state)
@@ -252,19 +257,19 @@ impl<'a> NodeSelector<'a> {
         let dense = state.remaining_dense();
         let alive = state.alive_dense();
         let stamps = state.rack_stamps();
-        #[cfg(test)]
-        {
-            self.last_scored = 0;
-        }
+        let stats = &mut self.stats;
         let mut best = Winner::default();
         let mut best_relaxed = Winner::default();
         for (rack, memo) in self.memo.iter_mut().enumerate() {
             // The scan `continue`s every node of such a rack before
             // either winner is touched, so skipping it changes nothing.
             if rack_max[rack] < request.memory_mb {
+                stats.racks_skipped += 1;
                 continue;
             }
+            stats.racks_visited += 1;
             if memo.stamp != stamps[rack] {
+                stats.rack_rescans += 1;
                 *memo = RackMemo {
                     stamp: stamps[rack],
                     ..RackMemo::default()
@@ -287,10 +292,7 @@ impl<'a> NodeSelector<'a> {
                         memo.soft.offer(d, i);
                     }
                     memo.relaxed.offer(d, i);
-                    #[cfg(test)]
-                    {
-                        self.last_scored += 1;
-                    }
+                    stats.nodes_scored += 1;
                 }
             }
             best.merge(&memo.soft);
@@ -303,7 +305,8 @@ impl<'a> NodeSelector<'a> {
     /// Algorithm 4 lines 6-9: the rack comes straight from the
     /// maintained per-rack aggregates; only the winning rack's members are
     /// then scanned (in declaration order, like the scan).
-    fn find_ref_node(&self, state: &GlobalState) -> Option<u32> {
+    fn find_ref_node(&mut self, state: &GlobalState) -> Option<u32> {
+        self.stats.ref_node_searches += 1;
         let index = state.cluster_index();
         let abundances = state.rack_abundances();
         let alive_counts = state.rack_alive_counts();
@@ -541,21 +544,28 @@ mod tests {
         let mut scan = ScanNodeSelector::new(&c, &weights);
         let t = TopologyId::new("t");
         let req = ResourceRequest::new(8.0, 48.0, 0.0);
+        let mut last = 0;
+        let mut scored = |sel: &NodeSelector| {
+            let total = sel.stats().nodes_scored;
+            let new = total - last;
+            last = total;
+            new
+        };
 
         let first = sel.select(&state, &req).unwrap();
-        assert!(sel.last_scored <= 1000, "scored {}", sel.last_scored);
+        assert_eq!(scored(&sel), 1000);
         assert_eq!(first, scan.select(&state, &req).unwrap());
         state.reserve(&t, &first, &req).unwrap();
         let second = sel.select(&state, &req).unwrap();
-        assert!(sel.last_scored <= 50, "scored {}", sel.last_scored);
+        assert!(scored(&sel) <= 50);
         assert_eq!(second, scan.select(&state, &req).unwrap());
         // Nothing changed since the last pick: no rack is rescanned.
         sel.select(&state, &req).unwrap();
-        assert_eq!(sel.last_scored, 0);
+        assert_eq!(scored(&sel), 0);
 
         sel.select(&state, &ResourceRequest::new(16.0, 48.0, 0.0))
             .unwrap();
-        assert_eq!(sel.last_scored, 1000, "a new request rescans everything");
+        assert_eq!(scored(&sel), 1000, "a new request rescans everything");
     }
 
     /// A state built from a *different* (structurally identical) cluster

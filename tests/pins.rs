@@ -362,6 +362,41 @@ fn scale_base_matches_the_reference_engine() {
     );
 }
 
+/// R-Storm's placement work, pinned: the `ScheduleStats` a fresh state
+/// holds after placing the scale base case (10k tasks on 1k nodes, the
+/// `scale_base` benchmark workload) and Fig 8's network-bound Linear on
+/// the Emulab micro cluster. The counters are deterministic, so a change
+/// to how much the placement loop scans or writes moves this pin.
+#[test]
+fn schedule_work_is_pinned() {
+    let counted = |topology: &Topology, cluster: &Cluster| {
+        let mut state = GlobalState::new(cluster);
+        RStormScheduler::new()
+            .schedule(topology, cluster, &mut state)
+            .unwrap();
+        let s = *state.schedule_stats();
+        [
+            s.ref_node_searches,
+            s.picks,
+            s.racks_visited,
+            s.racks_skipped,
+            s.rack_rescans,
+            s.rack_updates,
+            s.nodes_scored,
+            s.undo_entries,
+            s.state_writes,
+        ]
+    };
+    let scale = counted(&scale_topology(SCALE_TASKS), &scale_cluster(SCALE_NODES));
+    let linear = counted(&micro::linear_network_bound(), &clusters::emulab_micro());
+    assert_eq!(
+        scale,
+        [1, 10_000, 200_000, 0, 10_019, 0, 500_950, 21_668, 10_000],
+        "scale base"
+    );
+    assert_eq!(linear, [1, 24, 48, 0, 25, 0, 150, 56, 24], "fig 8 linear");
+}
+
 /// Two Emulab racks of two nodes: enough for rack partitions and crash
 /// bursts to differ, small enough to stay fast.
 fn small_cluster() -> Arc<Cluster> {
