@@ -546,7 +546,9 @@ impl GlobalState {
     ///
     /// # Errors
     ///
-    /// [`ScheduleError::UnknownNode`] if `node` is not part of `cluster`.
+    /// [`ScheduleError::UnknownNode`] if `node` is unknown or dead in
+    /// this state (exactly when [`GlobalState::reserve`] refuses it), or
+    /// not part of `cluster`.
     pub fn slot_for(
         &mut self,
         cluster: &Cluster,
@@ -562,8 +564,9 @@ impl GlobalState {
     ///
     /// # Errors
     ///
-    /// [`ScheduleError::UnknownNode`] if `node` is not part of `cluster` —
-    /// neither the state nor `log` is touched.
+    /// [`ScheduleError::UnknownNode`] if `node` is unknown or dead in
+    /// this state, or not part of `cluster` — neither the state nor `log`
+    /// is touched.
     pub fn slot_for_logged(
         &mut self,
         cluster: &Cluster,
@@ -571,6 +574,15 @@ impl GlobalState {
         node: &NodeId,
         log: &mut UndoLog,
     ) -> Result<WorkerSlot, ScheduleError> {
+        let alive = self
+            .index
+            .node_index(node.as_str())
+            .is_some_and(|i| self.alive[i as usize]);
+        if !alive {
+            return Err(ScheduleError::UnknownNode {
+                node: node.as_str().to_owned(),
+            });
+        }
         if let Some(&port) = self
             .topology_slots
             .get(topology)
@@ -960,6 +972,38 @@ mod tests {
             crate::error::ScheduleError::UnknownNode { .. }
         ));
         assert_eq!(format!("{s:?}"), before, "failed lookups leave no trace");
+    }
+
+    #[test]
+    fn dead_nodes_get_no_worker_slot() {
+        let mut c = cluster();
+        c.kill_node("rack-0-node-1");
+        let mut s = GlobalState::new(&c);
+        let t = TopologyId::new("t");
+        let n0 = NodeId::new("rack-0-node-0");
+        s.reserve(&t, &n0, &ResourceRequest::new(10.0, 64.0, 0.0))
+            .unwrap();
+        s.slot_for(&c, &t, &n0).unwrap();
+        s.handle_node_failure(n0.as_str());
+        let before = format!("{s:?}");
+        // Failed in this state (with a slot already assigned), and dead
+        // in the cluster at snapshot time: both refused like `reserve`.
+        for node in [n0, NodeId::new("rack-0-node-1")] {
+            let mut log = UndoLog::new();
+            let err = s.slot_for_logged(&c, &t, &node, &mut log).unwrap_err();
+            assert_eq!(
+                err,
+                ScheduleError::UnknownNode {
+                    node: node.as_str().to_owned()
+                }
+            );
+            assert!(log.is_empty());
+            let reserve_err = s.reserve(&t, &node, &ResourceRequest::zero()).unwrap_err();
+            assert_eq!(reserve_err, err, "same error as `reserve`");
+        }
+        assert_eq!(format!("{s:?}"), before, "refusals leave no trace");
+        let slot = WorkerSlot::new("rack-0-node-1", 6700);
+        assert_eq!(s.slot_occupancy(&slot), 0);
     }
 
     /// Captures every observable bit of a state for exact comparisons.
