@@ -1,18 +1,24 @@
 //! Identifiers for cluster entities.
+//!
+//! An id holds its text behind an `Arc<str>`, so cloning one — as every
+//! [`WorkerSlot`] handed out by a scheduler does — shares the text
+//! instead of allocating a copy. Equality, ordering, hashing and `Debug`
+//! are those of the text.
 
 use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! string_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-        pub struct $name(String);
+        pub struct $name(Arc<str>);
 
         impl $name {
             /// Creates a new identifier.
             pub fn new(id: impl Into<String>) -> Self {
-                Self(id.into())
+                Self(Arc::from(id.into()))
             }
 
             /// Returns the identifier as a string slice.
@@ -29,13 +35,13 @@ macro_rules! string_id {
 
         impl From<&str> for $name {
             fn from(s: &str) -> Self {
-                Self(s.to_owned())
+                Self(Arc::from(s))
             }
         }
 
         impl From<String> for $name {
             fn from(s: String) -> Self {
-                Self(s)
+                Self(Arc::from(s))
             }
         }
 
@@ -108,5 +114,14 @@ mod tests {
         assert_eq!(n.as_str(), "n3");
         let r = RackId::new(String::from("rack-0"));
         assert_eq!(r.to_string(), "rack-0");
+        assert_eq!(format!("{n:?}"), r#"NodeId("n3")"#, "Debug shows the text");
+    }
+
+    #[test]
+    fn clones_share_the_text() {
+        let a = NodeId::new("node-1");
+        let b = a.clone();
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
+        assert_eq!(WorkerSlot::new(b, 6700).node, a);
     }
 }
