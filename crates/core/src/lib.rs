@@ -70,7 +70,7 @@ pub use adaptive::{
 pub use assignment::{Assignment, SchedulingPlan};
 pub use control::{ControlJournal, ControlRecord, FlapKind, ReplayState};
 pub use error::ScheduleError;
-pub use global_state::{GlobalState, RemainingResources, ScheduleStats, UndoLog};
+pub use global_state::{BookId, GlobalState, RemainingResources, ScheduleStats, UndoLog};
 pub use recovery::{RecoveryConfig, RecoveryEvent, RecoveryManager};
 pub use resource::{weighted_euclidean, NormalizationContext, SoftConstraintWeights};
 pub use rstorm::{RStormConfig, RStormScheduler};

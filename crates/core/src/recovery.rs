@@ -21,9 +21,9 @@
 //!   failing: components are considered in BFS order and a component is
 //!   only placed when all its upstream components were placed (a bolt
 //!   without its upstream would never see a tuple), each component
-//!   placed atomically via an [`UndoLog`] so the hard memory constraint
-//!   is never violated by a partial component. The resulting
-//!   [`Assignment`] declares the remainder
+//!   placed atomically via an [`UndoLog`](crate::UndoLog) so the hard
+//!   memory constraint is never violated by a partial component. The
+//!   resulting [`Assignment`] declares the remainder
 //!   [`unplaced`](Assignment::unplaced) — an explicit, verifiable
 //!   deficit rather than a silent gap — and the manager keeps retrying
 //!   (with backoff) to upgrade it to a full placement, e.g. once the
@@ -31,13 +31,13 @@
 
 use crate::assignment::Assignment;
 use crate::control::{ControlJournal, ControlRecord, FlapKind};
-use crate::global_state::{GlobalState, UndoLog};
+use crate::global_state::GlobalState;
 use crate::resource::SoftConstraintWeights;
-use crate::rstorm::node_selection::NodeSelector;
+use crate::rstorm::Placement;
 use crate::scheduler::Scheduler;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rstorm_cluster::{Cluster, WorkerSlot};
+use rstorm_cluster::Cluster;
 use rstorm_topology::{bfs_component_order, TaskId, Topology, TopologyId};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -623,23 +623,21 @@ impl RecoveryManager {
 /// Components are visited in BFS order (the same order the full
 /// scheduler uses) and a component is eligible only when every upstream
 /// component was itself placed — a tuple must have a complete path from
-/// a spout to reach it. Each component's tasks are placed through the
-/// ordinary Algorithm-4 node selection (which enforces the hard memory
-/// constraint) and reserved under an [`UndoLog`]; if any task of the
-/// component does not fit, the whole component rolls back bit-exactly
-/// and is declared unplaced. Returns `None` when not a single component
-/// fit, leaving `state` untouched.
+/// a spout to reach it. Each component's tasks go through the scheduler's
+/// own placement loop ([`Placement`], Algorithm-4 node selection, which
+/// enforces the hard memory constraint) as one atomic batch: if any task
+/// of the component does not fit, the whole component rolls back
+/// bit-exactly and is declared unplaced. Returns `None` when not a single
+/// component fit, leaving `state` untouched.
 fn place_degraded(
     topology: &Topology,
     cluster: &Cluster,
     state: &mut GlobalState,
 ) -> Option<Assignment> {
-    let tid = topology.id().clone();
     let weights = SoftConstraintWeights::default();
-    let mut selector = NodeSelector::new(cluster, &weights);
+    let mut placement = Placement::new(cluster, &weights, state, topology.id());
     let task_set = topology.task_set();
     let mut placed_components: BTreeSet<String> = BTreeSet::new();
-    let mut slots: BTreeMap<TaskId, WorkerSlot> = BTreeMap::new();
     let mut unplaced: BTreeSet<TaskId> = BTreeSet::new();
 
     for component in bfs_component_order(topology) {
@@ -649,53 +647,22 @@ fn place_degraded(
             .iter()
             .all(|u| placed_components.contains(u.as_str()));
         let tasks = task_set.tasks_of(component);
-        if !upstream_complete {
-            unplaced.extend(tasks.iter().copied());
-            continue;
-        }
-        let mut log = UndoLog::new();
-        let mut component_slots: BTreeMap<TaskId, WorkerSlot> = BTreeMap::new();
-        let mut fits = true;
-        for &task in tasks {
-            let Some(request) = task_set.resources(task) else {
-                fits = false;
-                break;
-            };
-            let Ok(node) = selector.select(state, request) else {
-                fits = false;
-                break;
-            };
-            if state
-                .reserve_logged(&tid, &node, request, &mut log)
-                .is_err()
-            {
-                fits = false;
-                break;
-            }
-            match state.slot_for_logged(cluster, &tid, &node, &mut log) {
-                Ok(slot) => {
-                    component_slots.insert(task, slot);
-                }
-                Err(_) => {
-                    fits = false;
-                    break;
-                }
-            }
-        }
-        if fits {
+        let placed = upstream_complete
+            && placement
+                .place(cluster, state, &task_set, tasks.iter().copied())
+                .is_ok();
+        if placed {
             placed_components.insert(component.to_owned());
-            slots.append(&mut component_slots);
         } else {
-            state.rollback(log);
             unplaced.extend(tasks.iter().copied());
         }
     }
 
-    state.record_stats(*selector.stats());
-    if slots.is_empty() {
+    if placement.is_empty() {
         return None;
     }
-    let assignment = Assignment::with_unplaced(tid, slots, unplaced);
+    let assignment =
+        Assignment::with_unplaced(topology.id().clone(), placement.into_slots(), unplaced);
     state.commit(assignment.clone());
     Some(assignment)
 }

@@ -15,6 +15,11 @@
 //! mutations are applied to the live state and reverted bit-exactly on
 //! failure, costing O(tasks placed) on rejection instead of the
 //! O(cluster) clone-per-call the scratch-copy approach paid up front.
+//! The loop runs on dense node indices from pick to commit: a pick is an
+//! index into the state's layout, and the reservation and worker slot are
+//! written to the topology's dense book, so no id is hashed, compared or
+//! copied per task. Recovery's degraded placement runs the same loop one
+//! component at a time.
 //! That scratch-copy scheduler, with node selection as a plain scan, is
 //! kept as an executable specification in the test-only `oracle` module;
 //! the unit tests below and `tests/properties.rs` hold this one to its
@@ -25,12 +30,12 @@ pub mod task_selection;
 
 use crate::assignment::Assignment;
 use crate::error::ScheduleError;
-use crate::global_state::{GlobalState, UndoLog};
+use crate::global_state::{BookId, GlobalState, UndoLog};
 use crate::resource::SoftConstraintWeights;
 use crate::scheduler::Scheduler;
 use node_selection::NodeSelector;
-use rstorm_cluster::Cluster;
-use rstorm_topology::{Topology, TraversalOrder};
+use rstorm_cluster::{Cluster, WorkerSlot};
+use rstorm_topology::{TaskId, TaskSet, Topology, TopologyId, TraversalOrder};
 use std::collections::BTreeMap;
 
 /// Configuration of the R-Storm scheduler.
@@ -89,56 +94,138 @@ impl Scheduler for RStormScheduler {
 
         let task_set = topology.task_set();
         let ordering = task_selection::task_ordering(topology, &task_set, self.config.traversal);
-
-        // Mutate the live state, journaling every change so a failed
-        // scheduling can be rolled back bit-exactly (atomic commit,
-        // §4.1) in O(tasks placed) — no up-front clone of the state.
-        let mut log = UndoLog::new();
-        let mut selector = NodeSelector::new(cluster, &self.config.weights);
-        let mut slots = BTreeMap::new();
-
-        for task_id in ordering {
-            let request = *task_set
-                .resources(task_id)
-                .expect("ordering only contains tasks of this task set");
-            let node = match selector.select(state, &request) {
-                Ok(node) => node,
-                Err(best_available_mb) => {
-                    state.record_stats(*selector.stats());
-                    state.rollback(log);
-                    return Err(ScheduleError::InsufficientMemory {
-                        topology: topology.id().clone(),
-                        task: task_id,
-                        needed_mb: request.memory_mb,
-                        best_available_mb,
-                    });
-                }
-            };
-            // Node selection only yields alive cluster members, but the
-            // cluster can mutate between selection rounds in recovery
-            // scenarios — propagate instead of crashing, undoing every
-            // task placed so far (atomicity holds on this path too).
-            let reserved = state.reserve_logged(topology.id(), &node, &request, &mut log);
-            if let Err(e) = reserved {
-                state.record_stats(*selector.stats());
-                state.rollback(log);
-                return Err(e);
-            }
-            let slot = match state.slot_for_logged(cluster, topology.id(), &node, &mut log) {
-                Ok(slot) => slot,
-                Err(e) => {
-                    state.record_stats(*selector.stats());
-                    state.rollback(log);
-                    return Err(e);
-                }
-            };
-            slots.insert(task_id, slot);
-        }
-        state.record_stats(*selector.stats());
-
-        let assignment = Assignment::new(topology.id().clone(), slots);
+        let mut placement = Placement::new(cluster, &self.config.weights, state, topology.id());
+        placement
+            .place(cluster, state, &task_set, ordering)
+            .map_err(|e| match e {
+                Unplaceable::NoRoom {
+                    task,
+                    needed_mb,
+                    best_available_mb,
+                } => ScheduleError::InsufficientMemory {
+                    topology: topology.id().clone(),
+                    task,
+                    needed_mb,
+                    best_available_mb,
+                },
+                Unplaceable::Refused(e) => e,
+            })?;
+        let assignment = Assignment::new(topology.id().clone(), placement.into_slots());
         state.commit(assignment.clone());
         Ok(assignment)
+    }
+}
+
+/// Algorithm 1's placement loop on dense node indices, shared by
+/// [`RStormScheduler`] and recovery's degraded placement: each task is
+/// picked by Algorithm 4, reserved in the topology's book and given its
+/// worker slot, one batch at a time and atomically per batch.
+#[derive(Debug)]
+pub(crate) struct Placement<'a> {
+    selector: NodeSelector<'a>,
+    book: BookId,
+    /// Every task placed so far with its slot, in placement order.
+    slots: Vec<(TaskId, WorkerSlot)>,
+}
+
+/// Why a batch of tasks could not be placed.
+#[derive(Debug)]
+pub(crate) enum Unplaceable {
+    /// No alive node can hold `task`'s memory.
+    NoRoom {
+        task: TaskId,
+        needed_mb: f64,
+        best_available_mb: f64,
+    },
+    /// The state refused a write: node selection reads the state's
+    /// layout, which may name a node the scheduling cluster lacks, and
+    /// the cluster can change between selection rounds in recovery
+    /// scenarios.
+    Refused(ScheduleError),
+}
+
+impl<'a> Placement<'a> {
+    /// Starts placing `topology`'s tasks; the reference node is anchored
+    /// by the first pick.
+    pub(crate) fn new(
+        cluster: &Cluster,
+        weights: &'a SoftConstraintWeights,
+        state: &mut GlobalState,
+        topology: &TopologyId,
+    ) -> Self {
+        Self {
+            selector: NodeSelector::new(cluster, weights),
+            book: state.open_book(topology),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Places `tasks` in order, all or none: every write is journaled in
+    /// an [`UndoLog`] (atomic commit, §4.1, in O(tasks placed) with no
+    /// up-front clone of the state), and if one task cannot be placed the
+    /// batch is rolled back bit-exactly and forgotten. Either way the
+    /// selector's work is added to `state`'s [`ScheduleStats`].
+    ///
+    /// [`ScheduleStats`]: crate::ScheduleStats
+    pub(crate) fn place(
+        &mut self,
+        cluster: &Cluster,
+        state: &mut GlobalState,
+        task_set: &TaskSet,
+        tasks: impl IntoIterator<Item = TaskId>,
+    ) -> Result<(), Unplaceable> {
+        let mut log = UndoLog::new();
+        let placed_before = self.slots.len();
+        let result = self.place_logged(cluster, state, task_set, tasks, &mut log);
+        if result.is_err() {
+            state.rollback(log);
+            self.slots.truncate(placed_before);
+        }
+        state.record_stats(self.selector.take_stats());
+        result
+    }
+
+    fn place_logged(
+        &mut self,
+        cluster: &Cluster,
+        state: &mut GlobalState,
+        task_set: &TaskSet,
+        tasks: impl IntoIterator<Item = TaskId>,
+        log: &mut UndoLog,
+    ) -> Result<(), Unplaceable> {
+        for task in tasks {
+            let request = task_set
+                .resources(task)
+                .expect("tasks come from this task set");
+            let node = self
+                .selector
+                .select_dense(state, request)
+                .map_err(|best_available_mb| Unplaceable::NoRoom {
+                    task,
+                    needed_mb: request.memory_mb,
+                    best_available_mb,
+                })?;
+            state
+                .reserve_dense(self.book, node, request, log)
+                .map_err(Unplaceable::Refused)?;
+            let slot = state
+                .slot_for_dense(cluster, self.book, node, log)
+                .map_err(Unplaceable::Refused)?;
+            self.slots.push((task, slot));
+        }
+        Ok(())
+    }
+
+    /// True if no task has been placed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The slot of every placed task, by task.
+    pub(crate) fn into_slots(self) -> BTreeMap<TaskId, WorkerSlot> {
+        let mut slots = self.slots;
+        slots.sort_unstable_by_key(|&(task, _)| task);
+        slots.into_iter().collect()
     }
 }
 

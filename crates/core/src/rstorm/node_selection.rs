@@ -14,36 +14,43 @@
 //!
 //! Selection reads the layout of the [`GlobalState`] it is handed
 //! ([`GlobalState::cluster_index`]) and works on the state's dense
-//! vectors keyed by that [`ClusterIndex`]. A selector attaches to the
-//! state's index when it anchors the reference node, so a state built
-//! from another cluster is read through its own layout, never through
-//! the scheduling cluster's. Algorithm 4's winner is memoised **per
-//! rack**:
+//! vectors keyed by that [`ClusterIndex`]; a pick is a dense node index
+//! ([`NodeSelector::select_dense`]), and [`NodeSelector::select`] only
+//! names it. A selector attaches to the state's index when it anchors the
+//! reference node, so a state built from another cluster is read through
+//! its own layout, never through the scheduling cluster's. The anchor
+//! search sums each rack's abundance over its alive members when it runs
+//! — once per topology — in declaration order. Algorithm 4's winner is
+//! memoised **per rack**:
 //!
 //! - The memo is keyed by the request's CPU and memory bits and the
-//!   reference node, and holds one entry per rack: the rack's stamp
-//!   ([`GlobalState::rack_stamps`]) and its best node with and without the
-//!   soft CPU constraint. A changed key clears it.
+//!   reference node, and holds one entry per rack: the rack stamp it was
+//!   computed at and the rack's best node with and without the soft CPU
+//!   constraint. A changed key clears it.
 //! - Racks that cannot hold the task (maintained max remaining memory
-//!   below the demand) are skipped. A rack whose stamp is unchanged since
-//!   its entry was computed reuses the entry; any other rack rescans its
-//!   members. The per-rack winners are then folded into the answer.
-//! - Stamps change on every write to a rack's nodes — reservations,
-//!   releases, rollbacks, failures, recoveries — and are unique across the
-//!   process, so a reused entry is always the one a rescan would compute,
-//!   even across clones of a state and interleaved rollbacks.
+//!   below the demand) are skipped.
+//! - A rack whose stamp is unchanged reuses its entry.
+//! - A rack whose latest write touched one node, and whose entry is at
+//!   the stamp that write replaced, re-scores that node alone and updates
+//!   both winners in O(1). Only when that node was a winner and got worse
+//!   or stopped being a candidate is the winner unknown; then, and for
+//!   any other changed rack, the rack's members are rescanned.
+//! - Stamps are unique across the process and every write to a rack's
+//!   nodes issues one, so a reused or updated entry is always the one a
+//!   rescan would compute, even across clones of a state and interleaved
+//!   rollbacks.
 //!
-//! Between two picks of one topology only the rack of the node just
-//! reserved changes. Task ordering interleaves components round-robin,
-//! so consecutive picks mostly come from *different* components: the
-//! memo hits only when consecutive picks across components send
-//! bit-identical requests. A hit costs O(racks + rack size) instead of
-//! O(alive nodes); a miss costs O(alive nodes), as a plain scan would.
-//! The scale topology declares one request for every component, so all
-//! but its first pick hit; the paper's topologies hit on 60 of 99 picks
-//! (EXPERIMENTS.md has the shares). The three possible network terms are
-//! computed once per call, and no strings are hashed or compared
-//! anywhere in the loop.
+//! Between two picks of one topology only the node just reserved
+//! changes, and a reservation is a single-node write. Task ordering
+//! interleaves components round-robin, so consecutive picks mostly come
+//! from *different* components: the memo applies only when consecutive
+//! picks across components send bit-identical requests. Then a pick
+//! costs O(racks) plus an O(1) update, where a miss costs O(alive nodes),
+//! as a plain scan would. The scale topology declares one request for
+//! every component, so all but its first pick hit; the paper's
+//! topologies hit on 60 of 99 picks (EXPERIMENTS.md has the shares). The
+//! three possible network terms are computed once per call, and no
+//! strings are hashed or compared anywhere in the loop.
 //!
 //! The direct transcription of Algorithm 4 (score every alive node over
 //! the string-keyed state API, keep the strict-`<` winner in node-id
@@ -112,6 +119,28 @@ impl Winner {
         }
     }
 
+    /// Brings the fold up to date after member `i`, and no other, changed:
+    /// `now` is its distance if it is still a candidate. The other
+    /// members' candidacy and distances are unchanged, so `i` is simply
+    /// re-offered — unless it held `first` and left, or held `min` and
+    /// got worse or left. The runner-up is unknown then, and this returns
+    /// `false`: the set must be folded again.
+    fn update(&mut self, i: u32, now: Option<f64>) -> bool {
+        match (self.first, now) {
+            (Some((_, fi)), Some(d)) if fi == i => self.first = Some((d, i)),
+            (Some((_, fi)), None) if fi == i => return false,
+            (_, now) => self.merge_first(now.map(|d| (d, i))),
+        }
+        match (self.min, now) {
+            // `d <= md` is false for a NaN `d`, which leaves the minimum.
+            (Some((md, mi)), Some(d)) if mi == i && d <= md => self.min = Some((d, i)),
+            (Some((_, mi)), _) if mi == i => return false,
+            (_, Some(d)) if !d.is_nan() => self.merge_min(Some((d, i))),
+            _ => {}
+        }
+        true
+    }
+
     fn pick(&self) -> Option<u32> {
         match self.first {
             Some((d, i)) if d.is_nan() => Some(i),
@@ -144,6 +173,10 @@ pub struct NodeSelector<'a> {
     memo_key: Option<(u64, u64, u32)>,
     /// Per-rack winners for `memo_key`, by rack index.
     memo: Vec<RackMemo>,
+    /// Each node's distance to the `memo_key` request and whether its
+    /// CPU covers it (`None`: not a candidate), as of its rack's memo
+    /// stamp, by dense index.
+    scores: Vec<Option<(f64, bool)>>,
     /// Work counters of this selector's searches and picks.
     stats: ScheduleStats,
 }
@@ -159,6 +192,7 @@ impl<'a> NodeSelector<'a> {
             anchor: None,
             memo_key: None,
             memo: Vec::new(),
+            scores: Vec::new(),
             stats: ScheduleStats::default(),
         }
     }
@@ -167,6 +201,11 @@ impl<'a> NodeSelector<'a> {
     /// [`ScheduleStats`]; the state counters stay zero).
     pub fn stats(&self) -> &ScheduleStats {
         &self.stats
+    }
+
+    /// Hands over the counters gathered since the last call.
+    pub(crate) fn take_stats(&mut self) -> ScheduleStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// The reference node, once anchored by the first selection.
@@ -192,6 +231,17 @@ impl<'a> NodeSelector<'a> {
         state: &GlobalState,
         request: &ResourceRequest,
     ) -> Result<NodeId, f64> {
+        let i = self.select_dense(state, request)?;
+        Ok(state.cluster_index().node_id(i).clone())
+    }
+
+    /// [`NodeSelector::select`], returning the pick's dense index in
+    /// `state`'s layout.
+    pub fn select_dense(
+        &mut self,
+        state: &GlobalState,
+        request: &ResourceRequest,
+    ) -> Result<u32, f64> {
         self.stats.picks += 1;
         if self.anchor.is_none() {
             self.anchor = self
@@ -201,8 +251,7 @@ impl<'a> NodeSelector<'a> {
         let Some(ref_idx) = self.anchor.as_ref().map(|&(_, i)| i) else {
             return Err(0.0);
         };
-        let i = self.select_indexed(state, request, ref_idx)?;
-        Ok(state.cluster_index().node_id(i).clone())
+        self.select_indexed(state, request, ref_idx)
     }
 
     /// Per-rack memo keyed by rack stamps, precomputed network terms, and
@@ -239,6 +288,8 @@ impl<'a> NodeSelector<'a> {
             self.memo.clear();
             self.memo
                 .resize(state.cluster_index().rack_count(), RackMemo::default());
+            self.scores.clear();
+            self.scores.resize(state.cluster_index().len(), None);
         }
 
         let (index, norm, weights) = (state.cluster_index(), &self.norm, self.weights);
@@ -256,11 +307,23 @@ impl<'a> NodeSelector<'a> {
 
         let dense = state.remaining_dense();
         let alive = state.alive_dense();
-        let stamps = state.rack_stamps();
-        let stats = &mut self.stats;
+        let (stats, scores) = (&mut self.stats, &mut self.scores);
+        // A member's distance to the request, and whether its CPU also
+        // covers it; `None` if it is dead or cannot hold the task.
+        let score = |i: u32, nt_members: f64| {
+            let r = &dense[i as usize];
+            if !alive[i as usize] || r.memory_mb < request.memory_mb {
+                return None;
+            }
+            let nt = if i == ref_idx { nt_same } else { nt_members };
+            let dm = (request.memory_mb - r.memory_mb) / norm.max_memory_mb;
+            let dc = (request.cpu_points - r.cpu_points) / norm.max_cpu_points;
+            let d = (weights.memory * dm * dm + weights.cpu * dc * dc + nt).sqrt();
+            Some((d, r.cpu_points >= request.cpu_points))
+        };
         let mut best = Winner::default();
         let mut best_relaxed = Winner::default();
-        for (rack, memo) in self.memo.iter_mut().enumerate() {
+        for ((rack, memo), stamp) in self.memo.iter_mut().enumerate().zip(state.rack_stamps()) {
             // The scan `continue`s every node of such a rack before
             // either winner is touched, so skipping it changes nothing.
             if rack_max[rack] < request.memory_mb {
@@ -268,32 +331,50 @@ impl<'a> NodeSelector<'a> {
                 continue;
             }
             stats.racks_visited += 1;
-            if memo.stamp != stamps[rack] {
-                stats.rack_rescans += 1;
-                *memo = RackMemo {
-                    stamp: stamps[rack],
-                    ..RackMemo::default()
-                };
+            if memo.stamp != stamp.now {
                 let nt_members = if rack as u32 == ref_rack {
                     nt_rack
                 } else {
                     nt_inter
                 };
-                for &i in index.rack_members(rack as u32) {
-                    let r = &dense[i as usize];
-                    if !alive[i as usize] || r.memory_mb < request.memory_mb {
-                        continue;
+                let members = index.rack_members(rack as u32);
+                let refold = match stamp.written {
+                    Some(i) if memo.stamp != 0 && memo.stamp == stamp.before => {
+                        stats.rack_updates += 1;
+                        let now = score(i, nt_members);
+                        stats.nodes_scored += u64::from(now.is_some());
+                        scores[i as usize] = now;
+                        let soft = now.and_then(|(d, fits)| fits.then_some(d));
+                        let updated = memo.soft.update(i, soft)
+                            && memo.relaxed.update(i, now.map(|(d, _)| d));
+                        stats.rack_refolds += u64::from(!updated);
+                        !updated
                     }
-                    let nt = if i == ref_idx { nt_same } else { nt_members };
-                    let dm = (request.memory_mb - r.memory_mb) / norm.max_memory_mb;
-                    let dc = (request.cpu_points - r.cpu_points) / norm.max_cpu_points;
-                    let d = (weights.memory * dm * dm + weights.cpu * dc * dc + nt).sqrt();
-                    if r.cpu_points >= request.cpu_points {
-                        memo.soft.offer(d, i);
+                    _ => {
+                        stats.rack_rescans += 1;
+                        for &i in members {
+                            let now = score(i, nt_members);
+                            stats.nodes_scored += u64::from(now.is_some());
+                            scores[i as usize] = now;
+                        }
+                        true
                     }
-                    memo.relaxed.offer(d, i);
-                    stats.nodes_scored += 1;
+                };
+                if refold {
+                    // Every member's score is current: fold them again.
+                    memo.soft = Winner::default();
+                    memo.relaxed = Winner::default();
+                    for &i in members {
+                        let Some((d, fits)) = scores[i as usize] else {
+                            continue;
+                        };
+                        if fits {
+                            memo.soft.offer(d, i);
+                        }
+                        memo.relaxed.offer(d, i);
+                    }
                 }
+                memo.stamp = stamp.now;
             }
             best.merge(&memo.soft);
             best_relaxed.merge(&memo.relaxed);
@@ -302,34 +383,35 @@ impl<'a> NodeSelector<'a> {
         best.pick().or(best_relaxed.pick()).ok_or(best_available_mb)
     }
 
-    /// Algorithm 4 lines 6-9: the rack comes straight from the
-    /// maintained per-rack aggregates; only the winning rack's members are
-    /// then scanned (in declaration order, like the scan).
+    /// Algorithm 4 lines 6-9: the rack whose alive members have the
+    /// largest abundance sum, then that rack's most abundant member. Both
+    /// scans visit members in declaration order, like the scan oracle.
     fn find_ref_node(&mut self, state: &GlobalState) -> Option<u32> {
         self.stats.ref_node_searches += 1;
         let index = state.cluster_index();
-        let abundances = state.rack_abundances();
-        let alive_counts = state.rack_alive_counts();
+        let dense = state.remaining_dense();
+        let alive = state.alive_dense();
+        let alive_members =
+            |rack: u32| (index.rack_members(rack).iter().copied()).filter(|&i| alive[i as usize]);
+
+        let (index_cpu, index_mem) = (index.max_cpu_points(), index.max_memory_mb());
         let mut best_rack: Option<(f64, u32)> = None;
         for rack in 0..index.rack_count() as u32 {
-            if alive_counts[rack as usize] == 0 {
-                continue;
+            let mut abundance = 0.0;
+            let mut has_alive = false;
+            for i in alive_members(rack) {
+                abundance += dense[i as usize].abundance(index_cpu, index_mem);
+                has_alive = true;
             }
-            let abundance = abundances[rack as usize];
-            if best_rack.is_none_or(|(b, _)| abundance > b) {
+            if has_alive && best_rack.is_none_or(|(b, _)| abundance > b) {
                 best_rack = Some((abundance, rack));
             }
         }
         let rack = best_rack?.1;
 
         let (max_cpu, max_mem) = (self.norm.max_cpu_points, self.norm.max_memory_mb);
-        let dense = state.remaining_dense();
-        let alive = state.alive_dense();
         let mut best_node: Option<(f64, u32)> = None;
-        for &i in index.rack_members(rack) {
-            if !alive[i as usize] {
-                continue;
-            }
+        for i in alive_members(rack) {
             let abundance = dense[i as usize].abundance(max_cpu, max_mem);
             if best_node.is_none_or(|(b, _)| abundance > b) {
                 best_node = Some((abundance, i));
@@ -531,11 +613,13 @@ mod tests {
     }
 
     /// The memo's work bound on the 1k-node scale cluster (20 racks of
-    /// 50): a new request scores every node, a repeat after reserving the
-    /// pick rescans only that node's rack, and a different request scores
-    /// everything again.
+    /// 50): a new request scores every node; a repeat after reserving
+    /// the pick re-scores only that node, also when the node fills up and
+    /// its rack's winners are refolded from cached scores; a topology
+    /// release (a multi-node write) rescans the rack; and a different
+    /// request scores everything again.
     #[test]
-    fn repeated_request_rescans_one_rack() {
+    fn repeated_request_rescores_one_node() {
         let c = rstorm_workloads::scale::scale_cluster(1000);
         assert_eq!(c.index().rack_count(), 20);
         let weights = SoftConstraintWeights::default();
@@ -555,14 +639,26 @@ mod tests {
         let first = sel.select(&state, &req).unwrap();
         assert_eq!(scored(&sel), 1000);
         assert_eq!(first, scan.select(&state, &req).unwrap());
-        state.reserve(&t, &first, &req).unwrap();
-        let second = sel.select(&state, &req).unwrap();
-        assert!(scored(&sel) <= 50);
-        assert_eq!(second, scan.select(&state, &req).unwrap());
-        // Nothing changed since the last pick: no rack is rescanned.
+        let mut pick = first.clone();
+        for _ in 0..1000 {
+            state.reserve(&t, &pick, &req).unwrap();
+            pick = sel.select(&state, &req).unwrap();
+            assert_eq!(pick, scan.select(&state, &req).unwrap());
+            assert!(scored(&sel) <= 1);
+            if pick != first {
+                break;
+            }
+        }
+        assert_ne!(pick, first, "the first pick fills up");
+        let stats = *sel.stats();
+        assert_eq!((stats.rack_rescans, stats.rack_refolds), (20, 1));
+        // Nothing changed since the last pick: no node is scored.
         sel.select(&state, &req).unwrap();
         assert_eq!(scored(&sel), 0);
 
+        state.release_topology(t.as_str());
+        assert_eq!(sel.select(&state, &req).unwrap(), first);
+        assert_eq!(scored(&sel), 50, "a release rescans the rack");
         sel.select(&state, &ResourceRequest::new(16.0, 48.0, 0.0))
             .unwrap();
         assert_eq!(scored(&sel), 1000, "a new request rescans everything");
