@@ -8,7 +8,7 @@ use rstorm::cluster::NodeId;
 use rstorm::prelude::*;
 use rstorm::scheduler::rstorm::node_selection::NodeSelector;
 use rstorm::scheduler::rstorm::task_selection;
-use rstorm::scheduler::UndoLog;
+use rstorm::scheduler::{BookId, ScheduleStats, UndoLog};
 use rstorm::topology::{bfs_component_order, ResourceRequest, TopologyId};
 use rstorm_core::oracle::{ReferenceRStormScheduler, ScanNodeSelector};
 use rstorm_sim::oracle::ReferenceSimulation;
@@ -465,109 +465,292 @@ fn same_pick(fast: &Result<NodeId, f64>, scan: &Result<NodeId, f64>) -> Result<(
     Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// `default` cases, or as many as the `PROPTEST_CASES` environment
+/// variable asks for.
+fn cases_or(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+        .max(1)
+}
 
-    /// The per-rack memo of the indexed selector must pick exactly what
-    /// the scan oracle picks, step by step, while the state changes under
-    /// it through every mutation path: reservations on the pick and
-    /// elsewhere, single releases, partial undo-log rollbacks, topology
-    /// release, node failure and recovery, and selections against a
-    /// mutated clone. Requests repeat often (memo hits) and change
-    /// sometimes (memo resets); some are infeasible.
+/// The per-rack memo of the indexed selector must pick exactly what the
+/// scan oracle picks, step by step, while the state changes under it
+/// through every mutation path: reservations on the pick and elsewhere,
+/// single releases, partial undo-log rollbacks, topology release, node
+/// failure and recovery, and selections against a mutated clone.
+/// Requests repeat often (memo hits) and change sometimes (memo resets);
+/// some are infeasible.
+///
+/// 256 random cases by default; CI runs 200,000 through
+/// `PROPTEST_CASES`. Over the whole run the selector must have updated a
+/// rack in O(1) from its last write and, when the written node left a
+/// winner, refolded one: a memo that always rescans fails here.
+#[test]
+fn memoised_selection_matches_scan_oracle() {
+    let cases = cases_or(256);
+    let inputs = (
+        arb_selection_cluster(),
+        0u32..3,
+        proptest::collection::vec((1u32..80, 16u32..2500), 3..4),
+        proptest::collection::vec((0u32..12, 0u32..9, 0usize..64), 1..60),
+    );
+    let mut rng = TestRng::deterministic("memoised_selection_matches_scan_oracle");
+    let mut work = ScheduleStats::default();
+    for case in 0..cases {
+        let input = inputs.new_value(&mut rng);
+        match memoised_selection_case(&input) {
+            Ok(stats) => work += stats,
+            Err(e) => panic!("case {}/{cases} failed: {e}\n  input = {input:?}", case + 1),
+        }
+    }
+    assert!(work.rack_updates > 0, "no O(1) rack update in {work:?}");
+    assert!(work.rack_refolds > 0, "no refold fallback in {work:?}");
+    assert!(work.rack_rescans > 0, "no rescan in {work:?}");
+}
+
+type SelectionInput = (Cluster, u32, Vec<(u32, u32)>, Vec<(u32, u32, usize)>);
+
+/// One case of [`memoised_selection_matches_scan_oracle`], returning the
+/// memoised selector's work.
+fn memoised_selection_case(
+    (cluster, weights_choice, pool, steps): &SelectionInput,
+) -> Result<ScheduleStats, TestCaseError> {
+    let weights = match weights_choice {
+        0 => SoftConstraintWeights::default(),
+        1 => SoftConstraintWeights::default().without_network(),
+        _ => SoftConstraintWeights::new(2.0, 0.5, 3.0),
+    };
+    let mut pool: Vec<ResourceRequest> = pool
+        .iter()
+        .map(|&(cpu, mem)| ResourceRequest::new(f64::from(cpu), f64::from(mem), 0.0))
+        .collect();
+    pool.push(ResourceRequest::new(1.0, 10_000.0, 0.0)); // never fits
+    let names: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id().clone()).collect();
+    let t = TopologyId::new("t");
+
+    let mut state = GlobalState::new(cluster);
+    let mut memo = NodeSelector::new(cluster, &weights);
+    let mut scan = ScanNodeSelector::new(cluster, &weights);
+    // Reservations of `t` since the last checkpoint are in `log`;
+    // `held` shadows every live reservation so releases never target
+    // a node `t` holds nothing on.
+    let mut log = UndoLog::new();
+    let mut held: Vec<(NodeId, ResourceRequest)> = Vec::new();
+    let mut held_at_checkpoint = held.clone();
+    let mut request = pool[0];
+
+    for &(op, req_choice, pick) in steps {
+        // Mostly repeat the previous request, sometimes switch.
+        if req_choice >= 5 {
+            request = pool[req_choice as usize - 5];
+        }
+        let from_memo = memo.select(&state, &request);
+        let from_scan = scan.select(&state, &request);
+        same_pick(&from_memo, &from_scan)?;
+        prop_assert_eq!(memo.ref_node(), scan.ref_node());
+
+        let other = &names[pick % names.len()];
+        match op {
+            0..=3 => {
+                if let Ok(node) = &from_memo {
+                    state.reserve_logged(&t, node, &request, &mut log).unwrap();
+                    held.push((node.clone(), request));
+                }
+            }
+            4 => {
+                if state.reserve_logged(&t, other, &request, &mut log).is_ok() {
+                    held.push((other.clone(), request));
+                }
+            }
+            5 => {
+                if !held.is_empty() {
+                    let (node, r) = held.remove(pick % held.len());
+                    // A dead node refuses the release and keeps it.
+                    if state.unreserve_logged(&t, &node, &r, &mut log).is_err() {
+                        held.push((node, r));
+                    }
+                }
+            }
+            6 => {
+                state.rollback(std::mem::take(&mut log));
+                held = held_at_checkpoint.clone();
+            }
+            7 => {
+                state.release_topology(t.as_str());
+                log = UndoLog::new();
+                held.clear();
+                held_at_checkpoint.clear();
+            }
+            8 => {
+                state.handle_node_failure(other.as_str());
+            }
+            9 => {
+                state.handle_node_recovery(other.as_str());
+            }
+            10 => {
+                // Select against a clone that diverged from `state`:
+                // both share stamps up to the fork, not after it.
+                let mut fork = state.clone();
+                if let Ok(node) = &from_memo {
+                    fork.reserve(&t, node, &request).unwrap();
+                }
+                same_pick(&memo.select(&fork, &request), &scan.select(&fork, &request))?;
+            }
+            _ => {
+                log = UndoLog::new();
+                held_at_checkpoint = held.clone();
+            }
+        }
+    }
+    Ok(*memo.stats())
+}
+
+// ---------- dense vs string state API --------------------------------------
+
+/// Every observable of a state with floats as raw bits: its `Debug`
+/// (remaining resources, liveness, rack max memory, plan, books and slot
+/// occupancy) plus the bits `Debug` would round.
+fn state_bits(state: &GlobalState) -> (String, Vec<u64>) {
+    let bits = state
+        .remaining_dense()
+        .iter()
+        .flat_map(|r| [r.cpu_points, r.memory_mb, r.bandwidth])
+        .chain(state.rack_max_memories().iter().copied())
+        .map(f64::to_bits)
+        .collect();
+    (format!("{state:?}"), bits)
+}
+
+proptest! {
+    /// The string-keyed `GlobalState` API is a thin wrapper over the
+    /// dense one (topology books and node indices). The same random
+    /// sequence of reservations, single releases, slot lookups, undo-log
+    /// rollbacks, topology releases, node failures and recoveries, for two
+    /// topologies, driven through each API leaves two states with the
+    /// same bits after every step: remaining resources, rack max memory,
+    /// reservations, ports and slot occupancy. Then every topology is
+    /// released, one is placed through the scheduler, and
+    /// `GlobalState::rebuild` reproduces the incremental state. Loads are
+    /// integers, so release-then-rebuild is exact in floating point.
     #[test]
-    fn memoised_selection_matches_scan_oracle(
+    fn dense_and_string_state_apis_agree(
         cluster in arb_selection_cluster(),
-        weights_choice in 0u32..3,
-        pool in proptest::collection::vec((1u32..80, 16u32..2500), 3..4),
-        steps in proptest::collection::vec((0u32..12, 0u32..9, 0usize..64), 1..60),
+        pool in proptest::collection::vec((1u32..80, 16u32..1200), 2..4),
+        ops in proptest::collection::vec((0u32..10, 0usize..64, 0usize..2, 0usize..4), 1..80),
+        placed in (1u32..=3, 1u32..=4, 1u32..40, 1u32..48),
     ) {
-        let weights = match weights_choice {
-            0 => SoftConstraintWeights::default(),
-            1 => SoftConstraintWeights::default().without_network(),
-            _ => SoftConstraintWeights::new(2.0, 0.5, 3.0),
-        };
-        let mut pool: Vec<ResourceRequest> = pool
+        let (spout_par, bolt_par, cpu_units, mem_units) = placed;
+        let ids = [TopologyId::new("t0"), TopologyId::new("t1")];
+        let names: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id().clone()).collect();
+        let index = cluster.shared_index();
+        let requests: Vec<ResourceRequest> = pool
             .iter()
             .map(|&(cpu, mem)| ResourceRequest::new(f64::from(cpu), f64::from(mem), 0.0))
             .collect();
-        pool.push(ResourceRequest::new(1.0, 10_000.0, 0.0)); // never fits
-        let names: Vec<NodeId> = cluster.nodes().iter().map(|n| n.id().clone()).collect();
-        let t = TopologyId::new("t");
 
-        let mut state = GlobalState::new(&cluster);
-        let mut memo = NodeSelector::new(&cluster, &weights);
-        let mut scan = ScanNodeSelector::new(&cluster, &weights);
-        // Reservations of `t` since the last checkpoint are in `log`;
-        // `held` shadows every live reservation so releases never target
-        // a node `t` holds nothing on.
-        let mut log = UndoLog::new();
-        let mut held: Vec<(NodeId, ResourceRequest)> = Vec::new();
+        let mut by_name = GlobalState::new(&cluster);
+        let mut dense = GlobalState::new(&cluster);
+        let mut books: [Option<BookId>; 2] = [None, None];
+        let (mut name_log, mut dense_log) = (UndoLog::new(), UndoLog::new());
+        // Live reservations as (topology, node, request), so releases only
+        // target what a topology holds.
+        let mut held: Vec<(usize, usize, ResourceRequest)> = Vec::new();
         let mut held_at_checkpoint = held.clone();
-        let mut request = pool[0];
 
-        for &(op, req_choice, pick) in &steps {
-            // Mostly repeat the previous request, sometimes switch.
-            if req_choice >= 5 {
-                request = pool[req_choice as usize - 5];
-            }
-            let from_memo = memo.select(&state, &request);
-            let from_scan = scan.select(&state, &request);
-            same_pick(&from_memo, &from_scan)?;
-            prop_assert_eq!(memo.ref_node(), scan.ref_node());
-
-            let other = &names[pick % names.len()];
+        for &(op, pick, k, r) in &ops {
+            let node = pick % names.len();
+            let (name, i) = (&names[node], index.node_index(names[node].as_str()).unwrap());
+            let request = requests[r % requests.len()];
+            let book = *books[k].get_or_insert_with(|| dense.open_book(&ids[k]));
             match op {
-                0..=3 => {
-                    if let Ok(node) = &from_memo {
-                        state.reserve_logged(&t, node, &request, &mut log).unwrap();
-                        held.push((node.clone(), request));
+                0..=2 => {
+                    let a = by_name.reserve_logged(&ids[k], name, &request, &mut name_log);
+                    let b = dense.reserve_dense(book, i, &request, &mut dense_log);
+                    prop_assert_eq!(&a, &b);
+                    if a.is_ok() {
+                        held.push((k, node, request));
                     }
                 }
-                4 => {
-                    if state.reserve_logged(&t, other, &request, &mut log).is_ok() {
-                        held.push((other.clone(), request));
-                    }
-                }
-                5 => {
+                3 => {
                     if !held.is_empty() {
-                        let (node, r) = held.remove(pick % held.len());
+                        let (k, node, request) = held.remove(pick % held.len());
+                        let i = index.node_index(names[node].as_str()).unwrap();
+                        let book = *books[k].get_or_insert_with(|| dense.open_book(&ids[k]));
+                        let a = by_name.unreserve_logged(&ids[k], &names[node], &request, &mut name_log);
+                        let b = dense.unreserve_dense(book, i, &request, &mut dense_log);
+                        prop_assert_eq!(&a, &b);
                         // A dead node refuses the release and keeps it.
-                        if state.unreserve_logged(&t, &node, &r, &mut log).is_err() {
-                            held.push((node, r));
+                        if a.is_err() {
+                            held.push((k, node, request));
                         }
                     }
                 }
-                6 => {
-                    state.rollback(std::mem::take(&mut log));
+                4 => {
+                    let a = by_name.slot_for_logged(&cluster, &ids[k], name, &mut name_log);
+                    let b = dense.slot_for_dense(&cluster, book, i, &mut dense_log);
+                    prop_assert_eq!(a, b);
+                }
+                5 => {
+                    by_name.rollback(std::mem::take(&mut name_log));
+                    dense.rollback(std::mem::take(&mut dense_log));
                     held = held_at_checkpoint.clone();
                 }
+                6 => {
+                    by_name.release_topology(ids[k].as_str());
+                    dense.release_topology(ids[k].as_str());
+                    books[k] = None;
+                    held.retain(|&(t, _, _)| t != k);
+                    name_log = UndoLog::new();
+                    dense_log = UndoLog::new();
+                    held_at_checkpoint = held.clone();
+                }
                 7 => {
-                    state.release_topology(t.as_str());
-                    log = UndoLog::new();
-                    held.clear();
-                    held_at_checkpoint.clear();
+                    by_name.handle_node_failure(name.as_str());
+                    dense.handle_node_failure(name.as_str());
                 }
                 8 => {
-                    state.handle_node_failure(other.as_str());
-                }
-                9 => {
-                    state.handle_node_recovery(other.as_str());
-                }
-                10 => {
-                    // Select against a clone that diverged from `state`:
-                    // both share stamps up to the fork, not after it.
-                    let mut fork = state.clone();
-                    if let Ok(node) = &from_memo {
-                        fork.reserve(&t, node, &request).unwrap();
-                    }
-                    same_pick(&memo.select(&fork, &request), &scan.select(&fork, &request))?;
+                    by_name.handle_node_recovery(name.as_str());
+                    dense.handle_node_recovery(name.as_str());
                 }
                 _ => {
-                    log = UndoLog::new();
+                    name_log = UndoLog::new();
+                    dense_log = UndoLog::new();
                     held_at_checkpoint = held.clone();
                 }
             }
+            prop_assert_eq!(state_bits(&by_name), state_bits(&dense));
+        }
+
+        // Clear the books, then place one topology on the dense path and
+        // check it against a from-scratch rebuild over the same liveness.
+        for id in &ids {
+            dense.release_topology(id.as_str());
+        }
+        let mut live = cluster.clone();
+        for (name, &alive) in index.node_ids().iter().zip(dense.alive_dense()) {
+            if alive {
+                live.revive_node(name.as_str());
+            } else {
+                live.kill_node(name.as_str());
+            }
+        }
+        let mut b = TopologyBuilder::new("placed");
+        b.set_spout("s", spout_par)
+            .set_cpu_load(f64::from(cpu_units))
+            .set_memory_load(f64::from(mem_units * 16));
+        b.set_bolt("k", bolt_par)
+            .shuffle_grouping("s")
+            .set_cpu_load(f64::from(cpu_units))
+            .set_memory_load(f64::from(mem_units * 16));
+        let topology = b.build().unwrap();
+        if RStormScheduler::new().schedule(&topology, &live, &mut dense).is_ok() {
+            let rebuilt = GlobalState::rebuild(&live, &[&topology], dense.plan());
+            prop_assert_eq!(
+                alive_observable_bits(&dense, &live),
+                alive_observable_bits(&rebuilt, &live)
+            );
         }
     }
 }
