@@ -492,7 +492,7 @@ fn memoised_selection_matches_scan_oracle() {
     let cases = cases_or(256);
     let inputs = (
         arb_selection_cluster(),
-        0u32..3,
+        0u32..4,
         proptest::collection::vec((1u32..80, 16u32..2500), 3..4),
         proptest::collection::vec((0u32..12, 0u32..9, 0usize..64), 1..60),
     );
@@ -520,7 +520,15 @@ fn memoised_selection_case(
     let weights = match weights_choice {
         0 => SoftConstraintWeights::default(),
         1 => SoftConstraintWeights::default().without_network(),
-        _ => SoftConstraintWeights::new(2.0, 0.5, 3.0),
+        2 => SoftConstraintWeights::new(2.0, 0.5, 3.0),
+        // `new` refuses a negative weight, but the fields are public: a
+        // negative CPU weight makes some distances NaN, which is where
+        // the scan's first-candidate rule decides the pick.
+        _ => SoftConstraintWeights {
+            memory: 1.0,
+            cpu: -4.0,
+            network: 0.5,
+        },
     };
     let mut pool: Vec<ResourceRequest> = pool
         .iter()
