@@ -95,21 +95,7 @@ impl Scheduler for RStormScheduler {
         let task_set = topology.task_set();
         let ordering = task_selection::task_ordering(topology, &task_set, self.config.traversal);
         let mut placement = Placement::new(cluster, &self.config.weights, state, topology.id());
-        placement
-            .place(cluster, state, &task_set, ordering)
-            .map_err(|e| match e {
-                Unplaceable::NoRoom {
-                    task,
-                    needed_mb,
-                    best_available_mb,
-                } => ScheduleError::InsufficientMemory {
-                    topology: topology.id().clone(),
-                    task,
-                    needed_mb,
-                    best_available_mb,
-                },
-                Unplaceable::Refused(e) => e,
-            })?;
+        placement.place(cluster, state, &task_set, ordering)?;
         let assignment = Assignment::new(topology.id().clone(), placement.into_slots());
         state.commit(assignment.clone());
         Ok(assignment)
@@ -123,25 +109,10 @@ impl Scheduler for RStormScheduler {
 #[derive(Debug)]
 pub(crate) struct Placement<'a> {
     selector: NodeSelector<'a>,
+    topology: &'a TopologyId,
     book: BookId,
     /// Every task placed so far with its slot, in placement order.
     slots: Vec<(TaskId, WorkerSlot)>,
-}
-
-/// Why a batch of tasks could not be placed.
-#[derive(Debug)]
-pub(crate) enum Unplaceable {
-    /// No alive node can hold `task`'s memory.
-    NoRoom {
-        task: TaskId,
-        needed_mb: f64,
-        best_available_mb: f64,
-    },
-    /// The state refused a write: node selection reads the state's
-    /// layout, which may name a node the scheduling cluster lacks, and
-    /// the cluster can change between selection rounds in recovery
-    /// scenarios.
-    Refused(ScheduleError),
 }
 
 impl<'a> Placement<'a> {
@@ -151,10 +122,11 @@ impl<'a> Placement<'a> {
         cluster: &Cluster,
         weights: &'a SoftConstraintWeights,
         state: &mut GlobalState,
-        topology: &TopologyId,
+        topology: &'a TopologyId,
     ) -> Self {
         Self {
             selector: NodeSelector::new(cluster, weights),
+            topology,
             book: state.open_book(topology),
             slots: Vec::new(),
         }
@@ -166,6 +138,13 @@ impl<'a> Placement<'a> {
     /// batch is rolled back bit-exactly and forgotten. Either way the
     /// selector's work is added to `state`'s [`ScheduleStats`].
     ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::InsufficientMemory`] if no alive node can hold a
+    /// task. [`ScheduleError::UnknownNode`] if the state's layout names a
+    /// node the scheduling cluster lacks, or the node died between
+    /// selection rounds.
+    ///
     /// [`ScheduleStats`]: crate::ScheduleStats
     pub(crate) fn place(
         &mut self,
@@ -173,7 +152,7 @@ impl<'a> Placement<'a> {
         state: &mut GlobalState,
         task_set: &TaskSet,
         tasks: impl IntoIterator<Item = TaskId>,
-    ) -> Result<(), Unplaceable> {
+    ) -> Result<(), ScheduleError> {
         let mut log = UndoLog::new();
         let placed_before = self.slots.len();
         let result = self.place_logged(cluster, state, task_set, tasks, &mut log);
@@ -192,7 +171,7 @@ impl<'a> Placement<'a> {
         task_set: &TaskSet,
         tasks: impl IntoIterator<Item = TaskId>,
         log: &mut UndoLog,
-    ) -> Result<(), Unplaceable> {
+    ) -> Result<(), ScheduleError> {
         for task in tasks {
             let request = task_set
                 .resources(task)
@@ -200,17 +179,14 @@ impl<'a> Placement<'a> {
             let node = self
                 .selector
                 .select_dense(state, request)
-                .map_err(|best_available_mb| Unplaceable::NoRoom {
+                .map_err(|best_available_mb| ScheduleError::InsufficientMemory {
+                    topology: self.topology.clone(),
                     task,
                     needed_mb: request.memory_mb,
                     best_available_mb,
                 })?;
-            state
-                .reserve_dense(self.book, node, request, log)
-                .map_err(Unplaceable::Refused)?;
-            let slot = state
-                .slot_for_dense(cluster, self.book, node, log)
-                .map_err(Unplaceable::Refused)?;
+            state.reserve_dense(self.book, node, request, log)?;
+            let slot = state.slot_for_dense(cluster, self.book, node, log)?;
             self.slots.push((task, slot));
         }
         Ok(())
