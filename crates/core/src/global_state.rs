@@ -105,10 +105,13 @@ pub struct ScheduleStats {
     pub ref_node_searches: u64,
     /// Node picks: one per task a selector was asked to place.
     pub picks: u64,
-    /// Racks a pick visited (not skipped by the memory bound).
+    /// Racks a pick visited: racks written since the selector last
+    /// folded them (every rack, under a new request) that can hold the
+    /// request.
     pub racks_visited: u64,
-    /// Racks a pick skipped because their maximum remaining memory is
-    /// below the request.
+    /// Racks written since the selector last folded them that a pick
+    /// skipped, because their maximum remaining memory is below the
+    /// request.
     pub racks_skipped: u64,
     /// Visited racks whose members a pick re-scored one by one: under a
     /// new request, or after a write to several of the rack's nodes.

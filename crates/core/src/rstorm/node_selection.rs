@@ -27,14 +27,18 @@
 //!   reference node, and holds one entry per rack: the rack stamp it was
 //!   computed at and the rack's best node with and without the soft CPU
 //!   constraint. A changed key clears it.
-//! - Racks that cannot hold the task (maintained max remaining memory
-//!   below the demand) are skipped.
-//! - A rack whose stamp is unchanged reuses its entry.
-//! - A rack whose latest write touched one node, and whose entry is at
-//!   the stamp that write replaced, re-scores that node alone and updates
-//!   both winners in O(1). Only when that node was a winner and got worse
-//!   or stopped being a candidate is the winner unknown; then, and for
-//!   any other changed rack, the rack's members are rescanned.
+//! - A pick visits only the racks whose stamp changed since it last
+//!   folded them (all of them under a new key). Racks that cannot hold
+//!   the task (maintained max remaining memory below the demand) count
+//!   as having no candidate.
+//! - A visited rack whose latest write touched one node, and whose entry
+//!   is at the stamp that write replaced, re-scores that node alone and
+//!   updates both winners in O(1). Only when that node was a winner and
+//!   got worse or stopped being a candidate is the winner unknown; then
+//!   the winners are refolded from the members' cached scores. Any other
+//!   visited rack rescans its members.
+//! - The racks' winners are folded pairwise up a binary tree, so a
+//!   changed rack re-folds its path to the root, O(log racks).
 //! - Stamps are unique across the process and every write to a rack's
 //!   nodes issues one, so a reused or updated entry is always the one a
 //!   rescan would compute, even across clones of a state and interleaved
@@ -45,12 +49,13 @@
 //! interleaves components round-robin, so consecutive picks mostly come
 //! from *different* components: the memo applies only when consecutive
 //! picks across components send bit-identical requests. Then a pick
-//! costs O(racks) plus an O(1) update, where a miss costs O(alive nodes),
-//! as a plain scan would. The scale topology declares one request for
-//! every component, so all but its first pick hit; the paper's
-//! topologies hit on 60 of 99 picks (EXPERIMENTS.md has the shares). The
-//! three possible network terms are computed once per call, and no
-//! strings are hashed or compared anywhere in the loop.
+//! costs O(racks) stamp comparisons plus an O(1) update and an O(log
+//! racks) re-fold, where a miss costs O(alive nodes), as a plain scan
+//! would. The scale topology declares one request for every component,
+//! so all but its first pick hit; the paper's topologies hit on 60 of 99
+//! picks (EXPERIMENTS.md has the shares). The three possible network
+//! terms are computed once per call, and no strings are hashed or
+//! compared anywhere in the loop.
 //!
 //! The direct transcription of Algorithm 4 (score every alive node over
 //! the string-keyed state API, keep the strict-`<` winner in node-id
@@ -159,6 +164,19 @@ struct RackMemo {
     soft: Winner,
     /// Best member with the soft CPU constraint relaxed.
     relaxed: Winner,
+    /// The rack stamp the rack's leaf in the selector's fold tree was
+    /// last set at (0 for "not set").
+    folded: u64,
+}
+
+/// The soft and relaxed winners of a set of racks.
+type Winners = (Winner, Winner);
+
+fn merged(a: &Winners, b: &Winners) -> Winners {
+    let (mut soft, mut relaxed) = *a;
+    soft.merge(&b.0);
+    relaxed.merge(&b.1);
+    (soft, relaxed)
 }
 
 /// Stateful node selector for scheduling one topology.
@@ -173,6 +191,12 @@ pub struct NodeSelector<'a> {
     memo_key: Option<(u64, u64, u32)>,
     /// Per-rack winners for `memo_key`, by rack index.
     memo: Vec<RackMemo>,
+    /// The racks' winners folded pairwise up a binary tree: with `n` the
+    /// rack count rounded up to a power of two, `fold[n + rack]` holds a
+    /// rack's winners (none while it cannot hold the request), `fold[k]`
+    /// the merge of `fold[2k]` and `fold[2k + 1]`, and `fold[1]` all
+    /// racks'. A pick that changes one rack re-folds its path only.
+    fold: Vec<Winners>,
     /// Each node's distance to the `memo_key` request and whether its
     /// CPU covers it (`None`: not a candidate), as of its rack's memo
     /// stamp, by dense index.
@@ -192,6 +216,7 @@ impl<'a> NodeSelector<'a> {
             anchor: None,
             memo_key: None,
             memo: Vec::new(),
+            fold: Vec::new(),
             scores: Vec::new(),
             stats: ScheduleStats::default(),
         }
@@ -284,10 +309,13 @@ impl<'a> NodeSelector<'a> {
             ref_idx,
         );
         if self.memo_key != Some(key) {
+            let racks = state.cluster_index().rack_count();
             self.memo_key = Some(key);
             self.memo.clear();
-            self.memo
-                .resize(state.cluster_index().rack_count(), RackMemo::default());
+            self.memo.resize(racks, RackMemo::default());
+            self.fold.clear();
+            self.fold
+                .resize(2 * racks.next_power_of_two(), Winners::default());
             self.scores.clear();
             self.scores.resize(state.cluster_index().len(), None);
         }
@@ -321,64 +349,77 @@ impl<'a> NodeSelector<'a> {
             let d = (weights.memory * dm * dm + weights.cpu * dc * dc + nt).sqrt();
             Some((d, r.cpu_points >= request.cpu_points))
         };
-        let mut best = Winner::default();
-        let mut best_relaxed = Winner::default();
+        let fold = &mut self.fold;
+        let leaves = fold.len() / 2;
         for ((rack, memo), stamp) in self.memo.iter_mut().enumerate().zip(state.rack_stamps()) {
-            // The scan `continue`s every node of such a rack before
-            // either winner is touched, so skipping it changes nothing.
-            if rack_max[rack] < request.memory_mb {
-                stats.racks_skipped += 1;
+            // Equal stamps, equal contents: the rack's leaf is current.
+            if memo.folded == stamp.now {
                 continue;
             }
-            stats.racks_visited += 1;
-            if memo.stamp != stamp.now {
-                let nt_members = if rack as u32 == ref_rack {
-                    nt_rack
-                } else {
-                    nt_inter
-                };
-                let members = index.rack_members(rack as u32);
-                let refold = match stamp.written {
-                    Some(i) if memo.stamp != 0 && memo.stamp == stamp.before => {
-                        stats.rack_updates += 1;
-                        let now = score(i, nt_members);
-                        stats.nodes_scored += u64::from(now.is_some());
-                        scores[i as usize] = now;
-                        let soft = now.and_then(|(d, fits)| fits.then_some(d));
-                        let updated = memo.soft.update(i, soft)
-                            && memo.relaxed.update(i, now.map(|(d, _)| d));
-                        stats.rack_refolds += u64::from(!updated);
-                        !updated
-                    }
-                    _ => {
-                        stats.rack_rescans += 1;
-                        for &i in members {
+            memo.folded = stamp.now;
+            // The scan `continue`s every node of a rack that cannot hold
+            // the task before either winner is touched, so an empty leaf
+            // changes nothing.
+            let leaf = if rack_max[rack] < request.memory_mb {
+                stats.racks_skipped += 1;
+                Winners::default()
+            } else {
+                stats.racks_visited += 1;
+                if memo.stamp != stamp.now {
+                    let nt_members = if rack as u32 == ref_rack {
+                        nt_rack
+                    } else {
+                        nt_inter
+                    };
+                    let members = index.rack_members(rack as u32);
+                    let refold = match stamp.written {
+                        Some(i) if memo.stamp != 0 && memo.stamp == stamp.before => {
+                            stats.rack_updates += 1;
                             let now = score(i, nt_members);
                             stats.nodes_scored += u64::from(now.is_some());
                             scores[i as usize] = now;
+                            let soft = now.and_then(|(d, fits)| fits.then_some(d));
+                            let updated = memo.soft.update(i, soft)
+                                && memo.relaxed.update(i, now.map(|(d, _)| d));
+                            stats.rack_refolds += u64::from(!updated);
+                            !updated
                         }
-                        true
-                    }
-                };
-                if refold {
-                    // Every member's score is current: fold them again.
-                    memo.soft = Winner::default();
-                    memo.relaxed = Winner::default();
-                    for &i in members {
-                        let Some((d, fits)) = scores[i as usize] else {
-                            continue;
-                        };
-                        if fits {
-                            memo.soft.offer(d, i);
+                        _ => {
+                            stats.rack_rescans += 1;
+                            for &i in members {
+                                let now = score(i, nt_members);
+                                stats.nodes_scored += u64::from(now.is_some());
+                                scores[i as usize] = now;
+                            }
+                            true
                         }
-                        memo.relaxed.offer(d, i);
+                    };
+                    if refold {
+                        // Every member's score is current: fold them again.
+                        memo.soft = Winner::default();
+                        memo.relaxed = Winner::default();
+                        for &i in members {
+                            let Some((d, fits)) = scores[i as usize] else {
+                                continue;
+                            };
+                            if fits {
+                                memo.soft.offer(d, i);
+                            }
+                            memo.relaxed.offer(d, i);
+                        }
                     }
+                    memo.stamp = stamp.now;
                 }
-                memo.stamp = stamp.now;
+                (memo.soft, memo.relaxed)
+            };
+            let mut k = leaves + rack;
+            fold[k] = leaf;
+            while k > 1 {
+                k /= 2;
+                fold[k] = merged(&fold[2 * k], &fold[2 * k + 1]);
             }
-            best.merge(&memo.soft);
-            best_relaxed.merge(&memo.relaxed);
         }
+        let (best, best_relaxed) = &fold[1];
         // `None` is unreachable after the fail-fast, but mirror the scan.
         best.pick().or(best_relaxed.pick()).ok_or(best_available_mb)
     }
