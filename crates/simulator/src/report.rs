@@ -195,6 +195,25 @@ pub struct SimDebugStats {
     pub net_fill_rounds: u64,
     /// Links visited by the bottleneck searches, summed over rounds.
     pub net_links_scanned: u64,
+    /// Of [`Self::events`], spout emission attempts.
+    pub spout_events: u64,
+    /// Of [`Self::events`], batch services that finished on a CPU.
+    pub work_done_events: u64,
+    /// Of [`Self::events`], batch arrivals at a consumer task.
+    pub deliver_events: u64,
+    /// Of [`Self::events`], fair-plane wake-ups that advanced the plane.
+    pub net_wakes: u64,
+    /// Of [`Self::events`], fair-plane wake-ups a later transition had
+    /// superseded, popped and dropped.
+    pub net_wakes_stale: u64,
+    /// Of [`Self::events`], fault-lane events: faults, stats-export
+    /// ticks, migrations and control-loop ticks.
+    pub fault_events: u64,
+    /// Of [`Self::events`], tuple timeouts that failed a live root.
+    pub timeouts_fired: u64,
+    /// Of [`Self::events`], tuple timeouts of roots that had already
+    /// completed, popped and dropped.
+    pub timeouts_dead: u64,
 }
 
 /// Recovery observability derived from a fault-plan run by the chaos

@@ -497,7 +497,8 @@ struct Engine<'c> {
     rng: StdRng,
     totals: SimTotals,
     latency: LatencyAccumulator,
-    events: u64,
+    /// Event counts, total and per kind; `report` fills in the rest.
+    debug: SimDebugStats,
 
     /// `config.max_replays > 0`. Every replay-plane branch and counter is
     /// gated on this so a replay-disabled run stays bit-identical to the
@@ -775,7 +776,7 @@ impl<'c> Engine<'c> {
             rng,
             totals: SimTotals::default(),
             latency: LatencyAccumulator::default(),
-            events: 0,
+            debug: SimDebugStats::default(),
             replay_enabled,
             live_logical: 0,
             node_down,
@@ -817,25 +818,37 @@ impl<'c> Engine<'c> {
                 if t > self.config.sim_time_ms {
                     break;
                 }
-                self.events += 1;
+                self.debug.events += 1;
                 self.root_timeout(root);
             } else {
                 let (t, ev) = self.queue.pop().expect("peek checked");
                 if t > self.config.sim_time_ms {
                     break;
                 }
-                self.events += 1;
+                self.debug.events += 1;
                 let task = (ev.task_tag & TASK_MASK) as usize;
                 let batch = Batch {
                     root: ev.root,
                     tuples: ev.tuples,
                 };
                 match ev.task_tag & !TASK_MASK {
-                    TAG_TRY_SPOUT => self.try_spout(task),
-                    TAG_WORK_DONE => self.work_done(task, batch),
+                    TAG_TRY_SPOUT => {
+                        self.debug.spout_events += 1;
+                        self.try_spout(task);
+                    }
+                    TAG_WORK_DONE => {
+                        self.debug.work_done_events += 1;
+                        self.work_done(task, batch);
+                    }
                     TAG_DELIVER if task == NET_WAKE_TASK as usize => self.net_wake(ev.root),
-                    TAG_DELIVER => self.deliver(task, batch),
-                    _ => self.apply_fault(task),
+                    TAG_DELIVER => {
+                        self.debug.deliver_events += 1;
+                        self.deliver(task, batch);
+                    }
+                    _ => {
+                        self.debug.fault_events += 1;
+                        self.apply_fault(task);
+                    }
                 }
             }
         }
@@ -1137,8 +1150,10 @@ impl<'c> Engine<'c> {
             return;
         };
         if generation != net.generation() {
+            self.debug.net_wakes_stale += 1;
             return;
         }
+        self.debug.net_wakes += 1;
         let now = self.queue.now();
         net.advance(now);
         self.finish_net_transition();
@@ -1235,12 +1250,11 @@ impl<'c> Engine<'c> {
     }
 
     fn root_timeout(&mut self, root: u64) {
-        let Some(state) = self.roots.get_mut(root) else {
-            return; // Completed before the deadline.
-        };
-        if state.failed {
+        let Some(state) = self.roots.get_mut(root).filter(|s| !s.failed) else {
+            self.debug.timeouts_dead += 1; // Completed before the deadline.
             return;
-        }
+        };
+        self.debug.timeouts_fired += 1;
         state.failed = true;
         let spout = state.spout as usize;
         let attempt = state.attempt;
@@ -1759,7 +1773,6 @@ impl<'c> Engine<'c> {
             recovery: None,
             network,
             debug: SimDebugStats {
-                events: self.events,
                 root_pool_hits: self.roots.pool_hits,
                 root_pool_misses: self.roots.pool_misses,
                 max_live_roots: self.roots.max_live,
@@ -1770,6 +1783,7 @@ impl<'c> Engine<'c> {
                 net_fill_flows: fill.flows,
                 net_fill_rounds: fill.rounds,
                 net_links_scanned: fill.links_scanned,
+                ..self.debug
             },
         };
         violations.extend(report.sanity_violations());

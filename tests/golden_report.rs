@@ -10,9 +10,12 @@
 //! `UPDATE_GOLDEN=1 cargo test --test golden_report` and review the
 //! diff like any other code change.
 
+use common::linear_net_fair_faulted;
 use rstorm::prelude::*;
 use rstorm::workloads::cases::fig8_cases;
 use std::path::PathBuf;
+
+mod common;
 
 /// `file` (a name with its extension) under `tests/golden/`.
 fn golden_path(file: &str) -> PathBuf {
@@ -59,37 +62,6 @@ fn linear_net_quick_report_is_stable() {
     sim.add_topology(&case.topology, &assignment);
     let report = sim.run();
     check_golden("linear_net_quick.json", &report.to_json());
-}
-
-/// The fig-8 linear-net case spread across both racks (so flows cross
-/// the trunks) on `NetworkModel::Fair`, with one link-degradation window
-/// and one rack partition: every fair-plane transition — admit,
-/// complete, degrade and mid-transfer sever — runs.
-fn linear_net_fair_faulted() -> SimReport {
-    let case = fig8_cases()
-        .into_iter()
-        .find(|c| c.name == "linear_net")
-        .expect("linear_net case exists");
-    let assignment = EvenScheduler::new()
-        .schedule(
-            &case.topology,
-            &case.cluster,
-            &mut GlobalState::new(&case.cluster),
-        )
-        .expect("linear_net is feasible");
-    let rack = case.cluster.racks()[0].as_str().to_owned();
-    let mut config = SimConfig::quick()
-        .with_sim_time_ms(20_000.0)
-        .with_network_model(NetworkModel::Fair);
-    config.max_pending = 8; // bound concurrent flows; debug builds stay fast
-    let mut sim = Simulation::new(case.cluster, config);
-    sim.add_topology(&case.topology, &assignment);
-    sim.set_fault_plan(
-        FaultPlan::new()
-            .degrade_links(4_000.0, 8_000.0, 100.0)
-            .partition_rack(11_000.0, 14_000.0, &rack),
-    );
-    sim.run()
 }
 
 /// The fair-share network plane's transitions, pinned: every one feeds

@@ -36,6 +36,8 @@ use rstorm_core::oracle::ReferenceRStormScheduler;
 use rstorm_sim::oracle::ReferenceSimulation;
 use std::sync::Arc;
 
+mod common;
+
 /// Workers on the parallel side of the worker-count identity checks: all
 /// cores, capped at 8.
 fn parallel_workers() -> usize {
@@ -401,6 +403,48 @@ fn schedule_work_is_pinned() {
         "scale base"
     );
     assert_eq!(linear, [1, 24, 25, 0, 2, 23, 3, 35, 56, 24], "fig 8 linear");
+}
+
+/// The engine's events by kind, pinned exactly on two fixed runs: Fig
+/// 8's network-bound Linear under R-Storm at the quick horizon, and the
+/// spread, faulted fair-plane run of the golden report. The kinds sum to
+/// `events`; a change to what the loop queues, pops or drops moves this
+/// pin even when the report bytes stay put.
+#[test]
+fn event_kinds_are_pinned() {
+    let kinds = |d: SimDebugStats| {
+        let k = [
+            d.spout_events,
+            d.work_done_events,
+            d.deliver_events,
+            d.net_wakes,
+            d.net_wakes_stale,
+            d.fault_events,
+            d.timeouts_fired,
+            d.timeouts_dead,
+        ];
+        assert_eq!(k.iter().sum::<u64>(), d.events, "kinds partition events");
+        k
+    };
+    let case = fig8_cases()
+        .into_iter()
+        .find(|c| c.name == "linear_net")
+        .expect("linear_net case exists");
+    let cluster = Arc::new(case.cluster.clone());
+    let assignment = place(&RStormScheduler::new(), &case.topology, &cluster);
+    let config = SimConfig::quick().with_seed(42);
+    let linear = simulate(&cluster, &case.topology, &assignment, config).debug;
+    let fair = common::linear_net_fair_faulted().debug;
+    assert_eq!(
+        kinds(linear),
+        [486_893, 991_917, 743_927, 0, 0, 0, 0, 124_098],
+        "fig 8 linear"
+    );
+    assert_eq!(
+        kinds(fair),
+        [59_258, 120_566, 90_414, 90_394, 89_290, 4, 0, 0],
+        "fair, faulted"
+    );
 }
 
 /// Two Emulab racks of two nodes: enough for rack partitions and crash
