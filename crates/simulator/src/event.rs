@@ -133,7 +133,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Allocates a `(key, seq)` slot for an event the caller stores in a
-    /// sidecar lane of its own (e.g. a FIFO of fixed-delay timeouts)
+    /// sidecar lane of its own (e.g. the root slab's list of tuple
+    /// timeouts)
     /// instead of this heap. The sequence number comes from the same
     /// counter as [`EventQueue::schedule`], so merging the lanes by
     /// `(key, seq)` reproduces exactly the order a single heap would

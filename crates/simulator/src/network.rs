@@ -22,9 +22,11 @@
 //! flows changes, so the plane re-rates flows on exactly three
 //! transitions — flow start, flow finish, and a fault touching link
 //! capacity or connectivity. Between transitions every flow progresses
-//! linearly at its frozen rate, so the engine needs only one scheduled
-//! wake-up at the earliest completion time; a transition re-arms it
-//! (stale wake-ups are discarded by generation).
+//! linearly at its frozen rate, so the engine keeps a single wake-up
+//! slot at the earliest completion time
+//! ([`FairNetwork::next_completion`]). Every transition moves the slot,
+//! or clears it when no flow can complete, so a superseded wake-up is
+//! never queued.
 //!
 //! A transition re-rates only the flows it can affect. Max-min filling
 //! decomposes exactly over the connected components of the flow–link
@@ -174,10 +176,6 @@ pub(crate) struct FairNetwork {
     degrade_factor: f64,
     /// Monotonic flow admission counter.
     next_seq: u64,
-    /// Wake-up generation: a scheduled wake event carries the generation
-    /// current at scheduling time and is stale (ignored) if the plane has
-    /// re-armed since.
-    generation: u64,
     window_ms: f64,
     /// Report windows per link.
     windows: usize,
@@ -279,7 +277,6 @@ impl FairNetwork {
             clock_ms: 0.0,
             degrade_factor: 1.0,
             next_seq: 0,
-            generation: 0,
             window_ms,
             windows,
             window_busy_ms: vec![0.0; n_links * windows],
@@ -317,19 +314,9 @@ impl FairNetwork {
         self.counters
     }
 
-    /// The generation a wake event must carry to be fresh.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Re-arms the wake-up: bumps the generation and returns the next
-    /// completion time, or `None` when no flow is active.
-    pub fn arm_wake(&mut self) -> Option<f64> {
-        self.generation += 1;
-        self.next_completion()
-    }
-
-    fn next_completion(&self) -> Option<f64> {
+    /// The earliest time a flow completes at the current rates, or
+    /// `None` when no flow can: the time the engine's wake-up is due.
+    pub fn next_completion(&self) -> Option<f64> {
         let mut earliest: Option<f64> = None;
         for f in &self.flows {
             let t = self.clock_ms + f.remaining_bytes / f.rate;
@@ -354,7 +341,7 @@ impl FairNetwork {
     /// Any *other* flows that completed at the moment of admission join
     /// the completed buffer (every transition must surface completions,
     /// or a flow finishing exactly at an admission instant would be lost
-    /// when the caller re-arms the wake).
+    /// when the caller moves the wake).
     #[allow(clippy::too_many_arguments)] // dense hot-path call, no struct churn
     pub fn admit(
         &mut self,
@@ -922,15 +909,16 @@ mod tests {
     }
 
     #[test]
-    fn wake_generations_invalidate_stale_events() {
+    fn sharing_delays_the_next_completion() {
         let mut net = fabric();
         admit_inter_rack(&mut net, 0.0, 12_500.0, 1);
-        let g1 = net.generation();
-        let t1 = net.arm_wake().unwrap();
-        assert!(net.generation() > g1, "arming bumps the generation");
+        let t1 = net.next_completion().unwrap();
         admit_inter_rack(&mut net, 0.0, 12_500.0, 2);
-        let t2 = net.arm_wake().unwrap();
+        let t2 = net.next_completion().unwrap();
         assert!(t2 > t1, "sharing slowed both flows down");
+        net.advance(t2);
+        assert_eq!(net.drain_completed().count(), 2);
+        assert_eq!(net.next_completion(), None, "no flow left to wake for");
     }
 
     #[test]

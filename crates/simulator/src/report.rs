@@ -201,19 +201,24 @@ pub struct SimDebugStats {
     pub work_done_events: u64,
     /// Of [`Self::events`], batch arrivals at a consumer task.
     pub deliver_events: u64,
-    /// Of [`Self::events`], fair-plane wake-ups that advanced the plane.
+    /// Of [`Self::events`], fair-plane wake-ups, each of which advances
+    /// the plane.
     pub net_wakes: u64,
-    /// Of [`Self::events`], fair-plane wake-ups a later transition had
-    /// superseded, popped and dropped.
-    pub net_wakes_stale: u64,
     /// Of [`Self::events`], fault-lane events: faults, stats-export
     /// ticks, migrations and control-loop ticks.
     pub fault_events: u64,
-    /// Of [`Self::events`], tuple timeouts that failed a live root.
+    /// Of [`Self::events`], tuple timeouts, each of which fails a live
+    /// root.
     pub timeouts_fired: u64,
-    /// Of [`Self::events`], tuple timeouts of roots that had already
-    /// completed, popped and dropped.
-    pub timeouts_dead: u64,
+    /// Roots that completed before a tuple-timeout deadline inside the
+    /// horizon. Not events: a completed root's timeout is never queued,
+    /// where a single queue would have popped and dropped it.
+    pub timeouts_retired: u64,
+    /// Fair-plane wake-ups inside the horizon that a later transition
+    /// moved or cleared before they fired. Not events either: the plane
+    /// keeps one wake slot, where a single queue would have popped and
+    /// dropped each superseded wake-up.
+    pub wakes_superseded: u64,
 }
 
 /// Recovery observability derived from a fault-plan run by the chaos

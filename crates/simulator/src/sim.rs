@@ -9,7 +9,9 @@
 //!   draw (for pick groupings) and zero allocation, and a migration only
 //!   rewrites placement;
 //! * in-flight tuple trees live in a generational slab with a free-list
-//!   pool ([`crate::slab`]), not a `HashMap`;
+//!   pool ([`crate::slab`]), not a `HashMap`, and their tuple timeouts
+//!   on a list through that slab, so the event set holds only live
+//!   events (see [`Engine::run`]);
 //! * per-node CPU contention state is a dense `Vec` indexed by
 //!   build-time slots ([`crate::servers::DenseCpuServer`]); a batch
 //!   start runs the max-min fair-share scan only when an exp-free demand
@@ -55,8 +57,9 @@ pub(crate) struct Batch {
 }
 
 /// The fast engine's heap payload, packed to 16 bytes so a scheduled
-/// event is one 32-byte heap element (`RootTimeout`s live in a sidecar
-/// FIFO — see [`Engine::timeouts`] — and never enter the heap).
+/// event is one 32-byte heap element. Tuple timeouts and the fair plane's
+/// wake-up never enter the heap: they are sidecar lanes (see
+/// [`Engine::run`]).
 #[derive(Debug, Clone, Copy)]
 struct FastEv {
     root: u64,
@@ -71,13 +74,6 @@ const TAG_TRY_SPOUT: u32 = 0 << TAG_SHIFT;
 const TAG_WORK_DONE: u32 = 1 << TAG_SHIFT;
 const TAG_DELIVER: u32 = 2 << TAG_SHIFT;
 const TAG_FAULT: u32 = 3 << TAG_SHIFT;
-
-/// Sentinel task index marking a [`TAG_DELIVER`] event as a fair-plane
-/// wake-up rather than a batch delivery (both tag bits are taken, so the
-/// wake rides the deliver lane; real task indices never reach the mask).
-/// The event's `root` field carries the plane's generation counter —
-/// stale wake-ups are discarded.
-const NET_WAKE_TASK: u32 = TASK_MASK;
 
 /// Why a control-loop action can rely on a loop: it is scheduled only
 /// when one is attached.
@@ -479,14 +475,11 @@ struct Engine<'c> {
     statics: Vec<TaskStatic>,
 
     queue: EventQueue<FastEv>,
-    /// Pending `RootTimeout`s, in firing order. The tuple timeout is a
-    /// fixed delta over a monotone clock, so deadlines arrive already
-    /// sorted — a FIFO replaces ~`max_pending × spouts` heap residents
-    /// with O(1) pushes and pops. Entries are `(key, seq, root)` with
-    /// `seq` drawn from the shared [`EventQueue`] counter, so merging
-    /// this lane with the heap by `(key, seq)` reproduces the exact
-    /// single-queue event order.
-    timeouts: VecDeque<(u64, u64, u64)>,
+    /// The fair plane's one pending wake-up, at its earliest flow
+    /// completion: the `(key, seq)` event slot that the last transition
+    /// drew, or `None` when no flow can complete. Each transition
+    /// overwrites it, so a superseded wake-up is never queued.
+    net_wake: Option<(u64, u64)>,
     cpus: Vec<DenseCpuServer>,
     egress: Vec<LinkServer>,
     ingress: Vec<LinkServer>,
@@ -765,7 +758,7 @@ impl<'c> Engine<'c> {
             index,
             statics,
             queue: EventQueue::new(),
-            timeouts: VecDeque::new(),
+            net_wake: None,
             cpus,
             egress,
             ingress,
@@ -802,52 +795,71 @@ impl<'c> Engine<'c> {
             self.queue.schedule(at_ms, FastEv::fault(action));
         }
 
+        // Three lanes hold the pending events: the heap, the slab's
+        // timeout list and the fair plane's wake slot. Every event's
+        // `(key, seq)` comes from the queue's one counter, so taking the
+        // earliest of the three heads is the order a single queue would
+        // pop.
+        enum Lane {
+            Heap,
+            Timeout(u64),
+            Wake,
+        }
         loop {
-            // Merge the heap lane and the timeout FIFO by (key, seq):
-            // whichever head is earlier is the event a single queue
-            // would have popped.
-            let take_timeout = match (self.queue.peek_key(), self.timeouts.front()) {
-                (Some(h), Some(&(tk, ts, _))) => (tk, ts) < h,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => break,
+            let mut next = self.queue.peek_key().map(|slot| (slot, Lane::Heap));
+            if let Some((slot, root)) = self.roots.next_timeout() {
+                if next.as_ref().is_none_or(|(first, _)| slot < *first) {
+                    next = Some((slot, Lane::Timeout(root)));
+                }
+            }
+            if let Some(slot) = self.net_wake {
+                if next.as_ref().is_none_or(|(first, _)| slot < *first) {
+                    next = Some((slot, Lane::Wake));
+                }
+            }
+            let Some(((key, _), lane)) = next else {
+                break;
             };
-            if take_timeout {
-                let (key, _, root) = self.timeouts.pop_front().expect("front checked");
-                let t = self.queue.advance_to(key);
-                if t > self.config.sim_time_ms {
-                    break;
+            if f64::from_bits(key) > self.config.sim_time_ms {
+                break;
+            }
+            self.debug.events += 1;
+            match lane {
+                Lane::Timeout(root) => {
+                    self.queue.advance_to(key);
+                    self.debug.timeouts_fired += 1;
+                    self.root_timeout(root);
                 }
-                self.debug.events += 1;
-                self.root_timeout(root);
-            } else {
-                let (t, ev) = self.queue.pop().expect("peek checked");
-                if t > self.config.sim_time_ms {
-                    break;
+                Lane::Wake => {
+                    self.queue.advance_to(key);
+                    self.net_wake = None;
+                    self.debug.net_wakes += 1;
+                    self.net_wake();
                 }
-                self.debug.events += 1;
-                let task = (ev.task_tag & TASK_MASK) as usize;
-                let batch = Batch {
-                    root: ev.root,
-                    tuples: ev.tuples,
-                };
-                match ev.task_tag & !TASK_MASK {
-                    TAG_TRY_SPOUT => {
-                        self.debug.spout_events += 1;
-                        self.try_spout(task);
-                    }
-                    TAG_WORK_DONE => {
-                        self.debug.work_done_events += 1;
-                        self.work_done(task, batch);
-                    }
-                    TAG_DELIVER if task == NET_WAKE_TASK as usize => self.net_wake(ev.root),
-                    TAG_DELIVER => {
-                        self.debug.deliver_events += 1;
-                        self.deliver(task, batch);
-                    }
-                    _ => {
-                        self.debug.fault_events += 1;
-                        self.apply_fault(task);
+                Lane::Heap => {
+                    let (_, ev) = self.queue.pop().expect("peek checked");
+                    let task = (ev.task_tag & TASK_MASK) as usize;
+                    let batch = Batch {
+                        root: ev.root,
+                        tuples: ev.tuples,
+                    };
+                    match ev.task_tag & !TASK_MASK {
+                        TAG_TRY_SPOUT => {
+                            self.debug.spout_events += 1;
+                            self.try_spout(task);
+                        }
+                        TAG_WORK_DONE => {
+                            self.debug.work_done_events += 1;
+                            self.work_done(task, batch);
+                        }
+                        TAG_DELIVER => {
+                            self.debug.deliver_events += 1;
+                            self.deliver(task, batch);
+                        }
+                        _ => {
+                            self.debug.fault_events += 1;
+                            self.apply_fault(task);
+                        }
                     }
                 }
             }
@@ -922,24 +934,20 @@ impl<'c> Engine<'c> {
         let now = self.queue.now();
         let spec = self.statics[i];
         let deadline = now + self.config.tuple_timeout_ms;
-        let root = self.roots.insert(RootState {
-            pending: 1,
-            born: now,
-            deadline,
-            spout: i as u32,
-            failed: false,
-            lost: 0,
-            attempt,
-            lost_tuples,
-        });
-        let (key, seq) = self.queue.alloc_slot(deadline);
-        debug_assert!(
-            self.timeouts
-                .back()
-                .is_none_or(|&(k, s, _)| (k, s) < (key, seq)),
-            "timeout deadlines must arrive in order"
+        let timeout = self.queue.alloc_slot(deadline);
+        let root = self.roots.insert(
+            RootState {
+                pending: 1,
+                born: now,
+                deadline,
+                spout: i as u32,
+                failed: false,
+                lost: 0,
+                attempt,
+                lost_tuples,
+            },
+            timeout,
         );
-        self.timeouts.push_back((key, seq, root));
 
         let batch = Batch {
             root,
@@ -1141,20 +1149,11 @@ impl<'c> Engine<'c> {
 
     // ---- fair-share network plane ---------------------------------------
 
-    /// Handles a fair-plane wake-up event: if it carries the current
-    /// generation, advance every flow to now, deliver the completed ones
-    /// and re-arm; a stale generation means a later transition already
-    /// superseded this wake-up.
-    fn net_wake(&mut self, generation: u64) {
-        let Some(net) = self.network.as_mut() else {
-            return;
-        };
-        if generation != net.generation() {
-            self.debug.net_wakes_stale += 1;
-            return;
-        }
-        self.debug.net_wakes += 1;
+    /// Handles the fair plane's wake-up: advance every flow to now,
+    /// deliver the completed ones and re-arm.
+    fn net_wake(&mut self) {
         let now = self.queue.now();
+        let net = self.network.as_mut().expect("only a plane arms a wake");
         net.advance(now);
         self.finish_net_transition();
     }
@@ -1162,8 +1161,8 @@ impl<'c> Engine<'c> {
     /// The tail of every fair-plane transition: drain the plane's
     /// completed buffer into one delivery per flow (serialization
     /// finished at the transition instant; propagation latency is added
-    /// on top) and re-arm the single wake-up at the new earliest
-    /// completion time.
+    /// on top) and move the single wake-up to the new earliest
+    /// completion time, or clear it when no flow can complete.
     fn finish_net_transition(&mut self) {
         let now = self.queue.now();
         let net = self.network.as_mut().expect("transition implies a plane");
@@ -1179,17 +1178,13 @@ impl<'c> Engine<'c> {
                 ),
             );
         }
-        if let Some(at) = net.arm_wake() {
-            let generation = net.generation();
-            self.queue.schedule(
-                at,
-                FastEv {
-                    root: generation,
-                    task_tag: TAG_DELIVER | NET_WAKE_TASK,
-                    tuples: 0,
-                },
-            );
+        let next = net.next_completion();
+        if let Some((key, _)) = self.net_wake {
+            if f64::from_bits(key) <= self.config.sim_time_ms {
+                self.debug.wakes_superseded += 1;
+            }
         }
+        self.net_wake = next.map(|at| self.queue.alloc_slot(at));
     }
 
     // ---- delivery ------------------------------------------------------
@@ -1233,8 +1228,12 @@ impl<'c> Engine<'c> {
         let failed = state.failed;
         let spout = state.spout as usize;
         let born = state.born;
+        let deadline = state.deadline;
         self.roots.remove(root);
         if !failed {
+            if deadline <= self.config.sim_time_ms {
+                self.debug.timeouts_retired += 1;
+            }
             self.totals.roots_completed += 1;
             self.latency.record(self.queue.now() - born);
             if self.replay_enabled {
@@ -1249,13 +1248,9 @@ impl<'c> Engine<'c> {
         }
     }
 
+    /// Fails `root`, whose tuple timeout is the earliest pending one.
     fn root_timeout(&mut self, root: u64) {
-        let Some(state) = self.roots.get_mut(root).filter(|s| !s.failed) else {
-            self.debug.timeouts_dead += 1; // Completed before the deadline.
-            return;
-        };
-        self.debug.timeouts_fired += 1;
-        state.failed = true;
+        let state = self.roots.fire_timeout(root);
         let spout = state.spout as usize;
         let attempt = state.attempt;
         let carried = state.lost_tuples;

@@ -1,4 +1,5 @@
-//! A generational slab for in-flight tuple trees.
+//! A generational slab for in-flight tuple trees, with their tuple
+//! timeouts on an intrusive list.
 //!
 //! Every spout emission creates a root whose descendants are tracked
 //! until the tree completes or times out. The reference engine keeps
@@ -9,10 +10,19 @@
 //! check plus a generation compare, and completed slots recycle through a
 //! free list, so steady-state root turnover allocates nothing.
 //!
-//! The generation makes stale handles (e.g. a `RootTimeout` event for a
-//! root that completed and whose slot was reused) miss safely — exactly
-//! the semantics the reference engine gets from `HashMap::get` on a
-//! removed key.
+//! The generation makes stale handles (e.g. a batch of a root that
+//! completed and whose slot was reused) miss safely — exactly the
+//! semantics the reference engine gets from `HashMap::get` on a removed
+//! key.
+//!
+//! Each root's tuple timeout is the `(key, seq)` event slot the engine
+//! drew for it at emission. The tuple timeout is a fixed delta over a
+//! monotone clock, so emission order is deadline order: the slab links
+//! its live, unfailed roots through their slots in that order, and the
+//! list head is the next timeout to fire. Completing a root unlinks it,
+//! and so does firing its timeout, so the engine never stores or pops the
+//! timeout of a root that already completed, and the list holds only as
+//! many entries as there are roots in flight.
 
 /// State of one in-flight tuple tree.
 #[derive(Debug, Clone, Copy)]
@@ -41,20 +51,33 @@ pub(crate) struct RootState {
     pub lost_tuples: u64,
 }
 
+/// End of the timeout list.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct Slot {
     gen: u32,
     occupied: bool,
     state: RootState,
+    /// The `(key, seq)` event slot of the root's tuple timeout.
+    timeout: (u64, u64),
+    /// Neighbours on the timeout list, `NIL` at its ends. Meaningful only
+    /// while the root is occupied and unfailed.
+    prev: u32,
+    next: u32,
 }
 
-/// Slab of in-flight roots with generational handles and a free-list
-/// pool. See the module docs.
-#[derive(Debug, Default)]
+/// Slab of in-flight roots with generational handles, a free-list pool
+/// and the timeout list. See the module docs.
+#[derive(Debug)]
 pub(crate) struct RootSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
     live: u64,
+    /// Timeout list: the occupied, unfailed roots in `(key, seq)` order.
+    head: u32,
+    tail: u32,
+    linked: u64,
     /// Inserts served from the free list (recycled allocations).
     pub pool_hits: u64,
     /// Inserts that had to grow the slab.
@@ -65,30 +88,59 @@ pub(crate) struct RootSlab {
 
 impl RootSlab {
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            head: NIL,
+            tail: NIL,
+            linked: 0,
+            pool_hits: 0,
+            pool_misses: 0,
+            max_live: 0,
+        }
     }
 
-    /// Inserts a root, returning its handle.
-    pub fn insert(&mut self, state: RootState) -> u64 {
+    /// Inserts an unfailed root whose tuple timeout fires at event slot
+    /// `timeout`, returning its handle. Timeouts must arrive in
+    /// `(key, seq)` order: the root joins the tail of the timeout list.
+    pub fn insert(&mut self, state: RootState, timeout: (u64, u64)) -> u64 {
+        debug_assert!(!state.failed, "a new root has not timed out");
+        debug_assert!(
+            self.tail == NIL || self.slots[self.tail as usize].timeout < timeout,
+            "timeouts must arrive in (key, seq) order"
+        );
         self.live += 1;
         self.max_live = self.max_live.max(self.live);
-        if let Some(idx) = self.free.pop() {
+        let slot = Slot {
+            gen: 0,
+            occupied: true,
+            state,
+            timeout,
+            prev: self.tail,
+            next: NIL,
+        };
+        let (idx, gen) = if let Some(idx) = self.free.pop() {
             self.pool_hits += 1;
-            let slot = &mut self.slots[idx as usize];
-            debug_assert!(!slot.occupied);
-            slot.occupied = true;
-            slot.state = state;
-            (u64::from(slot.gen) << 32) | u64::from(idx)
+            let old = &mut self.slots[idx as usize];
+            debug_assert!(!old.occupied);
+            *old = Slot {
+                gen: old.gen,
+                ..slot
+            };
+            (idx, old.gen)
         } else {
             self.pool_misses += 1;
-            let idx = self.slots.len() as u32;
-            self.slots.push(Slot {
-                gen: 0,
-                occupied: true,
-                state,
-            });
-            u64::from(idx)
+            self.slots.push(slot);
+            (self.slots.len() as u32 - 1, 0)
+        };
+        match self.tail {
+            NIL => self.head = idx,
+            tail => self.slots[tail as usize].next = idx,
         }
+        self.tail = idx;
+        self.linked += 1;
+        (u64::from(gen) << 32) | u64::from(idx)
     }
 
     /// Looks up a live root; `None` for completed/stale handles.
@@ -103,8 +155,9 @@ impl RootSlab {
         (slot.occupied && slot.gen == (handle >> 32) as u32).then_some(&mut slot.state)
     }
 
-    /// Removes a root, returning its slot to the pool. Stale handles are
-    /// ignored (like `HashMap::remove` on an absent key).
+    /// Removes a root, returning its slot to the pool and taking an
+    /// unfailed root off the timeout list. Stale handles are ignored
+    /// (like `HashMap::remove` on an absent key).
     pub fn remove(&mut self, handle: u64) {
         let idx = (handle & 0xFFFF_FFFF) as usize;
         let Some(slot) = self.slots.get_mut(idx) else {
@@ -115,19 +168,71 @@ impl RootSlab {
         }
         slot.occupied = false;
         slot.gen = slot.gen.wrapping_add(1);
+        if !slot.state.failed {
+            self.unlink(idx as u32);
+        }
         self.free.push(idx as u32);
         self.live -= 1;
     }
 
+    /// The earliest pending tuple timeout: its `(key, seq)` event slot
+    /// and the root's handle.
+    pub fn next_timeout(&self) -> Option<((u64, u64), u64)> {
+        (self.head != NIL).then(|| {
+            let slot = &self.slots[self.head as usize];
+            (
+                slot.timeout,
+                (u64::from(slot.gen) << 32) | u64::from(self.head),
+            )
+        })
+    }
+
+    /// Fires the tuple timeout of `handle`, the root at the head of the
+    /// list (see [`Self::next_timeout`]): marks it failed, takes it off
+    /// the list and returns its state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` is not the earliest pending timeout's root.
+    pub fn fire_timeout(&mut self, handle: u64) -> &mut RootState {
+        assert!(
+            self.next_timeout().is_some_and(|(_, h)| h == handle),
+            "only the earliest pending timeout fires"
+        );
+        let idx = self.head;
+        self.unlink(idx);
+        let state = &mut self.slots[idx as usize].state;
+        state.failed = true;
+        state
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let Slot { prev, next, .. } = self.slots[idx as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+        self.linked -= 1;
+    }
+
     /// Number of live roots whose tuple timeout has not fired — the
-    /// attempts that can still ack. Used by the replay plane's live-root
-    /// ledger, which every replay-enabled run checks once, at its end.
-    /// O(slots).
+    /// attempts that can still ack: the length of the timeout list. Used
+    /// by the replay plane's live-root ledger, which every replay-enabled
+    /// run checks once, at its end.
     pub fn unfailed_live(&self) -> u64 {
-        self.slots
-            .iter()
-            .filter(|s| s.occupied && !s.state.failed)
-            .count() as u64
+        debug_assert_eq!(
+            self.linked,
+            self.slots
+                .iter()
+                .filter(|s| s.occupied && !s.state.failed)
+                .count() as u64,
+            "the timeout list holds exactly the unfailed live roots"
+        );
+        self.linked
     }
 }
 
@@ -148,24 +253,87 @@ mod tests {
         }
     }
 
+    /// Inserts roots with increasing timeout slots `(0, 0), (0, 1), ...`.
+    struct Emitter {
+        slab: RootSlab,
+        seq: u64,
+    }
+
+    impl Emitter {
+        fn new() -> Self {
+            Self {
+                slab: RootSlab::new(),
+                seq: 0,
+            }
+        }
+
+        fn insert(&mut self, spout: u32) -> u64 {
+            self.seq += 1;
+            self.slab.insert(root(spout), (0, self.seq))
+        }
+    }
+
+    /// The timeout list from head to tail, checking the back links.
+    fn timeout_list(slab: &RootSlab) -> Vec<((u64, u64), u64)> {
+        let mut out = Vec::new();
+        let (mut idx, mut prev) = (slab.head, NIL);
+        while idx != NIL {
+            let slot = &slab.slots[idx as usize];
+            assert_eq!(slot.prev, prev, "back link of slot {idx}");
+            out.push((slot.timeout, (u64::from(slot.gen) << 32) | u64::from(idx)));
+            (prev, idx) = (idx, slot.next);
+        }
+        assert_eq!(slab.tail, prev, "tail is the last linked slot");
+        out
+    }
+
     #[test]
-    #[cfg(debug_assertions)]
     fn unfailed_live_skips_timed_out_roots() {
-        let mut slab = RootSlab::new();
-        let a = slab.insert(root(0));
-        let _b = slab.insert(root(1));
-        assert_eq!(slab.unfailed_live(), 2);
-        slab.get_mut(a).unwrap().failed = true;
-        assert_eq!(slab.unfailed_live(), 1);
-        slab.remove(a);
-        assert_eq!(slab.unfailed_live(), 1);
+        let mut e = Emitter::new();
+        let a = e.insert(0);
+        let b = e.insert(1);
+        assert_eq!(e.slab.unfailed_live(), 2);
+        assert_eq!(e.slab.next_timeout(), Some(((0, 1), a)));
+        assert!(e.slab.fire_timeout(a).failed);
+        assert!(e.slab.get(a).is_some(), "a failed root stays until drained");
+        assert_eq!(e.slab.unfailed_live(), 1);
+        assert_eq!(e.slab.next_timeout(), Some(((0, 2), b)));
+        e.slab.remove(a);
+        assert_eq!(e.slab.unfailed_live(), 1);
+        assert_eq!(timeout_list(&e.slab), vec![((0, 2), b)]);
+    }
+
+    #[test]
+    fn completed_roots_leave_the_timeout_list() {
+        let mut e = Emitter::new();
+        let [a, b, c] = [e.insert(0), e.insert(1), e.insert(2)];
+        e.slab.remove(b);
+        assert_eq!(timeout_list(&e.slab), vec![((0, 1), a), ((0, 3), c)]);
+        e.slab.remove(a);
+        e.slab.remove(c);
+        assert_eq!(e.slab.next_timeout(), None);
+        assert_eq!(e.slab.unfailed_live(), 0);
+        // The recycled slots rejoin at the tail in emission order.
+        let d = e.insert(3);
+        let f = e.insert(4);
+        assert_eq!(timeout_list(&e.slab), vec![((0, 4), d), ((0, 5), f)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only the earliest pending timeout fires")]
+    fn only_the_head_fires() {
+        let mut e = Emitter::new();
+        e.insert(0);
+        let b = e.insert(1);
+        e.slab.fire_timeout(b);
     }
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut slab = RootSlab::new();
-        let a = slab.insert(root(1));
-        let b = slab.insert(root(2));
+        let mut e = Emitter::new();
+        let a = e.insert(1);
+        let b = e.insert(2);
+        let slab = &mut e.slab;
         assert_eq!(slab.get(a).unwrap().spout, 1);
         assert_eq!(slab.get(b).unwrap().spout, 2);
         slab.get_mut(a).unwrap().pending += 3;
@@ -177,10 +345,11 @@ mod tests {
 
     #[test]
     fn recycled_slot_invalidates_old_handle() {
-        let mut slab = RootSlab::new();
-        let a = slab.insert(root(1));
-        slab.remove(a);
-        let b = slab.insert(root(2));
+        let mut e = Emitter::new();
+        let a = e.insert(1);
+        e.slab.remove(a);
+        let b = e.insert(2);
+        let slab = &mut e.slab;
         // Same slot, new generation: the recycled slot must not be
         // reachable through the stale handle.
         assert_eq!(a & 0xFFFF_FFFF, b & 0xFFFF_FFFF);
@@ -191,36 +360,104 @@ mod tests {
         // Removing through the stale handle is a no-op.
         slab.remove(a);
         assert!(slab.get(b).is_some());
+        assert_eq!(slab.next_timeout(), Some(((0, 2), b)));
     }
 
     #[test]
     fn pool_counters_track_reuse() {
-        let mut slab = RootSlab::new();
-        let mut handles: Vec<u64> = (0..10).map(|i| slab.insert(root(i))).collect();
-        assert_eq!(slab.pool_misses, 10);
-        assert_eq!(slab.pool_hits, 0);
+        let mut e = Emitter::new();
+        let mut handles: Vec<u64> = (0..10).map(|i| e.insert(i)).collect();
+        assert_eq!(e.slab.pool_misses, 10);
+        assert_eq!(e.slab.pool_hits, 0);
         for h in handles.drain(..) {
-            slab.remove(h);
+            e.slab.remove(h);
         }
         for i in 0..25 {
-            handles.push(slab.insert(root(i)));
+            handles.push(e.insert(i));
         }
         // 10 inserts recycled freed slots, 15 grew the slab.
-        assert_eq!(slab.pool_hits, 10);
-        assert_eq!(slab.pool_misses, 25);
-        assert_eq!(slab.max_live, 25);
+        assert_eq!(e.slab.pool_hits, 10);
+        assert_eq!(e.slab.pool_misses, 25);
+        assert_eq!(e.slab.max_live, 25);
     }
 
     #[test]
     fn double_remove_is_safe() {
-        let mut slab = RootSlab::new();
-        let a = slab.insert(root(0));
-        slab.remove(a);
-        slab.remove(a);
-        assert_eq!(slab.pool_hits + slab.pool_misses, 1);
+        let mut e = Emitter::new();
+        let a = e.insert(0);
+        e.slab.remove(a);
+        e.slab.remove(a);
+        assert_eq!(e.slab.pool_hits + e.slab.pool_misses, 1);
         // The free list holds the slot exactly once.
-        let b = slab.insert(root(1));
-        let c = slab.insert(root(2));
+        let b = e.insert(1);
+        let c = e.insert(2);
         assert_ne!(b & 0xFFFF_FFFF, c & 0xFFFF_FFFF);
+        assert_eq!(e.slab.unfailed_live(), 2);
+    }
+
+    proptest::proptest! {
+        /// The timeout list against a naive FIFO of every emission,
+        /// filtered by liveness, over random emissions (keys
+        /// non-decreasing, ties broken by sequence), completions, timeout
+        /// firings, removals through stale handles and slot reuse. After
+        /// every step the list yields `(key, seq)` ascending and holds
+        /// exactly the occupied, unfailed roots; a stale handle never
+        /// reaches it.
+        #[test]
+        fn timeout_list_matches_filtered_fifo(
+            ops in proptest::collection::vec((0u8..4, 0usize..64, 0u64..3), 1..120),
+        ) {
+            let mut slab = RootSlab::new();
+            let mut fifo: Vec<((u64, u64), u64)> = Vec::new();
+            let mut live: Vec<u64> = Vec::new();
+            let mut failed: Vec<u64> = Vec::new();
+            let mut dead: Vec<u64> = Vec::new();
+            let (mut key, mut seq) = (0u64, 0u64);
+            for &(op, pick, step) in &ops {
+                match op {
+                    0 => {
+                        key += step;
+                        seq += 1;
+                        let h = slab.insert(root(0), (key, seq));
+                        proptest::prop_assert!(!live.contains(&h) && !dead.contains(&h));
+                        fifo.push(((key, seq), h));
+                        live.push(h);
+                    }
+                    1 if !live.is_empty() => {
+                        let h = live.swap_remove(pick % live.len());
+                        failed.retain(|&f| f != h);
+                        slab.remove(h);
+                        dead.push(h);
+                    }
+                    2 => {
+                        let expected = fifo
+                            .iter()
+                            .copied()
+                            .find(|(_, h)| live.contains(h) && !failed.contains(h));
+                        proptest::prop_assert_eq!(slab.next_timeout(), expected);
+                        if let Some((_, h)) = expected {
+                            proptest::prop_assert!(slab.fire_timeout(h).failed);
+                            failed.push(h);
+                        }
+                    }
+                    _ if !dead.is_empty() => {
+                        let h = dead[pick % dead.len()];
+                        slab.remove(h);
+                        proptest::prop_assert!(slab.get(h).is_none());
+                    }
+                    _ => {}
+                }
+                let expected: Vec<_> = fifo
+                    .iter()
+                    .copied()
+                    .filter(|(_, h)| live.contains(h) && !failed.contains(h))
+                    .collect();
+                let list = timeout_list(&slab);
+                proptest::prop_assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
+                proptest::prop_assert!(list.iter().all(|(_, h)| !dead.contains(h)));
+                proptest::prop_assert_eq!(&list, &expected);
+                proptest::prop_assert_eq!(slab.unfailed_live(), expected.len() as u64);
+            }
+        }
     }
 }
