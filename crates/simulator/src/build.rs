@@ -207,6 +207,10 @@ impl SimBuild {
     ) {
         let task_set = topology.task_set();
         let base = self.specs.len();
+        // One entry per task: sized once instead of by doubling.
+        self.specs.reserve_exact(task_set.len());
+        self.comp_of.reserve_exact(task_set.len());
+        self.los_pools.reserve_exact(task_set.len());
         let topo_id = self.topo_names.len() as u32;
         self.topo_names.push(topology.id().as_str().to_owned());
 
