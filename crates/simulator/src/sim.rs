@@ -490,7 +490,9 @@ struct Engine<'c> {
     rng: StdRng,
     totals: SimTotals,
     latency: LatencyAccumulator,
-    /// Event counts, total and per kind; `report` fills in the rest.
+    /// Heap events handled, per tag.
+    heap_events: [u64; 4],
+    /// The lanes' other event counts; `report` fills in the rest.
     debug: SimDebugStats,
 
     /// `config.max_replays > 0`. Every replay-plane branch and counter is
@@ -769,6 +771,7 @@ impl<'c> Engine<'c> {
             rng,
             totals: SimTotals::default(),
             latency: LatencyAccumulator::default(),
+            heap_events: [0; 4],
             debug: SimDebugStats::default(),
             replay_enabled,
             live_logical: 0,
@@ -799,69 +802,40 @@ impl<'c> Engine<'c> {
         // timeout list and the fair plane's wake slot. Every event's
         // `(key, seq)` comes from the queue's one counter, so taking the
         // earliest of the three heads is the order a single queue would
-        // pop.
-        enum Lane {
-            Heap,
-            Timeout(u64),
-            Wake,
-        }
+        // pop. An empty lane reads as `NO_EVENT`, which no event's slot
+        // reaches (the largest finite time's key is below `u64::MAX`).
+        const NO_EVENT: (u64, u64) = (u64::MAX, u64::MAX);
         loop {
-            let mut next = self.queue.peek_key().map(|slot| (slot, Lane::Heap));
-            if let Some((slot, root)) = self.roots.next_timeout() {
-                if next.as_ref().is_none_or(|(first, _)| slot < *first) {
-                    next = Some((slot, Lane::Timeout(root)));
-                }
-            }
-            if let Some(slot) = self.net_wake {
-                if next.as_ref().is_none_or(|(first, _)| slot < *first) {
-                    next = Some((slot, Lane::Wake));
-                }
-            }
-            let Some(((key, _), lane)) = next else {
-                break;
-            };
-            if f64::from_bits(key) > self.config.sim_time_ms {
+            let heap = self.queue.peek_key().unwrap_or(NO_EVENT);
+            let timeout = self.roots.next_timeout().unwrap_or(NO_EVENT);
+            let wake = self.net_wake.unwrap_or(NO_EVENT);
+            let first = heap.min(timeout).min(wake);
+            if first == NO_EVENT || f64::from_bits(first.0) > self.config.sim_time_ms {
                 break;
             }
-            self.debug.events += 1;
-            match lane {
-                Lane::Timeout(root) => {
-                    self.queue.advance_to(key);
-                    self.debug.timeouts_fired += 1;
-                    self.root_timeout(root);
+            if first == heap {
+                let (_, ev) = self.queue.pop().expect("peek checked");
+                self.heap_events[(ev.task_tag >> TAG_SHIFT) as usize] += 1;
+                let task = (ev.task_tag & TASK_MASK) as usize;
+                let batch = Batch {
+                    root: ev.root,
+                    tuples: ev.tuples,
+                };
+                match ev.task_tag & !TASK_MASK {
+                    TAG_TRY_SPOUT => self.try_spout(task),
+                    TAG_WORK_DONE => self.work_done(task, batch),
+                    TAG_DELIVER => self.deliver(task, batch),
+                    _ => self.apply_fault(task),
                 }
-                Lane::Wake => {
-                    self.queue.advance_to(key);
-                    self.net_wake = None;
-                    self.debug.net_wakes += 1;
-                    self.net_wake();
-                }
-                Lane::Heap => {
-                    let (_, ev) = self.queue.pop().expect("peek checked");
-                    let task = (ev.task_tag & TASK_MASK) as usize;
-                    let batch = Batch {
-                        root: ev.root,
-                        tuples: ev.tuples,
-                    };
-                    match ev.task_tag & !TASK_MASK {
-                        TAG_TRY_SPOUT => {
-                            self.debug.spout_events += 1;
-                            self.try_spout(task);
-                        }
-                        TAG_WORK_DONE => {
-                            self.debug.work_done_events += 1;
-                            self.work_done(task, batch);
-                        }
-                        TAG_DELIVER => {
-                            self.debug.deliver_events += 1;
-                            self.deliver(task, batch);
-                        }
-                        _ => {
-                            self.debug.fault_events += 1;
-                            self.apply_fault(task);
-                        }
-                    }
-                }
+            } else if first == timeout {
+                self.queue.advance_to(first.0);
+                self.debug.timeouts_fired += 1;
+                self.root_timeout();
+            } else {
+                self.queue.advance_to(first.0);
+                self.net_wake = None;
+                self.debug.net_wakes += 1;
+                self.net_wake();
             }
         }
 
@@ -1248,9 +1222,9 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Fails `root`, whose tuple timeout is the earliest pending one.
-    fn root_timeout(&mut self, root: u64) {
-        let state = self.roots.fire_timeout(root);
+    /// Fails the root whose tuple timeout is the earliest pending one.
+    fn root_timeout(&mut self) {
+        let (root, state) = self.roots.fire_timeout();
         let spout = state.spout as usize;
         let attempt = state.attempt;
         let carried = state.lost_tuples;
@@ -1778,6 +1752,13 @@ impl<'c> Engine<'c> {
                 net_fill_flows: fill.flows,
                 net_fill_rounds: fill.rounds,
                 net_links_scanned: fill.links_scanned,
+                events: self.heap_events.iter().sum::<u64>()
+                    + self.debug.timeouts_fired
+                    + self.debug.net_wakes,
+                spout_events: self.heap_events[(TAG_TRY_SPOUT >> TAG_SHIFT) as usize],
+                work_done_events: self.heap_events[(TAG_WORK_DONE >> TAG_SHIFT) as usize],
+                deliver_events: self.heap_events[(TAG_DELIVER >> TAG_SHIFT) as usize],
+                fault_events: self.heap_events[(TAG_FAULT >> TAG_SHIFT) as usize],
                 ..self.debug
             },
         };

@@ -175,35 +175,28 @@ impl RootSlab {
         self.live -= 1;
     }
 
-    /// The earliest pending tuple timeout: its `(key, seq)` event slot
-    /// and the root's handle.
-    pub fn next_timeout(&self) -> Option<((u64, u64), u64)> {
-        (self.head != NIL).then(|| {
-            let slot = &self.slots[self.head as usize];
-            (
-                slot.timeout,
-                (u64::from(slot.gen) << 32) | u64::from(self.head),
-            )
-        })
+    /// The `(key, seq)` event slot of the earliest pending tuple timeout.
+    pub fn next_timeout(&self) -> Option<(u64, u64)> {
+        (self.head != NIL).then(|| self.slots[self.head as usize].timeout)
     }
 
-    /// Fires the tuple timeout of `handle`, the root at the head of the
-    /// list (see [`Self::next_timeout`]): marks it failed, takes it off
-    /// the list and returns its state.
+    /// Fires the earliest pending tuple timeout (see
+    /// [`Self::next_timeout`]): marks its root failed, takes it off the
+    /// list and returns the root's handle and state.
     ///
     /// # Panics
     ///
-    /// Panics if `handle` is not the earliest pending timeout's root.
-    pub fn fire_timeout(&mut self, handle: u64) -> &mut RootState {
-        assert!(
-            self.next_timeout().is_some_and(|(_, h)| h == handle),
-            "only the earliest pending timeout fires"
-        );
+    /// Panics if no timeout is pending.
+    pub fn fire_timeout(&mut self) -> (u64, &mut RootState) {
         let idx = self.head;
+        assert!(idx != NIL, "no tuple timeout is pending");
         self.unlink(idx);
-        let state = &mut self.slots[idx as usize].state;
-        state.failed = true;
-        state
+        let slot = &mut self.slots[idx as usize];
+        slot.state.failed = true;
+        (
+            (u64::from(slot.gen) << 32) | u64::from(idx),
+            &mut slot.state,
+        )
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -293,11 +286,12 @@ mod tests {
         let a = e.insert(0);
         let b = e.insert(1);
         assert_eq!(e.slab.unfailed_live(), 2);
-        assert_eq!(e.slab.next_timeout(), Some(((0, 1), a)));
-        assert!(e.slab.fire_timeout(a).failed);
+        assert_eq!(e.slab.next_timeout(), Some((0, 1)));
+        let (fired, state) = e.slab.fire_timeout();
+        assert!(fired == a && state.failed);
         assert!(e.slab.get(a).is_some(), "a failed root stays until drained");
         assert_eq!(e.slab.unfailed_live(), 1);
-        assert_eq!(e.slab.next_timeout(), Some(((0, 2), b)));
+        assert_eq!(e.slab.next_timeout(), Some((0, 2)));
         e.slab.remove(a);
         assert_eq!(e.slab.unfailed_live(), 1);
         assert_eq!(timeout_list(&e.slab), vec![((0, 2), b)]);
@@ -320,12 +314,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only the earliest pending timeout fires")]
-    fn only_the_head_fires() {
+    #[should_panic(expected = "no tuple timeout is pending")]
+    fn firing_with_nothing_pending_panics() {
         let mut e = Emitter::new();
-        e.insert(0);
-        let b = e.insert(1);
-        e.slab.fire_timeout(b);
+        let a = e.insert(0);
+        e.slab.remove(a);
+        e.slab.fire_timeout();
     }
 
     #[test]
@@ -360,7 +354,7 @@ mod tests {
         // Removing through the stale handle is a no-op.
         slab.remove(a);
         assert!(slab.get(b).is_some());
-        assert_eq!(slab.next_timeout(), Some(((0, 2), b)));
+        assert_eq!(slab.next_timeout(), Some((0, 2)));
     }
 
     #[test]
@@ -434,9 +428,10 @@ mod tests {
                             .iter()
                             .copied()
                             .find(|(_, h)| live.contains(h) && !failed.contains(h));
-                        proptest::prop_assert_eq!(slab.next_timeout(), expected);
+                        proptest::prop_assert_eq!(slab.next_timeout(), expected.map(|(t, _)| t));
                         if let Some((_, h)) = expected {
-                            proptest::prop_assert!(slab.fire_timeout(h).failed);
+                            let (fired, state) = slab.fire_timeout();
+                            proptest::prop_assert!(fired == h && state.failed);
                             failed.push(h);
                         }
                     }
