@@ -24,7 +24,7 @@
 //! capacity or connectivity. Between transitions every flow progresses
 //! linearly at its frozen rate, so the engine keeps a single wake-up
 //! slot at the earliest completion time
-//! ([`FairNetwork::next_completion`]). Every transition moves the slot,
+//! (`FairNetwork::next_completion`). Every transition moves the slot,
 //! or clears it when no flow can complete, so a superseded wake-up is
 //! never queued.
 //!
