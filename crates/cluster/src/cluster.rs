@@ -115,16 +115,6 @@ impl Cluster {
         self.alive_nodes().flat_map(|n| n.slots().iter())
     }
 
-    /// Total capacity of all alive nodes in a rack.
-    pub fn rack_capacity(&self, rack: &str) -> ResourceCapacity {
-        self.rack_nodes(rack)
-            .iter()
-            .filter(|id| self.is_alive(id.as_str()))
-            .filter_map(|id| self.node(id.as_str()))
-            .map(Node::capacity)
-            .fold(ResourceCapacity::zero(), |acc, c| acc.saturating_add(c))
-    }
-
     /// Total capacity of all alive nodes.
     pub fn total_capacity(&self) -> ResourceCapacity {
         self.alive_nodes()
@@ -201,16 +191,6 @@ impl Cluster {
         }
     }
 
-    /// Index-based variant of [`Cluster::node_distance`]: `None` if
-    /// either node id is unknown (including `a == b` for an id not in the
-    /// cluster). Dead nodes are part of the immutable layout and still
-    /// have a distance — liveness is the scheduler's concern.
-    pub fn try_node_distance(&self, a: &str, b: &str) -> Option<f64> {
-        let ia = self.index.node_index(a)?;
-        let ib = self.index.node_index(b)?;
-        Some(self.index.distance(ia, ib))
-    }
-
     /// Marks a node dead (failure injection). Returns true if the node was
     /// alive. Scheduling and simulation skip dead nodes.
     pub fn kill_node(&mut self, id: &str) -> bool {
@@ -259,7 +239,6 @@ mod tests {
     #[test]
     fn capacities_aggregate() {
         let c = two_racks();
-        assert_eq!(c.rack_capacity("rack-0").cpu_points, 300.0);
         assert_eq!(c.total_capacity().memory_mb, 6.0 * 2048.0);
     }
 
@@ -330,40 +309,13 @@ mod tests {
         assert!(!c.kill_node("rack-0-node-0"), "already dead");
         assert!(!c.is_alive("rack-0-node-0"));
         assert_eq!(c.alive_nodes().count(), 5);
-        assert_eq!(c.rack_capacity("rack-0").cpu_points, 200.0);
+        // Dead nodes keep their place in the layout: distance still known.
+        assert_eq!(
+            c.node_distance("rack-0-node-0", "rack-0-node-1"),
+            Ok(c.costs().distance(PlacementRelation::SameRack))
+        );
         assert!(c.revive_node("rack-0-node-0"));
         assert_eq!(c.alive_nodes().count(), 6);
         assert!(!c.kill_node("ghost"), "unknown nodes cannot be killed");
-    }
-
-    #[test]
-    fn rack_capacity_of_unknown_rack_is_zero() {
-        let c = two_racks();
-        assert_eq!(c.rack_capacity("rack-9").cpu_points, 0.0);
-    }
-
-    #[test]
-    fn try_node_distance_handles_unknown_and_dead_nodes() {
-        let mut c = two_racks();
-        // Known pairs agree bit-for-bit with the panicking path.
-        assert_eq!(
-            c.try_node_distance("rack-0-node-0", "rack-1-node-0"),
-            c.node_distance("rack-0-node-0", "rack-1-node-0").ok()
-        );
-        assert_eq!(
-            c.try_node_distance("rack-0-node-0", "rack-0-node-0"),
-            c.node_distance("rack-0-node-0", "rack-0-node-0").ok()
-        );
-        // Unknown ids yield None, mirroring the Result path's
-        // UnknownNode — even when a == b.
-        assert_eq!(c.try_node_distance("ghost", "rack-0-node-0"), None);
-        assert_eq!(c.try_node_distance("rack-0-node-0", "ghost"), None);
-        assert_eq!(c.try_node_distance("ghost", "ghost"), None);
-        // Dead nodes keep their place in the layout: distance still known.
-        assert!(c.kill_node("rack-0-node-1"));
-        assert_eq!(
-            c.try_node_distance("rack-0-node-0", "rack-0-node-1"),
-            Some(c.costs().distance(PlacementRelation::SameRack))
-        );
     }
 }

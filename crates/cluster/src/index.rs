@@ -5,8 +5,9 @@
 //! "scheduling decisions need to be made in a snappy manner", §3). A
 //! [`ClusterIndex`] is built once per [`crate::Cluster`] and interns every
 //! node id to a dense `u32`, precomputes each node's rack index and
-//! capacity, and reduces [`networkDistance`](ClusterIndex::distance) to
-//! two integer compares against precomputed cost levels.
+//! capacity, and reduces `networkDistance` to a rack-index compare that
+//! picks one of three precomputed cost levels
+//! ([`ClusterIndex::distance_same_node`] and its siblings).
 //!
 //! Dense node indices are assigned in **sorted node-id order**, so a scan
 //! over `0..len` visits nodes exactly as a `BTreeMap<NodeId, _>` iteration
@@ -22,8 +23,8 @@ use crate::node::{Node, ResourceCapacity};
 use std::collections::HashMap;
 
 /// Precomputed dense-index view of a cluster's immutable layout: interned
-/// node ids, per-node rack indices and capacities, and O(1) network
-/// distance. Shared by reference from [`crate::Cluster::index`]; liveness
+/// node ids, per-node rack indices and capacities, and the three network
+/// distance levels. Shared by reference from [`crate::Cluster::index`]; liveness
 /// is deliberately *not* part of the index (it changes at runtime and is
 /// tracked by the scheduler's state).
 #[derive(Debug)]
@@ -171,24 +172,6 @@ impl ClusterIndex {
         &self.capacities[index as usize]
     }
 
-    /// Scheduler network distance between two nodes by dense index: no
-    /// hashing, no string compares. Matches
-    /// [`crate::Cluster::node_distance`] value-for-value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    #[inline]
-    pub fn distance(&self, a: u32, b: u32) -> f64 {
-        if a == b {
-            self.d_same_node
-        } else if self.rack_of[a as usize] == self.rack_of[b as usize] {
-            self.d_same_rack
-        } else {
-            self.d_inter_rack
-        }
-    }
-
     /// The distance used when the candidate is the reference node itself.
     pub fn distance_same_node(&self) -> f64 {
         self.d_same_node
@@ -254,8 +237,16 @@ mod tests {
                     idx.node_index(a.as_str()).unwrap(),
                     idx.node_index(b.as_str()).unwrap(),
                 );
+                // The node selector's choice among the three terms.
+                let dense = if ia == ib {
+                    idx.distance_same_node()
+                } else if idx.rack_of(ia) == idx.rack_of(ib) {
+                    idx.distance_same_rack()
+                } else {
+                    idx.distance_inter_rack()
+                };
                 assert_eq!(
-                    idx.distance(ia, ib).to_bits(),
+                    dense.to_bits(),
                     c.node_distance(a.as_str(), b.as_str()).unwrap().to_bits(),
                     "distance({a}, {b})"
                 );

@@ -12,8 +12,9 @@
 //!
 //! Capacities mirror the paper's `storm.yaml` administration API (§5.2):
 //! `supervisor.memory.capacity.mb` and `supervisor.cpu.capacity` (in CPU
-//! points, 100 per core). A minimal parser for that configuration format
-//! is provided in [`config`].
+//! points, 100 per core). Outside Rust code they are set per node through
+//! the `rstorm-spec` cluster format (`node <id> cpu=<points> mem=<MB>
+//! slots=<n>`).
 //!
 //! ## Example
 //!
@@ -35,7 +36,6 @@
 
 mod builder;
 mod cluster;
-pub mod config;
 mod error;
 mod ids;
 mod index;

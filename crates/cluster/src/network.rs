@@ -124,22 +124,6 @@ impl NetworkCosts {
             PlacementRelation::InterRack => self.latency_inter_rack_ms,
         }
     }
-
-    /// Transfer time in milliseconds for `bytes` at the relation's
-    /// bandwidth, excluding queueing (the simulator adds contention).
-    /// Intra-node transfers are treated as memory-speed (no serialization
-    /// over the NIC).
-    pub fn transfer_ms(&self, relation: PlacementRelation, bytes: u32) -> f64 {
-        let mbps = match relation {
-            PlacementRelation::SameWorker | PlacementRelation::SameNode => return 0.0,
-            PlacementRelation::SameRack => self.node_bandwidth_mbps,
-            PlacementRelation::InterRack => {
-                self.node_bandwidth_mbps.min(self.inter_rack_bandwidth_mbps)
-            }
-        };
-        // bytes -> megabits, divided by Mbps gives seconds; ×1000 → ms.
-        (f64::from(bytes) * 8.0 / 1_000_000.0) / mbps * 1000.0
-    }
 }
 
 impl Default for NetworkCosts {
@@ -214,17 +198,6 @@ mod tests {
     fn emulab_inter_rack_latency_is_half_rtt() {
         // The paper specifies a 4 ms inter-rack round trip.
         assert_eq!(NetworkCosts::emulab().latency_inter_rack_ms * 2.0, 4.0);
-    }
-
-    #[test]
-    fn transfer_time_scales_with_bytes() {
-        let c = NetworkCosts::emulab();
-        // 100 Mbps = 12.5 MB/s → 1250 bytes take 0.1 ms.
-        let t = c.transfer_ms(PlacementRelation::SameRack, 1250);
-        assert!((t - 0.1).abs() < 1e-9, "got {t}");
-        // Intra-node transfers are free of NIC serialization.
-        assert_eq!(c.transfer_ms(PlacementRelation::SameNode, 1_000_000), 0.0);
-        assert_eq!(c.transfer_ms(PlacementRelation::SameWorker, 1_000_000), 0.0);
     }
 
     #[test]

@@ -6,9 +6,10 @@ use std::fmt;
 /// Total resources a node offers, in the paper's three dimensions:
 /// CPU points (soft), memory megabytes (hard) and bandwidth (soft).
 ///
-/// Set by the administrator through `storm.yaml` (§5.2):
+/// The paper's administrator sets these through `storm.yaml` (§5.2):
 /// `supervisor.cpu.capacity: 100.0` means one core;
-/// `supervisor.memory.capacity.mb: 20480.0` means 20 GB.
+/// `supervisor.memory.capacity.mb: 20480.0` means 20 GB. Here they come
+/// from the `rstorm-spec` cluster format (`cpu=`, `mem=`, `bandwidth=`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceCapacity {
     /// CPU capacity in points (100 per core).

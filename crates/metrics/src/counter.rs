@@ -54,62 +54,19 @@ impl WindowedCounter {
         &self.counts
     }
 
-    /// Mean events per *second* over the complete windows in
-    /// `[0, until_ms)`; `0.0` if no window has completed yet.
-    ///
-    /// This is the drift detector's view of a counter: a window-aligned
-    /// rate that ignores the ragged final window, so two counters sampled
-    /// at the same `until_ms` are directly comparable.
-    pub fn rate_per_sec(&self, until_ms: f64) -> f64 {
-        let counts = self.complete_window_counts(until_ms);
-        if counts.is_empty() {
-            return 0.0;
-        }
-        let elapsed_s = counts.len() as f64 * self.window_ms / 1000.0;
-        counts.iter().sum::<u64>() as f64 / elapsed_s
-    }
-
     /// Counts per window truncated to full windows within `[0, until_ms)`.
     /// Use this to drop the final partial window of a simulation run.
     pub fn complete_window_counts(&self, until_ms: f64) -> Vec<u64> {
         let full = (until_ms / self.window_ms).floor() as usize;
         let mut counts = self.counts.clone();
-        counts.truncate(full);
-        counts.resize(full.min(counts.len().max(full)), 0);
-        // Ensure we report exactly `full` windows even if the tail saw no
-        // events at all.
-        if counts.len() < full {
-            counts.resize(full, 0);
-        }
+        // Exactly `full` windows, zero-padded if the tail saw no events.
+        counts.resize(full, 0);
         counts
     }
 
     /// Total number of recorded events.
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
-    }
-
-    /// Mean events per window over the windows returned by
-    /// [`WindowedCounter::complete_window_counts`]; `None` if there are no
-    /// complete windows.
-    pub fn mean_per_window(&self, until_ms: f64) -> Option<f64> {
-        let counts = self.complete_window_counts(until_ms);
-        if counts.is_empty() {
-            return None;
-        }
-        Some(counts.iter().sum::<u64>() as f64 / counts.len() as f64)
-    }
-
-    /// Mean events per window ignoring an initial warm-up prefix of
-    /// `skip` windows (the paper lets topologies "stabilize and converge"
-    /// before reading throughput).
-    pub fn steady_state_mean(&self, until_ms: f64, skip: usize) -> Option<f64> {
-        let counts = self.complete_window_counts(until_ms);
-        if counts.len() <= skip {
-            return None;
-        }
-        let tail = &counts[skip..];
-        Some(tail.iter().sum::<u64>() as f64 / tail.len() as f64)
     }
 }
 
@@ -129,17 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_per_sec_uses_complete_windows_only() {
-        let mut c = WindowedCounter::new(10_000.0);
-        c.record(1_000.0, 100);
-        c.record(11_000.0, 300);
-        c.record(21_000.0, 1_000_000); // partial window: ignored
-        assert_eq!(c.rate_per_sec(25_000.0), 400.0 / 20.0);
-        assert_eq!(c.rate_per_sec(5_000.0), 0.0);
-        assert_eq!(WindowedCounter::new(10.0).rate_per_sec(1_000.0), 0.0);
-    }
-
-    #[test]
     fn complete_windows_drop_partial_tail() {
         let mut c = WindowedCounter::new(10_000.0);
         c.record(5_000.0, 10);
@@ -154,19 +100,6 @@ mod tests {
         c.record(1_000.0, 1);
         // 50 s run but events only in the first window.
         assert_eq!(c.complete_window_counts(50_000.0), vec![1, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn means() {
-        let mut c = WindowedCounter::new(10_000.0);
-        for w in 0..6u64 {
-            c.record(w as f64 * 10_000.0 + 1.0, if w < 2 { 0 } else { 100 });
-        }
-        assert_eq!(c.mean_per_window(60_000.0), Some(400.0 / 6.0));
-        // Skipping the 2-window warm-up gives the steady-state rate.
-        assert_eq!(c.steady_state_mean(60_000.0, 2), Some(100.0));
-        assert_eq!(c.steady_state_mean(60_000.0, 6), None);
-        assert_eq!(WindowedCounter::new(10.0).mean_per_window(5.0), None);
     }
 
     #[test]

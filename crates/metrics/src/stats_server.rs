@@ -23,8 +23,6 @@ struct Inner {
     /// (topology, component) -> observed CPU busy-time, in microseconds
     /// of core time (integer so it fits the windowed counter).
     busy_us: HashMap<(String, String), WindowedCounter>,
-    /// (topology, component) -> (summed queue-depth samples, sample count).
-    queue_depth: HashMap<(String, String), (u64, u64)>,
     /// topology -> declared sink components.
     sinks: HashMap<String, BTreeSet<String>>,
 }
@@ -99,18 +97,6 @@ impl StatisticServer {
             .record(at_ms, busy_us);
     }
 
-    /// Records one queue-depth sample (`depth` tuples waiting across the
-    /// component's tasks) taken at a stats-snapshot tick.
-    pub fn record_queue_depth(&self, topology: &str, component: &str, depth: u64) {
-        let mut inner = self.inner.lock();
-        let entry = inner
-            .queue_depth
-            .entry((topology.to_owned(), component.to_owned()))
-            .or_insert((0, 0));
-        entry.0 += depth;
-        entry.1 += 1;
-    }
-
     /// Total observed CPU busy core-time of a component in milliseconds.
     pub fn component_busy_core_ms(&self, topology: &str, component: &str) -> f64 {
         self.inner
@@ -129,32 +115,6 @@ impl StatisticServer {
             return 0.0;
         }
         self.component_busy_core_ms(topology, component) / elapsed_ms * 100.0
-    }
-
-    /// Mean queue depth over all recorded snapshot samples; `0.0` when no
-    /// sample was taken.
-    pub fn mean_queue_depth(&self, topology: &str, component: &str) -> f64 {
-        self.inner
-            .lock()
-            .queue_depth
-            .get(&(topology.to_owned(), component.to_owned()))
-            .map_or(0.0, |(sum, n)| {
-                if *n == 0 {
-                    0.0
-                } else {
-                    *sum as f64 / *n as f64
-                }
-            })
-    }
-
-    /// Tuples *processed* per second by a component over complete windows
-    /// in `[0, until_ms)` (see [`WindowedCounter::rate_per_sec`]).
-    pub fn component_rate_per_sec(&self, topology: &str, component: &str, until_ms: f64) -> f64 {
-        self.inner
-            .lock()
-            .processed
-            .get(&(topology.to_owned(), component.to_owned()))
-            .map_or(0.0, |c| c.rate_per_sec(until_ms))
     }
 
     /// Tuples processed per complete window by one component.
@@ -237,11 +197,6 @@ impl ThroughputReport {
     pub fn steady_state(&self, skip: usize) -> Summary {
         Summary::of(self.windows.iter().skip(skip).copied())
     }
-
-    /// Mean tuples per *second* at steady state.
-    pub fn steady_tuples_per_sec(&self, skip: usize) -> f64 {
-        self.steady_state(skip).mean / (self.window_ms / 1000.0)
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +252,6 @@ mod tests {
             windows: vec![5.0, 100.0, 100.0],
         };
         assert_eq!(r.steady_state(1).mean, 100.0);
-        assert_eq!(r.steady_tuples_per_sec(1), 10.0);
     }
 
     #[test]
@@ -316,23 +270,5 @@ mod tests {
         assert_eq!(s.observed_cpu_points("t", "bolt", 20_000.0), 25.0);
         assert_eq!(s.observed_cpu_points("t", "ghost", 20_000.0), 0.0);
         assert_eq!(s.observed_cpu_points("t", "bolt", 0.0), 0.0);
-    }
-
-    #[test]
-    fn queue_depth_samples_average() {
-        let s = StatisticServer::new(10_000.0);
-        s.record_queue_depth("t", "bolt", 4);
-        s.record_queue_depth("t", "bolt", 8);
-        assert_eq!(s.mean_queue_depth("t", "bolt"), 6.0);
-        assert_eq!(s.mean_queue_depth("t", "ghost"), 0.0);
-    }
-
-    #[test]
-    fn processed_rate_per_sec() {
-        let s = StatisticServer::new(10_000.0);
-        s.record_processed("t", "sink", 1_000.0, 400);
-        s.record_processed("t", "sink", 11_000.0, 600);
-        assert_eq!(s.component_rate_per_sec("t", "sink", 20_000.0), 50.0);
-        assert_eq!(s.component_rate_per_sec("t", "ghost", 20_000.0), 0.0);
     }
 }

@@ -52,17 +52,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Relative improvement of `self.mean` over `baseline.mean`, as a
-    /// fraction (0.5 = 50% higher). Returns `None` when the baseline mean
-    /// is zero (the paper reports such cases as "orders of magnitude").
-    pub fn improvement_over(&self, baseline: &Summary) -> Option<f64> {
-        if baseline.mean == 0.0 {
-            None
-        } else {
-            Some(self.mean / baseline.mean - 1.0)
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -104,15 +93,6 @@ mod tests {
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.min, 3.5);
         assert_eq!(s.max, 3.5);
-    }
-
-    #[test]
-    fn improvement_math() {
-        let rstorm = Summary::of([150.0]);
-        let default = Summary::of([100.0]);
-        assert_eq!(rstorm.improvement_over(&default), Some(0.5));
-        let dead = Summary::of([0.0]);
-        assert_eq!(rstorm.improvement_over(&dead), None);
     }
 
     #[test]

@@ -178,13 +178,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    #[allow(dead_code)] // part of the queue's natural API; used in tests
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True if no events are pending.
-    #[allow(dead_code)] // part of the queue's natural API; used in tests
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

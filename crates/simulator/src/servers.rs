@@ -64,7 +64,7 @@ impl LinkServer {
     }
 
     /// The time the server next becomes free.
-    #[allow(dead_code)] // part of the server's natural API; used in tests
+    #[cfg(test)]
     pub fn busy_until(&self) -> f64 {
         self.busy_until
     }

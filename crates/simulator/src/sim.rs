@@ -315,7 +315,7 @@ impl Simulation {
 
     /// Attaches a [`StatisticServer`] and snapshots per-component stats
     /// into it every `interval_ms` of simulated time: observed CPU
-    /// busy-time, processed/emitted tuple counts and input-queue depth.
+    /// busy-time and processed/emitted tuple counts.
     ///
     /// The export is a pure observer — it draws no randomness and mutates
     /// no engine state — so an exporting run produces the same
@@ -1394,9 +1394,6 @@ impl<'c> Engine<'c> {
                     .record_emitted(&spec.topology, &spec.component, at_ms, emitted_delta);
                 stats.last_emitted[i] = rt.emitted_acc;
             }
-            stats
-                .server
-                .record_queue_depth(&spec.topology, &spec.component, rt.queue.len() as u64);
         }
         let next = now + stats.interval_ms;
         if next <= self.config.sim_time_ms {

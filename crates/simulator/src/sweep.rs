@@ -454,11 +454,6 @@ pub(crate) fn run_indexed<T: Send>(
 /// per bucket, the last open-ended.
 pub const HIST_BUCKETS: usize = 8;
 
-/// Human-readable bucket bounds, aligned with [`HIST_BUCKETS`].
-pub const HIST_LABELS: [&str; HIST_BUCKETS] = [
-    "0", "1-9", "10-99", "100-999", "1k-10k", "10k-100k", "100k-1M", ">=1M",
-];
-
 fn hist_bucket(lost: u64) -> usize {
     if lost == 0 {
         return 0;
@@ -526,7 +521,9 @@ pub struct SweepGroup {
     pub net_mean: f64,
     /// Standard deviation of steady-state throughput.
     pub net_stdev: f64,
-    /// Tuples-lost histogram over [`HIST_LABELS`] buckets.
+    /// Tuples-lost histogram: one count per seed in the bucket of its
+    /// tuples lost. The buckets are 0, 1–9, 10–99, 100–999, 1k–10k,
+    /// 10k–100k, 100k–1M and ≥1M.
     pub lost_hist: [u64; HIST_BUCKETS],
 }
 

@@ -35,19 +35,6 @@ impl StreamGrouping {
     {
         Self::Fields(names.into_iter().map(Into::into).collect())
     }
-
-    /// Returns true if the grouping replicates each tuple to every consumer
-    /// task (i.e. fan-out factor equals consumer parallelism).
-    pub fn replicates(&self) -> bool {
-        matches!(self, Self::All)
-    }
-
-    /// Returns true if the grouping is placement-sensitive, i.e. a good
-    /// scheduler can reduce network traffic by colocating producer and
-    /// consumer tasks.
-    pub fn placement_sensitive(&self) -> bool {
-        matches!(self, Self::Shuffle | Self::LocalOrShuffle)
-    }
 }
 
 impl fmt::Display for StreamGrouping {
@@ -74,27 +61,6 @@ mod tests {
             StreamGrouping::Fields(vec!["word".to_owned(), "count".to_owned()])
         );
         assert_eq!(g.to_string(), "fields(word,count)");
-    }
-
-    #[test]
-    fn only_all_replicates() {
-        assert!(StreamGrouping::All.replicates());
-        for g in [
-            StreamGrouping::Shuffle,
-            StreamGrouping::Global,
-            StreamGrouping::LocalOrShuffle,
-            StreamGrouping::fields(["k"]),
-        ] {
-            assert!(!g.replicates(), "{g} should not replicate");
-        }
-    }
-
-    #[test]
-    fn shuffle_like_groupings_are_placement_sensitive() {
-        assert!(StreamGrouping::Shuffle.placement_sensitive());
-        assert!(StreamGrouping::LocalOrShuffle.placement_sensitive());
-        assert!(!StreamGrouping::fields(["k"]).placement_sensitive());
-        assert!(!StreamGrouping::Global.placement_sensitive());
     }
 
     #[test]

@@ -58,6 +58,6 @@ pub use grouping::StreamGrouping;
 pub use ids::{ComponentId, StreamId, TaskId, TopologyId};
 pub use profile::ExecutionProfile;
 pub use resource::ResourceRequest;
-pub use task::{Executor, ExecutorId, ExecutorSet, Task, TaskSet};
+pub use task::{Task, TaskSet};
 pub use topology::Topology;
 pub use traversal::{bfs_component_order, dfs_component_order, TraversalOrder};

@@ -64,11 +64,6 @@ impl ResourceRequest {
         }
     }
 
-    /// Returns true if all dimensions are zero.
-    pub fn is_zero(&self) -> bool {
-        self.cpu_points == 0.0 && self.memory_mb == 0.0 && self.bandwidth == 0.0
-    }
-
     /// Component-wise sum of two requests.
     pub fn saturating_add(&self, other: &Self) -> Self {
         Self {
@@ -145,8 +140,6 @@ mod tests {
         let r = ResourceRequest::new(50.0, 1024.0, 3.0);
         let sum = r.saturating_add(&ResourceRequest::zero());
         assert_eq!(sum, r);
-        assert!(ResourceRequest::zero().is_zero());
-        assert!(!r.is_zero());
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Task and executor instantiation.
+//! Task instantiation.
 //!
 //! A *task* is one parallel instance of a component — the unit R-Storm
-//! schedules. An *executor* is a thread that runs one or more tasks of the
-//! same component; Storm's default is one task per executor, which is also
-//! our default, but [`ExecutorSet::group`] supports packing several.
+//! schedules. Storm runs each task on an executor thread; its default of
+//! one task per executor is what every scheduler and the simulator assume,
+//! so executors are not modelled separately.
 
 use crate::ids::{ComponentId, TaskId};
 use crate::resource::ResourceRequest;
@@ -108,94 +108,6 @@ impl TaskSet {
     }
 }
 
-/// Identifier of an executor (a task-running thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ExecutorId(pub u32);
-
-impl fmt::Display for ExecutorId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "executor-{}", self.0)
-    }
-}
-
-/// An executor: a thread running a contiguous run of tasks of one
-/// component.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Executor {
-    /// Dense executor id.
-    pub id: ExecutorId,
-    /// Component whose tasks this executor runs.
-    pub component: ComponentId,
-    /// The tasks assigned to this executor (non-empty, same component).
-    pub tasks: Vec<TaskId>,
-}
-
-/// Tasks grouped into executors.
-#[derive(Debug, Clone)]
-pub struct ExecutorSet {
-    executors: Vec<Executor>,
-}
-
-impl ExecutorSet {
-    /// Groups a task set into executors with at most `tasks_per_executor`
-    /// tasks each (Storm's default is 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks_per_executor` is zero.
-    pub fn group(task_set: &TaskSet, tasks_per_executor: u32) -> Self {
-        assert!(tasks_per_executor > 0, "tasks_per_executor must be ≥ 1");
-        let mut executors = Vec::new();
-        let mut next = 0u32;
-        // Iterate components in task-id order for determinism.
-        let mut current: Option<(ComponentId, Vec<TaskId>)> = None;
-        for task in task_set.tasks() {
-            match &mut current {
-                Some((component, tasks))
-                    if *component == task.component
-                        && (tasks.len() as u32) < tasks_per_executor =>
-                {
-                    tasks.push(task.id);
-                }
-                _ => {
-                    if let Some((component, tasks)) = current.take() {
-                        executors.push(Executor {
-                            id: ExecutorId(next),
-                            component,
-                            tasks,
-                        });
-                        next += 1;
-                    }
-                    current = Some((task.component.clone(), vec![task.id]));
-                }
-            }
-        }
-        if let Some((component, tasks)) = current {
-            executors.push(Executor {
-                id: ExecutorId(next),
-                component,
-                tasks,
-            });
-        }
-        Self { executors }
-    }
-
-    /// All executors in id order.
-    pub fn executors(&self) -> &[Executor] {
-        &self.executors
-    }
-
-    /// Number of executors.
-    pub fn len(&self) -> usize {
-        self.executors.len()
-    }
-
-    /// Returns true if there are no executors.
-    pub fn is_empty(&self) -> bool {
-        self.executors.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,27 +155,6 @@ mod tests {
             ResourceRequest::DEFAULT_CPU_POINTS
         );
         assert!(ts.resources(TaskId(99)).is_none());
-    }
-
-    #[test]
-    fn one_task_per_executor_by_default() {
-        let ts = topology().task_set();
-        let es = ExecutorSet::group(&ts, 1);
-        assert_eq!(es.len(), 9);
-        assert!(es.executors().iter().all(|e| e.tasks.len() == 1));
-    }
-
-    #[test]
-    fn executors_never_mix_components() {
-        let ts = topology().task_set();
-        let es = ExecutorSet::group(&ts, 2);
-        // s: 3 tasks -> 2 executors; b1: 2 -> 1; b2: 4 -> 2. Total 5.
-        assert_eq!(es.len(), 5);
-        for e in es.executors() {
-            for t in &e.tasks {
-                assert_eq!(ts.task(*t).unwrap().component, e.component);
-            }
-        }
     }
 
     #[test]

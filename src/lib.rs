@@ -67,12 +67,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Topology model: components, streams, groupings, tasks, executors.
+/// Topology model: components, streams, groupings, tasks.
 pub mod topology {
     pub use rstorm_topology::*;
 }
 
-/// Cluster model: racks, nodes, worker slots, network costs, `storm.yaml`.
+/// Cluster model: racks, nodes, worker slots, capacities, network costs.
 pub mod cluster {
     pub use rstorm_cluster::*;
 }

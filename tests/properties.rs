@@ -3,7 +3,6 @@
 //! *every* input, not just the bundled workloads.
 
 use proptest::prelude::*;
-use rstorm::cluster::config::StormConfig;
 use rstorm::cluster::NodeId;
 use rstorm::prelude::*;
 use rstorm::scheduler::rstorm::node_selection::NodeSelector;
@@ -252,27 +251,6 @@ proptest! {
         let scaled = ra.scaled(k);
         prop_assert!((scaled.cpu_points - ra.cpu_points * k).abs() < 1e-9);
         prop_assert!((scaled.memory_mb - ra.memory_mb * k).abs() < 1e-9);
-    }
-
-    /// The storm.yaml subset round-trips through its own serializer.
-    #[test]
-    fn storm_config_roundtrip(
-        mem in 1.0f64..1e6,
-        cpu in 1.0f64..1e4,
-        ports in proptest::collection::vec(1024u16..65535, 1..6),
-    ) {
-        let text = format!(
-            "supervisor.memory.capacity.mb: {mem:?}\n\
-             supervisor.cpu.capacity: {cpu:?}\n\
-             supervisor.slots.ports: [{}]\n\
-             storm.scheduler: \"rstorm\"\n",
-            ports.iter().map(u16::to_string).collect::<Vec<_>>().join(", ")
-        );
-        let parsed = StormConfig::parse(&text).unwrap();
-        let reparsed = StormConfig::parse(&parsed.to_yaml()).unwrap();
-        prop_assert_eq!(&parsed, &reparsed);
-        prop_assert_eq!(parsed.get_f64("supervisor.memory.capacity.mb"), Some(mem));
-        prop_assert_eq!(parsed.slot_ports(), ports);
     }
 }
 
